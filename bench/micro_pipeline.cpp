@@ -242,18 +242,15 @@ void BM_PlanRefine(benchmark::State& state) {
 BENCHMARK(BM_PlanRefine)->Arg(0)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_PlanRefineDedup(benchmark::State& state) {
-  // The symmetric-rank collapse + cross-candidate memo cache, isolated: the
-  // same DP-heavy top-8 refinement with dedup_replays off (arg 0: every
-  // d*t sibling replayed individually) vs on (arg 1: one replay per
-  // distinct sequence). Items are refined candidates, so the rate delta IS
-  // the marginal-cost-per-candidate delta the dedup buys.
+  // The symmetric-rank collapse + cross-candidate memo cache on a DP-heavy
+  // top-8 refinement (one replay per distinct sequence). Items are refined
+  // candidates, so the rate is the marginal cost per refined candidate.
   const auto session = std::make_shared<core::ProfileSession>();
   core::PlanRequest request;
   request.job = test_job();
   request.devices = {gpu::rtx3060(), gpu::a100_40gb()};
   request.max_gpus = 8;
   request.refine_top_k = 8;
-  request.dedup_replays = state.range(0) == 1;
   {
     core::ServiceOptions warm;
     warm.session = session;
@@ -268,7 +265,7 @@ void BM_PlanRefineDedup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_PlanRefineDedup)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlanRefineDedup)->Unit(benchmark::kMillisecond);
 
 void BM_PlanRefineAll(benchmark::State& state) {
   // Full-search refinement: replay every enumerated decomposition instead

@@ -32,7 +32,15 @@
 # plan-shaped bad_refine.json, which goes through `xmem plan` — and
 # requires a nonzero exit.
 #
-# The serve smoke (bottom of the file) boots the `xmem serve` daemon and
+# bad_fleet_model.json (a queue naming an unknown model) also goes through
+# the serve smoke: the daemon must answer it with an error reply and keep
+# serving.
+#
+# The sanitizer pass (end of the file) builds a second tree next to the
+# main one (`<build-dir>-asan`) with AddressSanitizer + UBSan and runs the
+# full ctest set in it, so memory errors in the threaded fan-outs fail CI.
+#
+# The serve smoke boots the `xmem serve` daemon and
 # proves the process boundary is invisible: `xmem request` replies diff
 # byte-identical against the same offline goldens, twin requests coalesce,
 # the bad_frame.bin raw fixture is rejected without killing the daemon, and
@@ -382,7 +390,9 @@ fi
 # Third fresh daemon for the fleet fixture: its golden pins cold-cache
 # packing counters (profiles_run == distinct archetypes), which a warm
 # profile session from the earlier fixtures would turn into cache hits.
-"${XMEM}" serve --socket "${SERVE_SOCK}" &
+# It runs a threaded service so the malformed fleet below exercises the
+# threaded archetype fan-out.
+"${XMEM}" serve --socket "${SERVE_SOCK}" --service-threads 4 &
 SERVE_PID=$!
 wait_for_socket "${SERVE_SOCK}"
 serve_fleet_actual="$(mktemp)"
@@ -396,12 +406,52 @@ else
   echo "serve smoke ok: fleet reply byte-identical to offline golden"
 fi
 rm -f "${serve_fleet_actual}"
+
+# Negative: a fleet naming an unknown model must come back as an error
+# reply (exit 2) naming the model — and the daemon must still answer.
+bad_fleet_err="$(mktemp)"
+bad_fleet_status=0
+"${XMEM}" request --socket "${SERVE_SOCK}" \
+  --fleet "${FIXTURE_DIR}/bad_fleet_model.json" > /dev/null \
+  2> "${bad_fleet_err}" || bad_fleet_status=$?
+if [[ "${bad_fleet_status}" != "2" ]] ||
+   ! grep -q "no-such-model" "${bad_fleet_err}"; then
+  echo "SERVE SMOKE: bad_fleet_model.json must get an error reply naming" \
+       "the model (exit ${bad_fleet_status})" >&2
+  cat "${bad_fleet_err}" >&2
+  GOLDEN_FAILED=1
+elif ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
+  echo "SERVE SMOKE: daemon died after bad_fleet_model.json" >&2
+  GOLDEN_FAILED=1
+else
+  echo "serve smoke ok: bad_fleet_model.json rejected, daemon alive"
+fi
+rm -f "${bad_fleet_err}"
 "${XMEM}" request --socket "${SERVE_SOCK}" --shutdown > /dev/null
 if ! wait "${SERVE_PID}"; then
   echo "SERVE SMOKE: fleet daemon exited nonzero on shutdown request" >&2
   GOLDEN_FAILED=1
 else
   echo "serve smoke ok: fleet daemon drained on shutdown request"
+fi
+
+# --- sanitizer pass --------------------------------------------------------
+# A second tree with AddressSanitizer + UBSan (tests only: examples and the
+# benches are off) running the full ctest set. A use-after-free or UB in
+# the pool fan-outs aborts the offending suite.
+
+ASAN_DIR="${BUILD_DIR}-asan"
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+ASAN_FLAGS+=" -fno-omit-frame-pointer -O1"
+cmake -B "${ASAN_DIR}" -S "${REPO_ROOT}" -DXMEM_WERROR=ON \
+  -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS="${ASAN_FLAGS}" \
+  -DXMEM_BUILD_EXAMPLES=OFF -DXMEM_BUILD_BENCH=OFF
+cmake --build "${ASAN_DIR}" -j "${JOBS}"
+if ! ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"; then
+  echo "SANITIZER PASS: a test failed under ASan/UBSan" >&2
+  GOLDEN_FAILED=1
+else
+  echo "sanitizer pass ok"
 fi
 
 exit "${GOLDEN_FAILED}"

@@ -1,9 +1,8 @@
 #include "core/estimation_service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <future>
+#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -169,23 +168,29 @@ const alloc::BackendKnobs& knobs_for(
   return it == config.end() ? empty : it->second;
 }
 
-}  // namespace
-
-EstimateRequest EstimateRequest::from_json(const util::Json& json) {
+/// A request document's shared head: the job and its candidate devices.
+template <typename Request>
+Request request_from_json(const util::Json& json, const std::string& context) {
   if (!json.is_object()) {
-    throw std::invalid_argument("request: top level must be an object");
+    throw std::invalid_argument(context + ": top level must be an object");
   }
-  EstimateRequest request;
+  Request request;
   request.job = job_from_json(json.at("job"));
-
   if (!json.contains("devices") || json.at("devices").size() == 0) {
-    throw std::invalid_argument("request: \"devices\" must be a non-empty "
-                                "array");
+    throw std::invalid_argument(context +
+                                ": \"devices\" must be a non-empty array");
   }
   for (const util::Json& entry : json.at("devices").as_array()) {
     request.devices.push_back(device_from_json(entry));
   }
+  return request;
+}
 
+}  // namespace
+
+EstimateRequest EstimateRequest::from_json(const util::Json& json) {
+  EstimateRequest request =
+      request_from_json<EstimateRequest>(json, "request");
   if (json.contains("allocators")) {
     request.allocators.clear();
     for (const util::Json& entry : json.at("allocators").as_array()) {
@@ -278,6 +283,23 @@ util::Json EstimateEntry::to_json(bool include_timings) const {
   return json;
 }
 
+StageCounters& StageCounters::operator+=(const StageCounters& other) {
+  profiles_run += other.profiles_run;
+  profile_cache_hits += other.profile_cache_hits;
+  replays_run += other.replays_run;
+  result_cache_hits += other.result_cache_hits;
+  return *this;
+}
+
+void StageCounters::write_json(util::Json& json) const {
+  json["profiles_run"] = util::Json(static_cast<std::int64_t>(profiles_run));
+  json["profile_cache_hits"] =
+      util::Json(static_cast<std::int64_t>(profile_cache_hits));
+  json["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
+  json["result_cache_hits"] =
+      util::Json(static_cast<std::int64_t>(result_cache_hits));
+}
+
 util::Json EstimateReport::to_json(bool include_timings) const {
   util::Json json = util::Json::object();
   json["schema_version"] = util::Json(1);
@@ -288,63 +310,70 @@ util::Json EstimateReport::to_json(bool include_timings) const {
   }
   json["entries"] = std::move(entry_array);
   util::Json counters = util::Json::object();
-  counters["profiles_run"] =
-      util::Json(static_cast<std::int64_t>(profiles_run));
-  counters["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  counters["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
-  counters["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
+  write_json(counters);
   json["stage_counters"] = std::move(counters);
   if (include_timings) json["wall_seconds"] = util::Json(wall_seconds);
   return json;
 }
 
+namespace {
+
+/// Plan-document integer field (absent = `fallback`), rejected with a
+/// message naming the field outside [min, max]. The default `max` keeps
+/// int fields from wrapping when narrowed.
+std::int64_t plan_int_in_range(
+    const util::Json& json, const std::string& key, std::int64_t fallback,
+    std::int64_t min,
+    std::int64_t max = std::numeric_limits<int>::max()) {
+  const std::int64_t value = json.get_int_or(key, fallback);
+  if (value < min) {
+    throw std::invalid_argument("plan request: \"" + key + "\" must be >= " +
+                                std::to_string(min));
+  }
+  if (value > max) {
+    throw std::invalid_argument("plan request: \"" + key + "\" must be <= " +
+                                std::to_string(max));
+  }
+  return value;
+}
+
+util::Json peaks_to_json(const std::vector<std::int64_t>& peaks) {
+  util::Json array = util::Json::array();
+  for (const std::int64_t peak : peaks) array.push_back(util::Json(peak));
+  return array;
+}
+
+util::Json verdicts_to_json(const std::vector<gpu::DeviceModel>& devices,
+                            const std::vector<bool>& fits) {
+  util::Json verdicts = util::Json::array();
+  for (std::size_t i = 0; i < devices.size() && i < fits.size(); ++i) {
+    util::Json verdict = util::Json::object();
+    verdict["device"] = util::Json(devices[i].name);
+    verdict["fits"] = util::Json(static_cast<bool>(fits[i]));
+    verdicts.push_back(std::move(verdict));
+  }
+  return verdicts;
+}
+
+}  // namespace
+
 PlanRequest PlanRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("plan request: top level must be an object");
-  }
-  PlanRequest request;
-  request.job = job_from_json(json.at("job"));
-  if (!json.contains("devices") || json.at("devices").size() == 0) {
-    throw std::invalid_argument(
-        "plan request: \"devices\" must be a non-empty array");
-  }
-  for (const util::Json& entry : json.at("devices").as_array()) {
-    request.devices.push_back(device_from_json(entry));
-  }
-  request.max_gpus = static_cast<int>(json.get_int_or("max_gpus", 8));
-  if (request.max_gpus < 1) {
-    throw std::invalid_argument("plan request: \"max_gpus\" must be >= 1");
-  }
+  PlanRequest request = request_from_json<PlanRequest>(json, "plan request");
+  request.max_gpus =
+      static_cast<int>(plan_int_in_range(json, "max_gpus", 8, 1));
   request.micro_batches =
-      static_cast<int>(json.get_int_or("micro_batches", 4));
-  if (request.micro_batches < 1) {
-    throw std::invalid_argument(
-        "plan request: \"micro_batches\" must be >= 1");
-  }
+      static_cast<int>(plan_int_in_range(json, "micro_batches", 4, 1));
   request.schedule =
       pipeline_schedule_from_string(json.get_string_or("schedule", "1f1b"));
   request.virtual_stages =
-      static_cast<int>(json.get_int_or("virtual_stages", 1));
-  if (request.virtual_stages < 1) {
-    throw std::invalid_argument(
-        "plan request: \"virtual_stages\" must be >= 1");
-  }
+      static_cast<int>(plan_int_in_range(json, "virtual_stages", 1, 1));
   request.zero = zero_stage_from_int(
       static_cast<int>(json.get_int_or("zero_stage", 0)));
   request.ddp_bucket_bytes =
-      json.get_int_or("ddp_bucket_bytes", request.ddp_bucket_bytes);
-  if (request.ddp_bucket_bytes < 0) {
-    throw std::invalid_argument(
-        "plan request: \"ddp_bucket_bytes\" must be >= 0");
-  }
-  request.ddp_bucket_count = static_cast<int>(
-      json.get_int_or("ddp_bucket_count", request.ddp_bucket_count));
-  if (request.ddp_bucket_count < 0) {
-    throw std::invalid_argument(
-        "plan request: \"ddp_bucket_count\" must be >= 0");
-  }
+      plan_int_in_range(json, "ddp_bucket_bytes", request.ddp_bucket_bytes, 0,
+                        std::numeric_limits<std::int64_t>::max());
+  request.ddp_bucket_count = static_cast<int>(plan_int_in_range(
+      json, "ddp_bucket_count", request.ddp_bucket_count, 0));
   request.activation_replication_pct = static_cast<int>(
       json.get_int_or("activation_replication_pct", 25));
   if (request.activation_replication_pct < 0 ||
@@ -358,17 +387,10 @@ PlanRequest PlanRequest::from_json(const util::Json& json) {
         json.at("allocator_config"), "plan request");
   }
   request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  if (request.profile_iterations < 1) {
-    throw std::invalid_argument(
-        "plan request: \"profile_iterations\" must be >= 1");
-  }
-  const std::int64_t max_candidates = json.get_int_or("max_candidates", 0);
-  if (max_candidates < 0) {
-    throw std::invalid_argument(
-        "plan request: \"max_candidates\" must be >= 0");
-  }
-  request.max_candidates = static_cast<std::size_t>(max_candidates);
+      static_cast<int>(plan_int_in_range(json, "profile_iterations", 3, 1));
+  request.max_candidates = static_cast<std::size_t>(
+      plan_int_in_range(json, "max_candidates", 0, 0,
+                        std::numeric_limits<std::int64_t>::max()));
   if (json.contains("refine_top_k") && json.at("refine_top_k").is_string()) {
     // Full-search mode spells itself as the string "all"; any other string
     // is a typo, not a count.
@@ -380,20 +402,7 @@ PlanRequest PlanRequest::from_json(const util::Json& json) {
     request.refine_all = true;
   } else {
     request.refine_top_k = static_cast<int>(
-        json.get_int_or("refine_top_k", request.refine_top_k));
-    if (request.refine_top_k < 0) {
-      throw std::invalid_argument(
-          "plan request: \"refine_top_k\" must be >= 0");
-    }
-  }
-  if (json.contains("dedup_replays")) {
-    if (!json.at("dedup_replays").is_bool()) {
-      throw std::invalid_argument(
-          "plan request: \"dedup_replays\" must be a boolean (false replays "
-          "every deployment rank individually instead of collapsing "
-          "symmetric ranks; the report is byte-identical either way)");
-    }
-    request.dedup_replays = json.at("dedup_replays").as_bool();
+        plan_int_in_range(json, "refine_top_k", request.refine_top_k, 0));
   }
   if (json.contains("comm_overlap")) {
     if (!json.at("comm_overlap").is_bool()) {
@@ -433,8 +442,6 @@ util::Json PlanRequest::to_json() const {
   } else {
     json["refine_top_k"] = util::Json(refine_top_k);
   }
-  // Emitted only when off so default documents round-trip unchanged.
-  if (!dedup_replays) json["dedup_replays"] = util::Json(false);
   // Emitted only when set so resident-mode documents round-trip unchanged.
   if (comm_overlap) json["comm_overlap"] = util::Json(true);
   if (!tenant.empty()) json["tenant"] = util::Json(tenant);
@@ -451,11 +458,7 @@ util::Json PlanCandidate::to_json(
   json["per_rank_peak_bytes"] = util::Json(plan.per_rank_peak);
   json["savings_pct"] = util::Json(savings_pct);
   json["splitting_helps"] = util::Json(splitting_helps);
-  util::Json ranks = util::Json::array();
-  for (const std::int64_t peak : plan.rank_peaks) {
-    ranks.push_back(util::Json(peak));
-  }
-  json["rank_peaks_bytes"] = std::move(ranks);
+  json["rank_peaks_bytes"] = peaks_to_json(plan.rank_peaks);
   util::Json stages = util::Json::array();
   for (const PipelineStage& stage : plan.stages) {
     util::Json entry = util::Json::object();
@@ -467,43 +470,21 @@ util::Json PlanCandidate::to_json(
     stages.push_back(std::move(entry));
   }
   json["stages"] = std::move(stages);
-  util::Json verdicts = util::Json::array();
-  for (std::size_t i = 0; i < devices.size() && i < device_fits.size(); ++i) {
-    util::Json verdict = util::Json::object();
-    verdict["device"] = util::Json(devices[i].name);
-    verdict["fits"] = util::Json(static_cast<bool>(device_fits[i]));
-    verdicts.push_back(std::move(verdict));
-  }
-  json["fits"] = std::move(verdicts);
+  json["fits"] = verdicts_to_json(devices, device_fits);
   json["replayed"] = util::Json(replayed);
   if (replayed) {
     util::Json replay = util::Json::object();
-    util::Json rank_array = util::Json::array();
-    for (const std::int64_t peak : replayed_rank_peaks) {
-      rank_array.push_back(util::Json(peak));
-    }
-    replay["rank_peaks_bytes"] = std::move(rank_array);
+    replay["rank_peaks_bytes"] = peaks_to_json(replayed_rank_peaks);
     replay["per_rank_peak_bytes"] = util::Json(replayed_per_rank_peak);
     replay["analytic_vs_replayed_pct"] = util::Json(analytic_vs_replayed_pct);
-    util::Json replay_verdicts = util::Json::array();
-    for (std::size_t i = 0;
-         i < devices.size() && i < replayed_device_fits.size(); ++i) {
-      util::Json verdict = util::Json::object();
-      verdict["device"] = util::Json(devices[i].name);
-      verdict["fits"] = util::Json(static_cast<bool>(replayed_device_fits[i]));
-      replay_verdicts.push_back(std::move(verdict));
-    }
-    replay["fits"] = std::move(replay_verdicts);
+    replay["fits"] = verdicts_to_json(devices, replayed_device_fits);
     replay["verdict_changed"] = util::Json(verdict_changed);
     if (window_mode) {
       // Overlap-window refinement: the peaks above are window-mode; keep
       // the resident baseline next to them (these keys only appear under
       // comm_overlap, so resident-mode reports stay byte-identical).
-      util::Json resident_array = util::Json::array();
-      for (const std::int64_t peak : resident_rank_peaks) {
-        resident_array.push_back(util::Json(peak));
-      }
-      replay["resident_rank_peaks_bytes"] = std::move(resident_array);
+      replay["resident_rank_peaks_bytes"] =
+          peaks_to_json(resident_rank_peaks);
       replay["resident_per_rank_peak_bytes"] =
           util::Json(resident_per_rank_peak);
       replay["window_vs_resident_pct"] = util::Json(window_vs_resident_pct);
@@ -535,11 +516,7 @@ util::Json PlanReport::to_json(bool include_timings) const {
   json["candidates_evaluated"] =
       util::Json(static_cast<std::int64_t>(candidates_evaluated));
   util::Json counters = util::Json::object();
-  counters["profiles_run"] =
-      util::Json(static_cast<std::int64_t>(profiles_run));
-  counters["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  counters["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
+  write_json(counters);
   counters["replayed_candidates"] =
       util::Json(static_cast<std::int64_t>(replayed_candidates));
   counters["rank_replays"] =
@@ -553,8 +530,6 @@ util::Json PlanReport::to_json(bool include_timings) const {
     counters["rerank_changed"] =
         util::Json(static_cast<std::int64_t>(rerank_changed));
   }
-  counters["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
   json["stage_counters"] = std::move(counters);
   if (include_timings) json["wall_seconds"] = util::Json(wall_seconds);
   return json;
@@ -562,13 +537,307 @@ util::Json PlanReport::to_json(bool include_timings) const {
 
 // ---------------------------------------------------------------------------
 
-struct EstimationService::SweepCounters {
-  std::atomic<std::size_t> profiles_run{0};
-  std::atomic<std::size_t> profile_cache_hits{0};
-  std::atomic<std::size_t> replays_run{0};
-  std::atomic<std::size_t> replayed_candidates{0};
-  std::atomic<std::size_t> result_cache_hits{0};
+namespace {
+
+/// Fail fast, naming the surface, on a question the pipeline cannot answer.
+void validate_question(
+    const std::string& surface, const TrainJob& job,
+    const std::vector<gpu::DeviceModel>& devices,
+    const std::vector<std::string>& allocators,
+    const std::map<std::string, alloc::BackendKnobs>& allocator_config) {
+  if (devices.empty()) {
+    throw std::invalid_argument(surface + ": request has no devices");
+  }
+  if (!models::is_known_model(job.model_name)) {
+    throw std::invalid_argument(surface + ": unknown model '" +
+                                job.model_name + "'");
+  }
+  for (const std::string& allocator : allocators) {
+    if (!alloc::is_known_backend(allocator)) {
+      throw std::invalid_argument(surface + ": unknown allocator '" +
+                                  allocator + "'");
+    }
+  }
+  validate_allocator_config(allocator_config, surface);
+}
+
+/// One entry's share of the stage counters, read back from its timings: a
+/// result-cache hit did no work; a session-backed miss replayed once.
+void count_entry(StageCounters& counters, bool session_backed,
+                 const StageTimings& timings) {
+  if (timings.result_cache_hit) {
+    ++counters.result_cache_hits;
+  } else if (session_backed) {
+    ++counters.replays_run;
+    ++(timings.profile_cache_hit ? counters.profile_cache_hits
+                                 : counters.profiles_run);
+  }
+}
+
+/// 100 * (value - base) / base, integer-truncated; 0 when base is 0.
+int pct_change(std::int64_t value, std::int64_t base) {
+  return base > 0 ? static_cast<int>(100 * (value - base) / base) : 0;
+}
+
+/// Best-first plan order over (-fits, gpus, peak, d, t, p): fit the most
+/// candidate devices with the fewest GPUs and the lowest per-rank peak;
+/// (d, t, p) breaks the remaining ties so the order is total and
+/// thread-count independent. `replayed` reads fits and peak from the
+/// refined fields instead of the analytic ones.
+auto rank_key(const PlanCandidate& candidate, bool replayed) {
+  return std::make_tuple(
+      -static_cast<std::int64_t>(replayed ? candidate.replayed_fits_count
+                                          : candidate.fits_count),
+      candidate.plan.gpus,
+      replayed ? candidate.replayed_per_rank_peak
+               : candidate.plan.per_rank_peak,
+      candidate.plan.data_parallel, candidate.plan.tensor_parallel,
+      candidate.plan.pipeline_stages);
+}
+
+void sort_best_first(std::vector<PlanCandidate>::iterator first,
+                     std::vector<PlanCandidate>::iterator last,
+                     bool replayed) {
+  std::sort(first, last,
+            [replayed](const PlanCandidate& a, const PlanCandidate& b) {
+              return rank_key(a, replayed) < rank_key(b, replayed);
+            });
+}
+
+/// The single-device baseline as a sweep: one xMem replay per candidate
+/// device, all sharing the session's profile.
+EstimateRequest single_device_request(const PlanRequest& request) {
+  EstimateRequest baseline;
+  baseline.job = request.job;
+  baseline.devices = request.devices;
+  baseline.allocators = {request.allocator};
+  baseline.estimators = {"xMem"};
+  baseline.allocator_config = request.allocator_config;
+  baseline.profile_iterations = request.profile_iterations;
+  baseline.tenant = request.tenant;
+  return baseline;
+}
+
+/// Phase 1: price every (d, t, p) decomposition of the GPU budget with the
+/// analytic stage model, rank best-first, and apply the max_candidates cap.
+void rank_analytic(const PlanRequest& request,
+                   const std::vector<ComponentProfile>& profiles,
+                   util::ThreadPool* pool, PlanReport& report) {
+  DistributedPlanner planner;
+  report.single_device_peak = planner.single_device_peak(profiles);
+
+  const std::vector<Decomposition> decompositions =
+      DistributedPlanner::enumerate_decompositions(
+          request.max_gpus, static_cast<int>(profiles.size()));
+  report.candidates_evaluated = decompositions.size();
+  report.candidates.resize(decompositions.size());
+
+  util::fan_out(pool, decompositions.size(), [&](std::size_t i) {
+    HybridOptions options;
+    options.data_parallel = decompositions[i].data_parallel;
+    options.tensor_parallel = decompositions[i].tensor_parallel;
+    options.pipeline_stages = decompositions[i].pipeline_stages;
+    options.micro_batches = request.micro_batches;
+    options.schedule = request.schedule;
+    options.virtual_stages = request.virtual_stages;
+    options.zero = request.zero;
+    options.ddp_bucket_bytes = request.ddp_bucket_bytes;
+    options.ddp_bucket_count = request.ddp_bucket_count;
+    options.tensor.activation_replication_pct =
+        request.activation_replication_pct;
+    PlanCandidate& candidate = report.candidates[i];
+    candidate.plan = planner.plan_hybrid(profiles, options);
+    candidate.savings_pct =
+        -pct_change(candidate.plan.per_rank_peak, report.single_device_peak);
+    candidate.splitting_helps =
+        candidate.plan.per_rank_peak < report.single_device_peak;
+    candidate.device_fits.reserve(request.devices.size());
+    for (const gpu::DeviceModel& device : request.devices) {
+      const bool fits = candidate.plan.per_rank_peak <= device.job_budget();
+      candidate.device_fits.push_back(fits);
+      if (fits) ++candidate.fits_count;
+    }
+  });
+
+  sort_best_first(report.candidates.begin(), report.candidates.end(),
+                  /*replayed=*/false);
+  if (request.max_candidates > 0 &&
+      report.candidates.size() > request.max_candidates) {
+    report.candidates.resize(request.max_candidates);
+  }
+}
+
+/// Per-candidate stage fingerprints a refine pass recorded, slot-indexed so
+/// the fan-out writes them race-free.
+struct RefineTrace {
+  std::vector<std::uint64_t> resident_fps;  ///< comm_overlap baseline
+  std::vector<std::uint64_t> replay_fps;    ///< the ranking replays
+  std::size_t symmetric = 1;                ///< d*t siblings per stage
 };
+
+/// Phase 2: replay the first `refine_count` ranked candidates per rank
+/// through the allocator tower. The transformer binds the ONE cached
+/// orchestrated sequence; each worker owns its scratch, so the fan-out is
+/// deterministic and the buffers amortize across a candidate's ranks.
+///
+/// Symmetric-rank collapse: a candidate's replayed peaks cover all d*t*p
+/// deployment ranks, but the transform has no DP/TP rank index — the d*t
+/// siblings of a pipeline stage replay byte-identical sequences — so only
+/// the p stage sequences are ever simulated and the stage verdict is
+/// fanned across its siblings exactly. Cross-candidate memoization then
+/// prices repeated sequences (fingerprint + full-compare guard in the
+/// ReplayScratch result cache) at a lookup instead of a simulation.
+std::vector<RefineTrace> refine(const PlanRequest& request,
+                                const OrchestratedSequence& base,
+                                const std::vector<ComponentProfile>& profiles,
+                                std::size_t refine_count,
+                                util::ThreadPool* pool, PlanReport& report) {
+  const SequenceTransformer transformer(base, profiles);
+  std::vector<RefineTrace> traces(refine_count);
+  util::fan_out(pool, refine_count, [&](std::size_t i) {
+    PlanCandidate& candidate = report.candidates[i];
+    RankTransformOptions transform;
+    transform.data_parallel = candidate.plan.data_parallel;
+    transform.tensor_parallel = candidate.plan.tensor_parallel;
+    transform.micro_batches = request.micro_batches;
+    transform.zero = request.zero;
+    transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
+    transform.ddp_bucket_count = request.ddp_bucket_count;
+    transform.tensor.activation_replication_pct =
+        request.activation_replication_pct;
+    transform.materialize_blocks = false;  // events are all the replay needs
+
+    const std::size_t stages =
+        std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
+    const std::size_t symmetric = static_cast<std::size_t>(
+        std::max(1, candidate.plan.data_parallel) *
+        std::max(1, candidate.plan.tensor_parallel));
+    const std::size_t ranks = stages * symmetric;  // deployment ranks
+    RefineTrace& trace = traces[i];
+    trace.symmetric = symmetric;
+    trace.replay_fps.resize(stages);
+    MemorySimulator simulator;
+    SimulationOptions sim_options;
+    sim_options.backend = request.allocator;
+    sim_options.backend_knobs =
+        knobs_for(request.allocator_config, request.allocator);
+    // Worker-thread-lifetime scratch: every candidate this thread picks
+    // up reuses the transform buffers AND the allocator tower, which is
+    // reset — not rebuilt — between replays. The backend_reset() contract
+    // (fw/backend.h) makes each replay byte-identical to a fresh-tower
+    // replay, and a memo-cache hit returns exactly what that replay
+    // would, so the report stays deterministic regardless of how
+    // candidates land on threads or what the cache happens to hold.
+    thread_local RankScratch scratch;
+    thread_local ReplayScratch replay_scratch;
+    // Replay stage `s` into its d*t sibling slots; returns the fingerprint.
+    const auto replay_stage = [&](std::size_t s,
+                                  std::vector<std::int64_t>& peaks) {
+      const OrchestratedSequence& sequence = transformer.rank_sequence(
+          transform, candidate.plan.stages, stages, s, scratch);
+      const std::uint64_t fingerprint = sequence_fingerprint(sequence);
+      const std::int64_t peak = simulator.replay_peak_memoized(
+          sequence, fingerprint, sim_options, replay_scratch);
+      std::fill_n(peaks.begin() + static_cast<std::ptrdiff_t>(s * symmetric),
+                  symmetric, peak);
+      return fingerprint;
+    };
+    candidate.replayed_rank_peaks.assign(ranks, 0);
+    // Overlap-window mode replays every stage twice — resident first for
+    // the baseline, then with schedule-tied windows — so the report can
+    // state what the windows saved (window_vs_resident_pct).
+    if (request.comm_overlap) {
+      candidate.resident_rank_peaks.assign(ranks, 0);
+      trace.resident_fps.resize(stages);
+    }
+    for (std::size_t s = 0; s < stages; ++s) {
+      if (request.comm_overlap) {
+        transform.comm_overlap = false;
+        trace.resident_fps[s] = replay_stage(s, candidate.resident_rank_peaks);
+        transform.comm_overlap = true;
+      }
+      trace.replay_fps[s] = replay_stage(s, candidate.replayed_rank_peaks);
+    }
+    candidate.replayed = true;
+    candidate.replayed_per_rank_peak =
+        *std::max_element(candidate.replayed_rank_peaks.begin(),
+                          candidate.replayed_rank_peaks.end());
+    if (request.comm_overlap) {
+      candidate.window_mode = true;
+      candidate.resident_per_rank_peak =
+          *std::max_element(candidate.resident_rank_peaks.begin(),
+                            candidate.resident_rank_peaks.end());
+      candidate.window_vs_resident_pct =
+          pct_change(candidate.replayed_per_rank_peak,
+                     candidate.resident_per_rank_peak);
+    }
+    candidate.analytic_vs_replayed_pct = pct_change(
+        candidate.replayed_per_rank_peak, candidate.plan.per_rank_peak);
+    candidate.replayed_device_fits.reserve(request.devices.size());
+    for (const gpu::DeviceModel& device : request.devices) {
+      const bool fits = candidate.replayed_per_rank_peak <= device.job_budget();
+      candidate.replayed_device_fits.push_back(fits);
+      if (fits) ++candidate.replayed_fits_count;
+    }
+    candidate.verdict_changed =
+        candidate.replayed_device_fits != candidate.device_fits;
+  });
+  return traces;
+}
+
+/// Refinement-cost counters: a deterministic post-pass over the recorded
+/// fingerprints in (candidate, resident-before-window, stage) order — the
+/// schedule the dedup machinery executes, independent of thread
+/// interleaving. Each stage stands for its d*t symmetric deployment ranks:
+/// the first sighting of a fingerprint is one real replay (rank_replays)
+/// and m-1 collapsed siblings; a repeat within the candidate collapses all
+/// m onto the earlier verdict; a repeat across candidates/modes is a
+/// memo-cache lookup (replay_cache_hits) plus m-1 collapsed siblings.
+void count_refine_replays(const std::vector<RefineTrace>& traces,
+                          PlanReport& report) {
+  std::unordered_set<std::uint64_t> seen;
+  std::unordered_set<std::uint64_t> candidate_seen;
+  for (const RefineTrace& trace : traces) {
+    candidate_seen.clear();
+    const auto account = [&](std::uint64_t fingerprint) {
+      if (!candidate_seen.insert(fingerprint).second) {
+        report.replays_deduped += trace.symmetric;
+        return;
+      }
+      if (seen.insert(fingerprint).second) {
+        ++report.rank_replays_run;
+      } else {
+        ++report.replay_cache_hits;
+      }
+      report.replays_deduped += trace.symmetric - 1;
+    };
+    for (const std::uint64_t fp : trace.resident_fps) account(fp);
+    for (const std::uint64_t fp : trace.replay_fps) account(fp);
+  }
+}
+
+/// Overlap-window mode: the replayed peaks are the ranking, not an
+/// annotation. Re-sort the refined prefix by the window-replayed verdicts;
+/// the unrefined tail keeps its analytic order behind it.
+void rerank_by_replay(std::size_t refine_count, PlanReport& report) {
+  const auto split_of = [&report](std::size_t i) {
+    const HybridPlan& plan = report.candidates[i].plan;
+    return std::make_tuple(plan.data_parallel, plan.tensor_parallel,
+                           plan.pipeline_stages);
+  };
+  std::vector<std::tuple<int, int, int>> before;
+  before.reserve(refine_count);
+  for (std::size_t i = 0; i < refine_count; ++i) before.push_back(split_of(i));
+  sort_best_first(report.candidates.begin(),
+                  report.candidates.begin() +
+                      static_cast<std::ptrdiff_t>(refine_count),
+                  /*replayed=*/true);
+  for (std::size_t i = 0; i < refine_count; ++i) {
+    if (split_of(i) != before[i]) ++report.rerank_changed;
+  }
+}
+
+}  // namespace
 
 struct EstimationService::Impl {
   std::mutex estimators_mutex;
@@ -588,12 +857,8 @@ EstimationService::EstimationService(ServiceOptions options)
                    : std::make_shared<ProfileSession>(
                          options.profile_cache_capacity,
                          options.session_quota)),
-      impl_(std::make_unique<Impl>()) {
-  const std::size_t threads = options_.threads == 0
-                                  ? util::ThreadPool::default_threads()
-                                  : options_.threads;
-  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
-}
+      pool_(util::make_pool(options.threads)),
+      impl_(std::make_unique<Impl>()) {}
 
 EstimationService::~EstimationService() = default;
 
@@ -654,31 +919,8 @@ void EstimationService::result_cache_put(const std::string& key,
   }
 }
 
-void EstimationService::run_fanned(
-    const std::size_t count, const std::function<void(std::size_t)>& task) {
-  if (!pool_) {
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    futures.push_back(pool_->submit([&task, i] { task(i); }));
-  }
-  std::exception_ptr first_error;
-  for (std::future<void>& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
-                                           const EntrySpec& spec,
-                                           SweepCounters& counters) {
+                                           const EntrySpec& spec) {
   const gpu::DeviceModel& device = request.devices[spec.device_index];
   std::string result_key = spec.estimator;
   result_key += '|';
@@ -711,7 +953,6 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
 
   EstimateEntry cached;
   if (result_cache_get(result_key, cached)) {
-    counters.result_cache_hits.fetch_add(1);
     cached.timings.result_cache_hit = true;
     return cached;
   }
@@ -728,11 +969,6 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
         profile_key_for(request.job, estimator_orchestrates(spec.estimator),
                         request.profile_iterations),
         request.tenant);
-    if (lookup.cache_hit) {
-      counters.profile_cache_hits.fetch_add(1);
-    } else {
-      counters.profiles_run.fetch_add(1);
-    }
 
     const auto replay_start = std::chrono::steady_clock::now();
     MemorySimulator simulator;
@@ -748,7 +984,6 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
     const SimulationResult simulation = simulator.replay(
         lookup.artifacts->orchestration.sequence, sim_options,
         &replay_scratch);
-    counters.replays_run.fetch_add(1);
 
     entry.estimated_peak = simulation.peak_device;
     entry.oom_predicted = entry.estimated_peak > device.job_budget();
@@ -782,24 +1017,12 @@ EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
 EstimateReport EstimationService::sweep(const EstimateRequest& request) {
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  if (request.devices.empty()) {
-    throw std::invalid_argument("sweep: request has no devices");
-  }
-  if (!models::is_known_model(request.job.model_name)) {
-    throw std::invalid_argument("sweep: unknown model '" +
-                                request.job.model_name + "'");
-  }
   const std::vector<std::string> allocators =
       request.allocators.empty()
           ? std::vector<std::string>{alloc::kDefaultBackendName}
           : request.allocators;
-  for (const std::string& allocator : allocators) {
-    if (!alloc::is_known_backend(allocator)) {
-      throw std::invalid_argument("sweep: unknown allocator '" + allocator +
-                                  "'");
-    }
-  }
-  validate_allocator_config(request.allocator_config, "sweep");
+  validate_question("sweep", request.job, request.devices, allocators,
+                    request.allocator_config);
   const std::vector<std::string> estimators =
       request.estimators.empty() ? std::vector<std::string>{"xMem"}
                                  : request.estimators;
@@ -830,17 +1053,12 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
   EstimateReport report;
   report.job = request.job;
   report.entries.resize(specs.size());
-  SweepCounters counters;
-
-  run_fanned(specs.size(), [this, &normalized, &specs, &report,
-                            &counters](std::size_t i) {
-    report.entries[i] = run_entry(normalized, specs[i], counters);
+  util::fan_out(pool_.get(), specs.size(), [&](std::size_t i) {
+    report.entries[i] = run_entry(normalized, specs[i]);
   });
-
-  report.profiles_run = counters.profiles_run.load();
-  report.profile_cache_hits = counters.profile_cache_hits.load();
-  report.replays_run = counters.replays_run.load();
-  report.result_cache_hits = counters.result_cache_hits.load();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    count_entry(report, specs[i].session_backed, report.entries[i].timings);
+  }
   report.wall_seconds = seconds_since(sweep_start);
   return report;
 }
@@ -848,44 +1066,20 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
 PlanReport EstimationService::plan(const PlanRequest& request) {
   const auto plan_start = std::chrono::steady_clock::now();
 
-  if (request.devices.empty()) {
-    throw std::invalid_argument("plan: request has no devices");
-  }
-  if (!models::is_known_model(request.job.model_name)) {
-    throw std::invalid_argument("plan: unknown model '" +
-                                request.job.model_name + "'");
-  }
-  if (!alloc::is_known_backend(request.allocator)) {
-    throw std::invalid_argument("plan: unknown allocator '" +
-                                request.allocator + "'");
-  }
-  validate_allocator_config(request.allocator_config, "plan");
+  validate_question("plan", request.job, request.devices, {request.allocator},
+                    request.allocator_config);
 
   PlanReport report;
   report.job = request.job;
   report.devices = request.devices;
-  SweepCounters counters;
+  report.comm_overlap = request.comm_overlap;
 
-  // Single-device baseline: one simulator replay per candidate device, all
-  // sharing the session's profile (the first one to arrive pays for it;
-  // in-flight dedup keeps concurrent entries from profiling twice).
-  EstimateRequest baseline;
-  baseline.job = request.job;
-  baseline.devices = request.devices;
-  baseline.allocators = {request.allocator};
-  baseline.estimators = {"xMem"};
-  baseline.allocator_config = request.allocator_config;
-  baseline.profile_iterations = request.profile_iterations;
-  baseline.tenant = request.tenant;
-  std::vector<EntrySpec> specs;
-  for (std::size_t d = 0; d < request.devices.size(); ++d) {
-    specs.push_back(EntrySpec{"xMem", d, request.allocator, true});
-  }
-  report.single_device_entries.resize(specs.size());
-
-  run_fanned(specs.size(), [&](std::size_t i) {
-    report.single_device_entries[i] = run_entry(baseline, specs[i], counters);
-  });
+  // Single-device baseline (the first entry to arrive pays for the
+  // profile; in-flight dedup keeps concurrent entries from profiling
+  // twice).
+  EstimateReport baseline = sweep(single_device_request(request));
+  report.single_device_entries = std::move(baseline.entries);
+  static_cast<StageCounters&>(report) = baseline;
 
   // The per-layer attribution the whole candidate grid shares: by now the
   // profile is resident (or in the degenerate all-results-cached case this
@@ -894,94 +1088,16 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
       profile_key_for(request.job, estimator_orchestrates("xMem"),
                       request.profile_iterations),
       request.tenant);
-  if (lookup.cache_hit) {
-    counters.profile_cache_hits.fetch_add(1);
-  } else {
-    counters.profiles_run.fetch_add(1);
-  }
+  ++(lookup.cache_hit ? report.profile_cache_hits : report.profiles_run);
   const std::vector<ComponentProfile> profiles =
       per_component_profile(lookup.artifacts->analysis.timeline);
 
-  DistributedPlanner planner;
-  report.single_device_peak = planner.single_device_peak(profiles);
+  rank_analytic(request, profiles, pool_.get(), report);
 
-  const std::vector<Decomposition> decompositions =
-      DistributedPlanner::enumerate_decompositions(
-          request.max_gpus, static_cast<int>(profiles.size()));
-  report.candidates_evaluated = decompositions.size();
-  report.candidates.resize(decompositions.size());
-
-  run_fanned(decompositions.size(), [&](std::size_t i) {
-    HybridOptions options;
-    options.data_parallel = decompositions[i].data_parallel;
-    options.tensor_parallel = decompositions[i].tensor_parallel;
-    options.pipeline_stages = decompositions[i].pipeline_stages;
-    options.micro_batches = request.micro_batches;
-    options.schedule = request.schedule;
-    options.virtual_stages = request.virtual_stages;
-    options.zero = request.zero;
-    options.ddp_bucket_bytes = request.ddp_bucket_bytes;
-    options.ddp_bucket_count = request.ddp_bucket_count;
-    options.tensor.activation_replication_pct =
-        request.activation_replication_pct;
-    PlanCandidate candidate;
-    candidate.plan = planner.plan_hybrid(profiles, options);
-    if (report.single_device_peak > 0) {
-      candidate.savings_pct = static_cast<int>(
-          100 * (report.single_device_peak - candidate.plan.per_rank_peak) /
-          report.single_device_peak);
-    }
-    candidate.splitting_helps =
-        candidate.plan.per_rank_peak < report.single_device_peak;
-    candidate.device_fits.reserve(request.devices.size());
-    for (const gpu::DeviceModel& device : request.devices) {
-      const bool fits = candidate.plan.per_rank_peak <= device.job_budget();
-      candidate.device_fits.push_back(fits);
-      if (fits) ++candidate.fits_count;
-    }
-    report.candidates[i] = std::move(candidate);
-  });
-
-  // Rank best-first: fit the most candidate devices with the fewest GPUs
-  // and the lowest per-rank peak; (d, t, p) breaks remaining ties so the
-  // order is total and thread-count independent.
-  std::sort(report.candidates.begin(), report.candidates.end(),
-            [](const PlanCandidate& a, const PlanCandidate& b) {
-              if (a.fits_count != b.fits_count)
-                return a.fits_count > b.fits_count;
-              if (a.plan.gpus != b.plan.gpus) return a.plan.gpus < b.plan.gpus;
-              if (a.plan.per_rank_peak != b.plan.per_rank_peak)
-                return a.plan.per_rank_peak < b.plan.per_rank_peak;
-              if (a.plan.data_parallel != b.plan.data_parallel)
-                return a.plan.data_parallel < b.plan.data_parallel;
-              if (a.plan.tensor_parallel != b.plan.tensor_parallel)
-                return a.plan.tensor_parallel < b.plan.tensor_parallel;
-              return a.plan.pipeline_stages < b.plan.pipeline_stages;
-            });
-  if (request.max_candidates > 0 &&
-      report.candidates.size() > request.max_candidates) {
-    report.candidates.resize(request.max_candidates);
-  }
-
-  // Phase 2: replay the top-K survivors (or, under refine_all, every
-  // ranked decomposition) through the allocator tower. The transformer
-  // binds the ONE cached orchestrated sequence; each worker owns its
-  // scratch, so the fan-out is deterministic and the buffers amortize
-  // across a candidate's ranks.
-  //
-  // Symmetric-rank collapse: a candidate's replayed peaks cover all d*t*p
-  // deployment ranks, but the transform has no DP/TP rank index — the d*t
-  // siblings of a pipeline stage replay byte-identical sequences — so only
-  // the p stage sequences are ever simulated and the stage verdict is
-  // fanned across its siblings exactly. Cross-candidate memoization then
-  // prices repeated sequences (fingerprint + full-compare guard in the
-  // ReplayScratch result cache) at a lookup instead of a simulation.
-  // request.dedup_replays = false replays every deployment rank one by one
-  // — the naive baseline — and must yield a byte-identical report.
-  //
-  // Clamp before the size_t cast: a negative refine_top_k reaching here
-  // through the C++ API (the JSON path rejects it) means "disabled", not
-  // "refine everything" via wraparound.
+  // Phase 2 covers the top-K survivors, or every ranked decomposition
+  // under refine_all. Clamp before the size_t cast: a negative
+  // refine_top_k reaching here through the C++ API (the JSON path rejects
+  // it) means "disabled", not "refine everything" via wraparound.
   const std::size_t refine_count =
       request.refine_all
           ? report.candidates.size()
@@ -989,211 +1105,15 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
                 static_cast<std::size_t>(std::max(request.refine_top_k, 0)),
                 report.candidates.size());
   if (refine_count > 0) {
-    const SequenceTransformer transformer(
-        lookup.artifacts->orchestration.sequence, profiles);
-    // Per-candidate stage fingerprints, slot-indexed so the fan-out records
-    // them race-free; the counter post-pass below reads them in candidate
-    // order on the calling thread.
-    struct RefineTrace {
-      std::vector<std::uint64_t> resident_fps;  ///< comm_overlap baseline
-      std::vector<std::uint64_t> replay_fps;    ///< the ranking replays
-      std::size_t symmetric = 1;                ///< d*t siblings per stage
-    };
-    std::vector<RefineTrace> traces(refine_count);
-    run_fanned(refine_count, [&](std::size_t i) {
-      PlanCandidate& candidate = report.candidates[i];
-      RankTransformOptions transform;
-      transform.data_parallel = candidate.plan.data_parallel;
-      transform.tensor_parallel = candidate.plan.tensor_parallel;
-      transform.micro_batches = request.micro_batches;
-      transform.zero = request.zero;
-      transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
-      transform.ddp_bucket_count = request.ddp_bucket_count;
-      transform.tensor.activation_replication_pct =
-          request.activation_replication_pct;
-      transform.materialize_blocks = false;  // events are all the replay needs
-
-      const std::size_t stages =
-          std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
-      const std::size_t symmetric = static_cast<std::size_t>(
-          std::max(1, candidate.plan.data_parallel) *
-          std::max(1, candidate.plan.tensor_parallel));
-      const std::size_t ranks = stages * symmetric;  // deployment ranks
-      RefineTrace& trace = traces[i];
-      trace.symmetric = symmetric;
-      trace.replay_fps.resize(stages);
-      MemorySimulator simulator;
-      SimulationOptions sim_options;
-      sim_options.backend = request.allocator;
-      sim_options.backend_knobs =
-          knobs_for(request.allocator_config, request.allocator);
-      // Worker-thread-lifetime scratch: every candidate this thread picks
-      // up reuses the transform buffers AND the allocator tower, which is
-      // reset — not rebuilt — between replays. The backend_reset() contract
-      // (fw/backend.h) makes each replay byte-identical to a fresh-tower
-      // replay, and a memo-cache hit returns exactly what that replay
-      // would, so the report stays deterministic regardless of how
-      // candidates land on threads or what the cache happens to hold.
-      thread_local RankScratch scratch;
-      thread_local ReplayScratch replay_scratch;
-      const auto stage_peak = [&](const OrchestratedSequence& sequence,
-                                  std::uint64_t fingerprint) {
-        if (request.dedup_replays) {
-          return simulator.replay_peak_memoized(sequence, fingerprint,
-                                                sim_options, replay_scratch);
-        }
-        // Naive baseline: simulate each of the stage's d*t symmetric
-        // deployment ranks individually. Every pass replays the identical
-        // sequence through a reset tower, so the last peak == the first.
-        std::int64_t peak = 0;
-        for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-          peak = simulator.replay(sequence, sim_options, &replay_scratch)
-                     .peak_device;
-        }
-        return peak;
-      };
-      candidate.replayed_rank_peaks.assign(ranks, 0);
-      // Overlap-window mode replays every stage twice — resident first for
-      // the baseline, then with schedule-tied windows — so the report can
-      // state what the windows saved (window_vs_resident_pct).
-      if (request.comm_overlap) {
-        candidate.resident_rank_peaks.assign(ranks, 0);
-        trace.resident_fps.resize(stages);
-      }
-      for (std::size_t s = 0; s < stages; ++s) {
-        if (request.comm_overlap) {
-          transform.comm_overlap = false;
-          const OrchestratedSequence& resident = transformer.rank_sequence(
-              transform, candidate.plan.stages, stages, s, scratch);
-          const std::uint64_t fingerprint = sequence_fingerprint(resident);
-          trace.resident_fps[s] = fingerprint;
-          const std::int64_t peak = stage_peak(resident, fingerprint);
-          for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-            candidate.resident_rank_peaks[s * symmetric + sibling] = peak;
-          }
-          transform.comm_overlap = true;
-        }
-        const OrchestratedSequence& sequence = transformer.rank_sequence(
-            transform, candidate.plan.stages, stages, s, scratch);
-        const std::uint64_t fingerprint = sequence_fingerprint(sequence);
-        trace.replay_fps[s] = fingerprint;
-        const std::int64_t peak = stage_peak(sequence, fingerprint);
-        for (std::size_t sibling = 0; sibling < symmetric; ++sibling) {
-          candidate.replayed_rank_peaks[s * symmetric + sibling] = peak;
-        }
-      }
-      candidate.replayed = true;
-      candidate.replayed_per_rank_peak = *std::max_element(
-          candidate.replayed_rank_peaks.begin(),
-          candidate.replayed_rank_peaks.end());
-      if (request.comm_overlap) {
-        candidate.window_mode = true;
-        candidate.resident_per_rank_peak = *std::max_element(
-            candidate.resident_rank_peaks.begin(),
-            candidate.resident_rank_peaks.end());
-        if (candidate.resident_per_rank_peak > 0) {
-          candidate.window_vs_resident_pct = static_cast<int>(
-              100 *
-              (candidate.replayed_per_rank_peak -
-               candidate.resident_per_rank_peak) /
-              candidate.resident_per_rank_peak);
-        }
-      }
-      if (candidate.plan.per_rank_peak > 0) {
-        candidate.analytic_vs_replayed_pct = static_cast<int>(
-            100 *
-            (candidate.replayed_per_rank_peak - candidate.plan.per_rank_peak) /
-            candidate.plan.per_rank_peak);
-      }
-      candidate.replayed_device_fits.reserve(request.devices.size());
-      for (const gpu::DeviceModel& device : request.devices) {
-        const bool fits =
-            candidate.replayed_per_rank_peak <= device.job_budget();
-        candidate.replayed_device_fits.push_back(fits);
-        if (fits) ++candidate.replayed_fits_count;
-      }
-      candidate.verdict_changed =
-          candidate.replayed_device_fits != candidate.device_fits;
-      counters.replayed_candidates.fetch_add(1);
-    });
-
-    // Refinement-cost counters: a deterministic post-pass over the recorded
-    // fingerprints in (candidate, resident-before-window, stage) order —
-    // the schedule the dedup machinery executes, independent of thread
-    // interleaving and of whether dedup actually ran (dedup_replays =
-    // false pays the naive cost but reports the same schedule). Each stage
-    // stands for its d*t symmetric deployment ranks: the first sighting of
-    // a fingerprint is one real replay (rank_replays) and m-1 collapsed
-    // siblings; a repeat within the candidate collapses all m onto the
-    // earlier verdict; a repeat across candidates/modes is a memo-cache
-    // lookup (replay_cache_hits) plus m-1 collapsed siblings.
-    {
-      std::unordered_set<std::uint64_t> seen;
-      std::unordered_set<std::uint64_t> candidate_seen;
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        const RefineTrace& trace = traces[i];
-        candidate_seen.clear();
-        const auto account = [&](std::uint64_t fingerprint) {
-          if (!candidate_seen.insert(fingerprint).second) {
-            report.replays_deduped += trace.symmetric;
-            return;
-          }
-          if (seen.insert(fingerprint).second) {
-            ++report.rank_replays_run;
-          } else {
-            ++report.replay_cache_hits;
-          }
-          report.replays_deduped += trace.symmetric - 1;
-        };
-        for (const std::uint64_t fp : trace.resident_fps) account(fp);
-        for (const std::uint64_t fp : trace.replay_fps) account(fp);
-      }
-    }
-
-    // Overlap-window mode: the replayed peaks are the ranking, not an
-    // annotation. Re-sort the refined prefix by the window-replayed
-    // verdicts (same tie chain as phase 1, replayed fields substituted);
-    // the unrefined tail keeps its analytic order behind it. Runs on the
-    // calling thread after the fan-out barrier, so serial and threaded
-    // searches stay byte-identical.
-    if (request.comm_overlap) {
-      const auto key_of = [](const PlanCandidate& c) {
-        return std::make_tuple(c.plan.data_parallel, c.plan.tensor_parallel,
-                               c.plan.pipeline_stages);
-      };
-      std::vector<std::tuple<int, int, int>> before;
-      before.reserve(refine_count);
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        before.push_back(key_of(report.candidates[i]));
-      }
-      std::sort(report.candidates.begin(),
-                report.candidates.begin() +
-                    static_cast<std::ptrdiff_t>(refine_count),
-                [](const PlanCandidate& a, const PlanCandidate& b) {
-                  if (a.replayed_fits_count != b.replayed_fits_count)
-                    return a.replayed_fits_count > b.replayed_fits_count;
-                  if (a.plan.gpus != b.plan.gpus)
-                    return a.plan.gpus < b.plan.gpus;
-                  if (a.replayed_per_rank_peak != b.replayed_per_rank_peak)
-                    return a.replayed_per_rank_peak < b.replayed_per_rank_peak;
-                  if (a.plan.data_parallel != b.plan.data_parallel)
-                    return a.plan.data_parallel < b.plan.data_parallel;
-                  if (a.plan.tensor_parallel != b.plan.tensor_parallel)
-                    return a.plan.tensor_parallel < b.plan.tensor_parallel;
-                  return a.plan.pipeline_stages < b.plan.pipeline_stages;
-                });
-      for (std::size_t i = 0; i < refine_count; ++i) {
-        if (key_of(report.candidates[i]) != before[i]) ++report.rerank_changed;
-      }
-    }
+    count_refine_replays(
+        refine(request, lookup.artifacts->orchestration.sequence, profiles,
+               refine_count, pool_.get(), report),
+        report);
+    // Re-ranks run on the calling thread after the fan-out barrier, so
+    // serial and threaded searches stay byte-identical.
+    if (request.comm_overlap) rerank_by_replay(refine_count, report);
   }
-  report.comm_overlap = request.comm_overlap;
-
-  report.replayed_candidates = counters.replayed_candidates.load();
-  report.profiles_run = counters.profiles_run.load();
-  report.profile_cache_hits = counters.profile_cache_hits.load();
-  report.replays_run = counters.replays_run.load();
-  report.result_cache_hits = counters.result_cache_hits.load();
+  report.replayed_candidates = refine_count;
   report.wall_seconds = seconds_since(plan_start);
   return report;
 }
@@ -1211,16 +1131,7 @@ EstimateEntry EstimationService::estimate(const std::string& estimator_name,
   request.estimators = {estimator_name};
   request.profile_iterations = profile_iterations;
   request.record_curve = record_curve;
-
-  if (!is_known_estimator(estimator_name)) {
-    throw std::invalid_argument("estimate: unknown estimator '" +
-                                estimator_name + "'");
-  }
-  const bool session_backed = estimator_uses_session(estimator_name);
-  EntrySpec spec{estimator_name, 0, session_backed ? allocator : std::string(),
-                 session_backed};
-  SweepCounters counters;
-  return run_entry(request, spec, counters);
+  return std::move(sweep(request).entries.front());
 }
 
 }  // namespace xmem::core

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -129,16 +128,24 @@ struct EstimateEntry {
   util::Json to_json(bool include_timings = true) const;
 };
 
-/// The answer to an EstimateRequest. `profiles_run == 1` for any
-/// single-job sweep that missed the cache once is the acceptance proof
-/// that the expensive stage ran exactly once.
-struct EstimateReport {
-  TrainJob job;
-  std::vector<EstimateEntry> entries;
-  std::size_t profiles_run = 0;        ///< CPU profiles executed by this sweep
-  std::size_t profile_cache_hits = 0;  ///< entries served from the session
+/// The tally every sweep, plan, and fleet report carries. `profiles_run ==
+/// 1` for a single-job request that missed the cache once proves the CPU
+/// profile ran exactly once. Counted after the fan-out barrier.
+struct StageCounters {
+  std::size_t profiles_run = 0;        ///< CPU profiles executed
+  std::size_t profile_cache_hits = 0;  ///< profiles served by the session
   std::size_t replays_run = 0;         ///< simulator replays executed
   std::size_t result_cache_hits = 0;   ///< entries served fully from cache
+
+  StageCounters& operator+=(const StageCounters& other);
+  /// Set the four counts on `json` (an object) under their field names.
+  void write_json(util::Json& json) const;
+};
+
+/// The answer to an EstimateRequest.
+struct EstimateReport : StageCounters {
+  TrainJob job;
+  std::vector<EstimateEntry> entries;
   double wall_seconds = 0.0;
 
   util::Json to_json(bool include_timings = true) const;
@@ -182,13 +189,6 @@ struct PlanRequest {
   /// affordable because symmetric-rank collapse + replay memoization make
   /// each candidate pay only for its distinct sequences (docs/PLANNER.md).
   bool refine_all = false;
-  /// Collapse symmetric ranks and memoize replay verdicts during
-  /// refinement (on by default). Turning it off replays every one of a
-  /// candidate's d*t*p deployment ranks individually — the naive baseline
-  /// the dedup is measured against (BM_PlanRefineDedup) — and MUST produce
-  /// a byte-identical report; tests pin that equivalence. JSON
-  /// `"dedup_replays"`, emitted only when false.
-  bool dedup_replays = true;
   /// Simulate collectives as schedule-tied overlap windows instead of
   /// resident staging buffers, and RE-RANK the refined candidates by their
   /// window-replayed peaks (`xmem plan --comm-overlap`). Each refined
@@ -257,7 +257,7 @@ struct PlanCandidate {
 /// simulator replay per candidate device) and the ranked decompositions.
 /// The whole search runs exactly one CPU profile — `profiles_run == 1` on
 /// a cold session, proven by the same stage counters as a sweep.
-struct PlanReport {
+struct PlanReport : StageCounters {
   TrainJob job;
   std::vector<gpu::DeviceModel> devices;
   /// Component-model peak on one device (the "does splitting help" base).
@@ -272,7 +272,7 @@ struct PlanReport {
   /// the refined candidates' sequence fingerprints (candidate order, then
   /// resident-before-window, then stage order) — they describe the
   /// deduplicated replay schedule, so they are identical serial vs
-  /// threaded and dedup-on vs dedup-off (docs/PLANNER.md):
+  /// threaded (docs/PLANNER.md):
   ///   rank_replays_run  — distinct sequences the refine pass must simulate
   ///   replays_deduped   — logical rank replays collapsed onto a sibling's
   ///                       verdict (symmetric DP/TP ranks + repeated stages)
@@ -286,10 +286,6 @@ struct PlanReport {
   /// candidates whose final position differs from their analytic one.
   bool comm_overlap = false;
   std::size_t rerank_changed = 0;
-  std::size_t profiles_run = 0;
-  std::size_t profile_cache_hits = 0;
-  std::size_t replays_run = 0;
-  std::size_t result_cache_hits = 0;
   double wall_seconds = 0.0;
 
   util::Json to_json(bool include_timings = true) const;
@@ -344,8 +340,8 @@ class EstimationService {
   /// incremental apply() loop. Defined in src/sched/service_fleet.cpp.
   sched::FleetReport fleet(const sched::FleetRequest& request);
 
-  /// Single-question convenience: one estimator, one device, one allocator.
-  /// Same caching, gating, and uniform timing as a sweep entry.
+  /// Single-question convenience: a one-entry sweep (one estimator, one
+  /// device, one allocator).
   EstimateEntry estimate(const std::string& estimator_name,
                          const TrainJob& job, const gpu::DeviceModel& device,
                          const std::string& allocator =
@@ -362,15 +358,9 @@ class EstimationService {
     std::string allocator;
     bool session_backed = false;
   };
-  struct SweepCounters;
 
   EstimateEntry run_entry(const EstimateRequest& request,
-                          const EntrySpec& spec, SweepCounters& counters);
-  /// Run task(0..count-1) on the pool (or inline when serial), waiting for
-  /// every task before rethrowing the first failure — a worker still
-  /// running must never observe shared state mid-unwind.
-  void run_fanned(std::size_t count,
-                  const std::function<void(std::size_t)>& task);
+                          const EntrySpec& spec);
   ProfileKey profile_key_for(const TrainJob& job, bool orchestrate,
                              int profile_iterations) const;
   Estimator& estimator_instance(const std::string& name);

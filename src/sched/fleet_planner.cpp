@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "core/estimator_registry.h"
+#include "models/zoo.h"
 #include "util/thread_pool.h"
 
 namespace xmem::sched {
@@ -56,6 +56,46 @@ util::Json headroom_rule_to_json(const HeadroomRule& rule) {
 util::Json device_to_json(const gpu::DeviceModel& device) {
   return core::devices_to_json({device}).as_array().front();
 }
+
+/// Reject a job whose model the zoo cannot build before any profile runs.
+void check_model(const core::TrainJob& job, const std::string& context) {
+  if (!models::is_known_model(job.model_name)) {
+    throw std::invalid_argument(context + ": unknown model '" +
+                                job.model_name + "'");
+  }
+}
+
+/// The multi-GPU fallback question for every archetype of `request`: the
+/// one place FleetRequest options are forwarded into a core::PlanRequest
+/// (plan_for adds the job and the fleet's devices).
+core::PlanRequest fallback_plan(const FleetRequest& request) {
+  core::PlanRequest plan;
+  plan.max_gpus = request.max_gpus_per_job;
+  plan.allocator = request.allocator;
+  plan.allocator_config = request.allocator_config;
+  plan.profile_iterations = request.profile_iterations;
+  plan.max_candidates = 16;
+  plan.comm_overlap = request.comm_overlap;
+  plan.refine_all = request.refine_all;
+  plan.tenant = request.tenant;
+  return plan;
+}
+
+/// A request plus its archetype-cache scope: the estimation knobs that
+/// change what an estimate means, so a planner reused across requests
+/// never serves stale peaks. Computed once per request, not per job. The
+/// tenant only attributes quota, so tenants share archetypes.
+struct ScopedRequest : FleetRequest {
+  ScopedRequest() = default;
+  explicit ScopedRequest(FleetRequest request)
+      : FleetRequest(std::move(request)) {
+    core::PlanRequest plan = fallback_plan(*this);
+    plan.tenant.clear();
+    scope = estimator + "|" + plan.to_json().dump();
+  }
+
+  std::string scope;
+};
 
 }  // namespace
 
@@ -195,24 +235,23 @@ FleetRequest FleetRequest::from_json(const util::Json& json) {
       static_cast<int>(json.get_int_or("profile_iterations", 3));
   request.max_gpus_per_job =
       static_cast<int>(json.get_int_or("max_gpus_per_job", 8));
-  if (json.contains("comm_overlap")) {
-    if (!json.at("comm_overlap").is_bool()) {
-      throw std::invalid_argument(
-          "fleet request: \"comm_overlap\" must be a boolean (true makes "
-          "the multi-GPU plan fallback simulate collectives as overlap "
-          "windows; omit it or pass false for resident staging buffers)");
+  // Plan-fallback flags: optional booleans, forwarded by fallback_plan().
+  const auto flag = [&json](const std::string& key, const std::string& use) {
+    if (!json.contains(key)) return false;
+    if (!json.at(key).is_bool()) {
+      throw std::invalid_argument("fleet request: \"" + key +
+                                  "\" must be a boolean (true makes the "
+                                  "multi-GPU plan fallback " + use + ")");
     }
-    request.comm_overlap = json.at("comm_overlap").as_bool();
-  }
-  if (json.contains("refine_all")) {
-    if (!json.at("refine_all").is_bool()) {
-      throw std::invalid_argument(
-          "fleet request: \"refine_all\" must be a boolean (true makes the "
-          "multi-GPU plan fallback replay every ranked decomposition instead "
-          "of the top-K)");
-    }
-    request.refine_all = json.at("refine_all").as_bool();
-  }
+    return json.at(key).as_bool();
+  };
+  request.comm_overlap = flag(
+      "comm_overlap",
+      "simulate collectives as overlap windows; omit it or pass false for "
+      "resident staging buffers");
+  request.refine_all = flag(
+      "refine_all",
+      "replay every ranked decomposition instead of the top-K");
   request.tenant = json.get_string_or("tenant", "");
   if (json.contains("what_if")) {
     if (!json.at("what_if").is_array()) {
@@ -320,12 +359,7 @@ util::Json FleetStats::to_json() const {
 
 util::Json FleetCounters::to_json() const {
   util::Json json = util::Json::object();
-  json["profiles_run"] = util::Json(static_cast<std::int64_t>(profiles_run));
-  json["profile_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(profile_cache_hits));
-  json["replays_run"] = util::Json(static_cast<std::int64_t>(replays_run));
-  json["result_cache_hits"] =
-      util::Json(static_cast<std::int64_t>(result_cache_hits));
+  write_json(json);
   json["plans_run"] = util::Json(static_cast<std::int64_t>(plans_run));
   json["estimates_reused"] =
       util::Json(static_cast<std::int64_t>(estimates_reused));
@@ -391,8 +425,8 @@ struct PlanCandidateLite {
 struct Archetype {
   bool supported = true;
   std::map<std::string, std::int64_t> peak_by_device;
-  /// Plan-fallback candidates keyed by the request's max_gpus_per_job.
-  std::map<int, std::vector<PlanCandidateLite>> plans;
+  /// Plan-fallback candidates, computed on the first job that needs them.
+  std::optional<std::vector<PlanCandidateLite>> plan;
 };
 
 struct PackResult {
@@ -414,31 +448,18 @@ struct FleetPlanner::Impl {
   std::map<std::string, Archetype> cache;
 
   bool has_state = false;
-  FleetRequest state_request;  ///< jobs hold materialized unique ids
+  ScopedRequest state_request;  ///< jobs hold materialized unique ids
   PackResult state_result;
   std::size_t next_auto_id = 0;
 
   Impl(core::EstimationService& service_in, FleetPlannerOptions options_in)
-      : service(service_in), options(options_in) {
-    const std::size_t threads = options.threads == 0
-                                    ? util::ThreadPool::default_threads()
-                                    : options.threads;
-    if (threads > 1) pool = std::make_unique<util::ThreadPool>(threads);
-  }
+      : service(service_in),
+        options(options_in),
+        pool(util::make_pool(options_in.threads)) {}
 
-  /// Estimation knobs that change what an estimate means — part of the
-  /// cache key so a planner reused across requests never serves stale peaks.
-  static std::string request_scope(const FleetRequest& request) {
-    return request.estimator + "|" + request.allocator + "|" +
-           core::allocator_config_to_json(request.allocator_config).dump() +
-           "|i" + std::to_string(request.profile_iterations) +
-           (request.comm_overlap ? "|ow1" : "|ow0") +
-           (request.refine_all ? "|ra1" : "|ra0");
-  }
-
-  static std::string archetype_key(const FleetRequest& request,
+  static std::string archetype_key(const ScopedRequest& request,
                                    const core::TrainJob& job) {
-    return request_scope(request) + "|" + job_key(job);
+    return request.scope + "|" + job_key(job);
   }
 
   void materialize_ids(FleetRequest& request) const {
@@ -459,11 +480,14 @@ struct FleetPlanner::Impl {
           "fleet request: \"pools\" must be a non-empty array");
     }
     std::set<std::string> ids;
-    for (const FleetJob& fleet_job : request.jobs) {
+    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
+      const FleetJob& fleet_job = request.jobs[i];
       if (!ids.insert(fleet_job.id).second) {
         throw std::invalid_argument("fleet request: duplicate job id '" +
                                     fleet_job.id + "'");
       }
+      check_model(fleet_job.job,
+                  "fleet request jobs[" + std::to_string(i) + "]");
     }
     auto check_pool = [](const GpuPool& gpu_pool) {
       if (gpu_pool.count <= 0) {
@@ -537,107 +561,67 @@ struct FleetPlanner::Impl {
   /// Compute per-device peaks for every archetype in the queue that the
   /// cache does not already cover, fanning the sweeps on the pool. One
   /// sweep (== one CPU profile, cold) per fresh archetype.
-  void ensure_archetypes(const FleetRequest& request,
+  void ensure_archetypes(const ScopedRequest& request,
                          const std::vector<gpu::DeviceModel>& devices,
                          FleetCounters& counters) {
-    struct Need {
-      std::string key;
-      core::TrainJob job;
-      std::vector<gpu::DeviceModel> missing;
-    };
-    std::vector<Need> needs;
+    core::EstimateRequest sweep;  // the part every archetype sweep shares
+    sweep.allocators = {request.allocator};
+    sweep.estimators = {request.estimator};
+    sweep.allocator_config = request.allocator_config;
+    sweep.profile_iterations = request.profile_iterations;
+    sweep.tenant = request.tenant;
+    // (archetype key, sweep over the devices its cache entry lacks)
+    std::vector<std::pair<std::string, core::EstimateRequest>> needs;
     std::set<std::string> seen;
     for (const FleetJob& fleet_job : request.jobs) {
       const std::string key = archetype_key(request, fleet_job.job);
       if (!seen.insert(key).second) continue;
-      std::vector<gpu::DeviceModel> missing;
       const auto it = cache.find(key);
-      if (it == cache.end()) {
-        missing = devices;
-      } else {
-        for (const gpu::DeviceModel& device : devices) {
-          if (it->second.peak_by_device.count(device.name) == 0) {
-            missing.push_back(device);
-          }
+      sweep.job = fleet_job.job;
+      sweep.devices.clear();
+      for (const gpu::DeviceModel& device : devices) {
+        if (it == cache.end() ||
+            it->second.peak_by_device.count(device.name) == 0) {
+          sweep.devices.push_back(device);
         }
       }
-      if (!missing.empty()) needs.push_back({key, fleet_job.job, missing});
+      if (!sweep.devices.empty()) needs.emplace_back(key, sweep);
     }
     counters.estimates_reused += request.jobs.size() - needs.size();
 
-    auto run_one = [this, &request](const Need& need) {
-      core::EstimateRequest estimate;
-      estimate.job = need.job;
-      estimate.devices = need.missing;
-      estimate.allocators = {request.allocator};
-      estimate.estimators = {request.estimator};
-      estimate.allocator_config = request.allocator_config;
-      estimate.profile_iterations = request.profile_iterations;
-      estimate.tenant = request.tenant;
-      return service.sweep(estimate);
-    };
-
     std::vector<core::EstimateReport> reports(needs.size());
-    if (pool && needs.size() > 1) {
-      std::vector<std::future<core::EstimateReport>> futures;
-      futures.reserve(needs.size());
-      for (const Need& need : needs) {
-        futures.push_back(pool->submit([&run_one, &need] {
-          return run_one(need);
-        }));
-      }
-      for (std::size_t i = 0; i < futures.size(); ++i) {
-        reports[i] = futures[i].get();
-      }
-    } else {
-      for (std::size_t i = 0; i < needs.size(); ++i) {
-        reports[i] = run_one(needs[i]);
-      }
-    }
+    util::fan_out(pool.get(), needs.size(), [&](std::size_t i) {
+      reports[i] = service.sweep(needs[i].second);
+    });
 
     // Merge in need order so counter totals are thread-count-independent.
     for (std::size_t i = 0; i < needs.size(); ++i) {
-      Archetype& archetype = cache[needs[i].key];
+      Archetype& archetype = cache[needs[i].first];
       for (const core::EstimateEntry& entry : reports[i].entries) {
         if (!entry.supported) archetype.supported = false;
         archetype.peak_by_device[entry.device] = entry.estimated_peak;
       }
-      counters.profiles_run += reports[i].profiles_run;
-      counters.profile_cache_hits += reports[i].profile_cache_hits;
-      counters.replays_run += reports[i].replays_run;
-      counters.result_cache_hits += reports[i].result_cache_hits;
+      counters += reports[i];
     }
   }
 
-  /// Multi-GPU fallback candidates for one archetype, cached per GPU
-  /// budget. The search shares the archetype's profile through the session
+  /// Multi-GPU fallback candidates for one archetype, cached with it. The
+  /// search shares the archetype's profile through the session
   /// (profiles_run stays == distinct_jobs).
   const std::vector<PlanCandidateLite>& plan_for(
-      const FleetRequest& request, const core::TrainJob& job,
+      const ScopedRequest& request, const core::TrainJob& job,
       const std::vector<gpu::DeviceModel>& devices, FleetCounters& counters) {
     Archetype& archetype = cache[archetype_key(request, job)];
-    const auto it = archetype.plans.find(request.max_gpus_per_job);
-    if (it != archetype.plans.end()) return it->second;
+    if (archetype.plan.has_value()) return *archetype.plan;
 
-    core::PlanRequest plan;
+    core::PlanRequest plan = fallback_plan(request);
     plan.job = job;
     plan.devices = devices;
-    plan.max_gpus = request.max_gpus_per_job;
-    plan.allocator = request.allocator;
-    plan.allocator_config = request.allocator_config;
-    plan.profile_iterations = request.profile_iterations;
-    plan.max_candidates = 16;
-    plan.comm_overlap = request.comm_overlap;
-    plan.refine_all = request.refine_all;
-    plan.tenant = request.tenant;
     const core::PlanReport report = service.plan(plan);
     counters.plans_run += 1;
-    counters.profiles_run += report.profiles_run;
-    counters.profile_cache_hits += report.profile_cache_hits;
-    counters.replays_run += report.replays_run;
-    counters.result_cache_hits += report.result_cache_hits;
+    counters += report;
 
-    std::vector<PlanCandidateLite> candidates;
+    std::vector<PlanCandidateLite>& candidates = archetype.plan.emplace();
     for (const core::PlanCandidate& candidate : report.candidates) {
       if (candidate.plan.gpus <= 1) continue;
       PlanCandidateLite lite;
@@ -649,9 +633,7 @@ struct FleetPlanner::Impl {
                                           : candidate.plan.per_rank_peak;
       candidates.push_back(lite);
     }
-    return archetype.plans.emplace(request.max_gpus_per_job,
-                                   std::move(candidates))
-        .first->second;
+    return candidates;
   }
 
   static std::vector<std::size_t> pool_starts(
@@ -690,7 +672,7 @@ struct FleetPlanner::Impl {
   /// Place one job against the current slots (the shared packing step of
   /// batch packs and incremental arrivals). Fills `verdict` and commits
   /// into `result` on admit.
-  void place_job(const FleetRequest& request,
+  void place_job(const ScopedRequest& request,
                  const std::vector<GpuPool>& pools,
                  const std::vector<std::size_t>& pool_start,
                  const std::vector<gpu::DeviceModel>& plan_devices,
@@ -900,7 +882,7 @@ struct FleetPlanner::Impl {
 
   /// Pack the whole queue onto `pools`, mint-condition slots. Deterministic
   /// given the archetype cache: ordered integer arithmetic only.
-  PackResult run_pack(const FleetRequest& request,
+  PackResult run_pack(const ScopedRequest& request,
                       const std::vector<GpuPool>& pools,
                       const std::vector<gpu::DeviceModel>& plan_devices,
                       PackingPolicy& policy, FleetCounters& counters) {
@@ -986,6 +968,35 @@ struct FleetPlanner::Impl {
     return report;
   }
 
+  /// pack() and what_if()'s shared body: validate the request, estimate
+  /// its archetypes, and pack its pools into `base` — plus, when it carries
+  /// what-if pools, diff the augmented fleet into the report's what_if.
+  FleetReport pack_fresh(ScopedRequest& request, PackResult& base) {
+    materialize_ids(request);
+    validate(request);
+    const std::unique_ptr<PackingPolicy> policy =
+        make_packing_policy(request.policy);
+    FleetCounters counters;
+    const std::vector<gpu::DeviceModel> devices =
+        distinct_devices({&request.pools, &request.what_if});
+    ensure_archetypes(request, devices, counters);
+    base = run_pack(request, request.pools, devices, *policy, counters);
+    counters.pools_repacked = request.pools.size();
+    FleetReport report = make_report(request, request.pools, base, counters);
+    if (!request.what_if.empty()) {
+      std::vector<GpuPool> augmented = request.pools;
+      augmented.insert(augmented.end(), request.what_if.begin(),
+                       request.what_if.end());
+      // The second pack reuses the archetype cache end to end, so its
+      // estimation cost is zero; report counters describe the base pack.
+      FleetCounters what_if_counters;
+      report.what_if = make_delta(
+          request.what_if, base,
+          run_pack(request, augmented, devices, *policy, what_if_counters));
+    }
+    return report;
+  }
+
   static WhatIfDelta make_delta(const std::vector<GpuPool>& added,
                                 const PackResult& base,
                                 const PackResult& after) {
@@ -1015,31 +1026,9 @@ FleetPlanner::~FleetPlanner() = default;
 
 FleetReport FleetPlanner::pack(const FleetRequest& request) {
   const auto start = std::chrono::steady_clock::now();
-  FleetRequest materialized = request;
-  impl_->materialize_ids(materialized);
-  Impl::validate(materialized);
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(materialized.policy);
-  FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&materialized.pools, &materialized.what_if});
-  impl_->ensure_archetypes(materialized, devices, counters);
-  PackResult base = impl_->run_pack(materialized, materialized.pools, devices,
-                                    *policy, counters);
-  counters.pools_repacked = materialized.pools.size();
-  FleetReport report =
-      impl_->make_report(materialized, materialized.pools, base, counters);
-  if (!materialized.what_if.empty()) {
-    std::vector<GpuPool> augmented = materialized.pools;
-    augmented.insert(augmented.end(), materialized.what_if.begin(),
-                     materialized.what_if.end());
-    // The second pack reuses the archetype cache end to end, so its
-    // estimation cost is zero; report counters describe the base pack.
-    FleetCounters what_if_counters;
-    const PackResult after = impl_->run_pack(materialized, augmented, devices,
-                                             *policy, what_if_counters);
-    report.what_if = Impl::make_delta(materialized.what_if, base, after);
-  }
+  ScopedRequest materialized(request);
+  PackResult base;
+  FleetReport report = impl_->pack_fresh(materialized, base);
   impl_->has_state = true;
   impl_->state_request = materialized;
   impl_->state_request.what_if.clear();
@@ -1071,6 +1060,7 @@ FleetReport FleetPlanner::apply(const JobArrival& event) {
     throw std::invalid_argument("fleet apply: duplicate job id '" + job.id +
                                 "'");
   }
+  check_model(job.job, "fleet apply");
 
   const std::unique_ptr<PackingPolicy> policy =
       make_packing_policy(impl.state_request.policy);
@@ -1169,23 +1159,10 @@ WhatIfDelta FleetPlanner::what_if(const FleetRequest& request,
     throw std::invalid_argument(
         "fleet what-if: added pools must be non-empty");
   }
-  FleetRequest materialized = request;
+  ScopedRequest materialized(request);
   materialized.what_if = added_pools;
-  impl_->materialize_ids(materialized);
-  Impl::validate(materialized);
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(materialized.policy);
-  FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&materialized.pools, &materialized.what_if});
-  impl_->ensure_archetypes(materialized, devices, counters);
-  const PackResult base = impl_->run_pack(materialized, materialized.pools,
-                                          devices, *policy, counters);
-  std::vector<GpuPool> augmented = materialized.pools;
-  augmented.insert(augmented.end(), added_pools.begin(), added_pools.end());
-  const PackResult after = impl_->run_pack(materialized, augmented, devices,
-                                           *policy, counters);
-  return Impl::make_delta(added_pools, base, after);
+  PackResult base;
+  return *impl_->pack_fresh(materialized, base).what_if;
 }
 
 }  // namespace xmem::sched

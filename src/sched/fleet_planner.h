@@ -205,11 +205,7 @@ struct WhatIfDelta {
 /// Estimation / packing work performed, proving the profile-once win:
 /// `profiles_run == distinct_jobs` on a cold session, regardless of queue
 /// length; incremental applies show `estimates_reused` instead.
-struct FleetCounters {
-  std::size_t profiles_run = 0;
-  std::size_t profile_cache_hits = 0;
-  std::size_t replays_run = 0;
-  std::size_t result_cache_hits = 0;
+struct FleetCounters : core::StageCounters {
   std::size_t plans_run = 0;        ///< DistributedPlanner fallback searches
   std::size_t estimates_reused = 0; ///< jobs served from the archetype cache
   std::size_t pools_repacked = 0;   ///< pools the last pack/apply touched

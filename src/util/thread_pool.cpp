@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace xmem::util {
 
@@ -38,6 +39,33 @@ void ThreadPool::worker_loop() {
 std::size_t ThreadPool::default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::clamp<std::size_t>(hw == 0 ? 4 : hw, 1, 8);
+}
+
+std::unique_ptr<ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) threads = ThreadPool::default_threads();
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+}
+
+void fan_out(ThreadPool* pool, const std::size_t count,
+             const std::function<void(std::size_t)>& task) {
+  if (pool == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) task(i);
+    return;
+  }
+  std::vector<std::future<void>> futures;
+  futures.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    futures.push_back(pool->submit([&task, i] { task(i); }));
+  }
+  std::exception_ptr first_error;
+  for (std::future<void>& future : futures) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace xmem::util

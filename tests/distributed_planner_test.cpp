@@ -21,6 +21,8 @@
 #include "alloc/backend_registry.h"
 #include "core/distributed_planner.h"
 #include "core/estimation_service.h"
+#include "core/sequence_transform.h"
+#include "core/simulator.h"
 #include "util/json.h"
 
 namespace xmem {
@@ -762,42 +764,114 @@ TEST(PlanRefine, AllocatorConfigKnobsReachTheReplayTower) {
   }
 }
 
-TEST(PlanRefine, DedupOnAndOffAreByteIdenticalAcrossTheRegistry) {
-  // The provably-invisible contract of the symmetric-rank collapse: with
-  // dedup_replays off the refine pass honestly replays every one of a
-  // stage's d*t symmetric siblings; with it on, one replay per distinct
-  // sequence serves them all. On the CI whatif-2g straddle fixture the
-  // reports must stay byte-identical for every registry backend — and the
-  // counters too, because they describe the deduplicated replay schedule,
-  // not the execution.
-  std::ifstream in(std::string(XMEM_FIXTURE_DIR) + "/plan_request.json");
-  ASSERT_TRUE(in) << "missing ci/fixtures/plan_request.json";
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  core::PlanRequest request =
-      core::PlanRequest::from_json(util::Json::parse(buffer.str()));
+/// Replay every deployment rank of a refined candidate from scratch: the
+/// test builds each rank's sequence itself and simulates it through a
+/// fresh allocator tower (no ReplayScratch, no memo cache, no symmetric
+/// collapse) — an oracle independent of the service's refine pass.
+std::vector<std::int64_t> independent_rank_peaks(
+    const core::PlanRequest& request, const core::PlanCandidate& candidate,
+    const core::SequenceTransformer& transformer, bool comm_overlap) {
+  core::RankTransformOptions transform;
+  transform.data_parallel = candidate.plan.data_parallel;
+  transform.tensor_parallel = candidate.plan.tensor_parallel;
+  transform.micro_batches = request.micro_batches;
+  transform.zero = request.zero;
+  transform.ddp_bucket_bytes = request.ddp_bucket_bytes;
+  transform.ddp_bucket_count = request.ddp_bucket_count;
+  transform.tensor.activation_replication_pct =
+      request.activation_replication_pct;
+  transform.comm_overlap = comm_overlap;
+  core::SimulationOptions sim_options;
+  sim_options.backend = request.allocator;
+  const auto knobs = request.allocator_config.find(request.allocator);
+  if (knobs != request.allocator_config.end()) {
+    sim_options.backend_knobs = knobs->second;
+  }
 
-  core::ServiceOptions serial_options;
-  serial_options.threads = 1;
-  core::ServiceOptions threaded_options;
-  threaded_options.threads = 4;
+  const std::size_t stages =
+      std::max<std::size_t>(candidate.plan.rank_peaks.size(), 1);
+  const std::size_t ranks = stages *
+                            static_cast<std::size_t>(
+                                candidate.plan.data_parallel *
+                                candidate.plan.tensor_parallel);
+  std::vector<std::int64_t> peaks;
+  for (std::size_t rank = 0; rank < ranks; ++rank) {
+    // Stage-major rank order: stage s owns ranks [s*d*t, (s+1)*d*t).
+    const std::size_t stage = rank / (ranks / stages);
+    core::RankScratch scratch;
+    const core::OrchestratedSequence& sequence = transformer.rank_sequence(
+        transform, candidate.plan.stages, stages, stage, scratch);
+    peaks.push_back(
+        core::MemorySimulator().replay(sequence, sim_options).peak_device);
+  }
+  return peaks;
+}
 
-  for (const std::string& backend : alloc::backend_names()) {
-    request.allocator = backend;
-    request.dedup_replays = true;
-    core::EstimationService deduped(serial_options);
-    const std::string on =
-        deduped.plan(request).to_json(/*include_timings=*/false).dump(2);
-    request.dedup_replays = false;
-    core::EstimationService naive(serial_options);
-    EXPECT_EQ(on,
-              naive.plan(request).to_json(/*include_timings=*/false).dump(2))
-        << backend << ": dedup-on report diverged from dedup-off";
-    core::EstimationService threaded(threaded_options);
-    EXPECT_EQ(on, threaded.plan(request)
-                      .to_json(/*include_timings=*/false)
-                      .dump(2))
-        << backend << ": threaded dedup-off diverged from serial dedup-on";
+TEST(PlanRefine, ReplayedPeaksMatchAnIndependentPerRankReplay) {
+  // The symmetric-rank collapse and the cross-candidate memo cache must be
+  // invisible: on both CI straddle fixtures (resident and overlap-window),
+  // for every registry backend, every refined candidate's rank peaks equal
+  // an independent fresh replay of every deployment rank. Serial and
+  // threaded searches stay byte-identical, counters included.
+  for (const char* fixture :
+       {"plan_request.json", "plan_request_overlap.json"}) {
+    std::ifstream in(std::string(XMEM_FIXTURE_DIR) + "/" + fixture);
+    ASSERT_TRUE(in) << "missing ci/fixtures/" << fixture;
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    core::PlanRequest request =
+        core::PlanRequest::from_json(util::Json::parse(buffer.str()));
+
+    // The profile the service refines from, looked up under the key the
+    // "xMem" engine uses (default orchestrator rules, JSON round trip).
+    const auto session = std::make_shared<core::ProfileSession>();
+    core::ProfileKey key;
+    key.model_name = request.job.model_name;
+    key.batch_size = request.job.batch_size;
+    key.optimizer = request.job.optimizer;
+    key.placement = request.job.placement;
+    key.seed = request.job.seed;
+    key.profile_iterations = request.profile_iterations;
+    const core::ProfileSession::Lookup lookup = session->get(key);
+    const std::vector<core::ComponentProfile> profiles =
+        core::per_component_profile(lookup.artifacts->analysis.timeline);
+    const core::SequenceTransformer transformer(
+        lookup.artifacts->orchestration.sequence, profiles);
+
+    core::ServiceOptions serial_options;
+    serial_options.threads = 1;
+    serial_options.session = session;
+    core::ServiceOptions threaded_options = serial_options;
+    threaded_options.threads = 4;
+
+    for (const std::string& backend : alloc::backend_names()) {
+      request.allocator = backend;
+      core::EstimationService serial(serial_options);
+      const core::PlanReport report = serial.plan(request);
+      EXPECT_EQ(report.profiles_run, 0u)
+          << fixture << ": the service did not reuse the test's profile key";
+      ASSERT_GT(report.replayed_candidates, 0u);
+      for (std::size_t i = 0; i < report.replayed_candidates; ++i) {
+        const core::PlanCandidate& candidate = report.candidates[i];
+        ASSERT_TRUE(candidate.replayed);
+        EXPECT_EQ(candidate.replayed_rank_peaks,
+                  independent_rank_peaks(request, candidate, transformer,
+                                         request.comm_overlap))
+            << fixture << " " << backend << " candidate " << i;
+        if (request.comm_overlap) {
+          EXPECT_EQ(candidate.resident_rank_peaks,
+                    independent_rank_peaks(request, candidate, transformer,
+                                           /*comm_overlap=*/false))
+              << fixture << " " << backend << " candidate " << i;
+        }
+      }
+
+      core::EstimationService threaded(threaded_options);
+      EXPECT_EQ(report.to_json(/*include_timings=*/false).dump(2),
+                threaded.plan(request).to_json(false).dump(2))
+          << fixture << " " << backend
+          << ": threaded report diverged from serial";
+    }
   }
 }
 
@@ -918,6 +992,10 @@ TEST(PlanRequestJson, RejectsMalformedDocuments) {
   EXPECT_THROW(parse(R"({"job": {"model": "distilgpt2", "batch": 5},
                          "devices": ["rtx3060"], "ddp_bucket_count": -1})"),
                std::invalid_argument);
+  // Out of int range: rejected, not wrapped to a small count.
+  EXPECT_THROW(parse(R"({"job": {"model": "distilgpt2", "batch": 5},
+                         "devices": ["rtx3060"], "max_gpus": 4294967297})"),
+               std::invalid_argument);
   // The rejection must name the offending field (actionable message).
   try {
     parse(R"({"job": {"model": "distilgpt2", "batch": 5},
@@ -929,23 +1007,17 @@ TEST(PlanRequestJson, RejectsMalformedDocuments) {
   }
 }
 
-TEST(PlanRequestJson, RefineAllAndDedupRoundTrip) {
+TEST(PlanRequestJson, RefineAllRoundTrip) {
   core::PlanRequest request = small_plan_request();
   request.refine_all = true;
-  request.dedup_replays = false;
   const util::Json json = request.to_json();
   EXPECT_EQ(json.at("refine_top_k").as_string(), "all");
-  EXPECT_FALSE(json.at("dedup_replays").as_bool());
   const core::PlanRequest parsed = core::PlanRequest::from_json(json);
   EXPECT_TRUE(parsed.refine_all);
-  EXPECT_FALSE(parsed.dedup_replays);
 
-  // Defaults round-trip too: top-K mode emits the integer and leaves the
-  // (true) dedup flag implicit.
+  // Defaults round-trip too: top-K mode emits the integer.
   const util::Json plain = small_plan_request().to_json();
   EXPECT_TRUE(plain.at("refine_top_k").is_int());
-  EXPECT_FALSE(plain.contains("dedup_replays"));
-  EXPECT_TRUE(core::PlanRequest::from_json(plain).dedup_replays);
 
   // Only the string "all" is a valid non-integer value, and the rejection
   // must say so.
@@ -960,10 +1032,6 @@ TEST(PlanRequestJson, RefineAllAndDedupRoundTrip) {
     EXPECT_NE(what.find("refine_top_k"), std::string::npos) << what;
     EXPECT_NE(what.find("\"all\""), std::string::npos) << what;
   }
-  EXPECT_THROW(core::PlanRequest::from_json(util::Json::parse(
-                   R"({"job": {"model": "distilgpt2", "batch": 5},
-                       "devices": ["rtx3060"], "dedup_replays": 1})")),
-               std::invalid_argument);
 }
 
 TEST(PlanRequestJson, BadRefineFixtureFailsNamingTheField) {

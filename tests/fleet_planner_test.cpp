@@ -11,7 +11,8 @@
 //     both the one-slot fast path and the full-repack path;
 //   * what-if deltas: admitted_delta/newly_admitted arithmetic vs two
 //     independent packs;
-//   * request JSON round-trips and malformed documents name the bad field.
+//   * request JSON round-trips and malformed documents name the bad field;
+//     unknown models are rejected before any profile runs.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -450,6 +451,45 @@ TEST(FleetRequestJson, MalformedDocumentsNameTheBadField) {
                             "pools": [{"device": "rtx3060", "count": 0}]})")
                 .find("count"),
             std::string::npos);
+}
+
+TEST(FleetRequestJson, UnknownModelIsRejectedBeforeAnyProfile) {
+  // A threaded pack whose first archetype names an unknown model used to
+  // rethrow out of the archetype fan-out while sibling sweeps still read
+  // the planner's stack. Validation now names the job up front, before
+  // any profile runs.
+  sched::FleetRequest request;
+  request.jobs = {
+      fleet_job("bad", make_job("no-such-model", 5, fw::OptimizerKind::kSgd)),
+      fleet_job("a", make_job("distilgpt2", 5, fw::OptimizerKind::kAdamW)),
+      fleet_job("b", make_job("distilgpt2", 10, fw::OptimizerKind::kSgd)),
+      fleet_job("c", make_job("gpt2", 5, fw::OptimizerKind::kAdamW)),
+      fleet_job("d", make_job("T5-small", 5, fw::OptimizerKind::kAdamW)),
+  };
+  request.pools = {{gpu::rtx3060(), 2}};
+  core::ServiceOptions service_options;
+  service_options.threads = 4;
+  core::EstimationService service(service_options);
+  sched::FleetPlannerOptions planner_options;
+  planner_options.threads = 4;
+  sched::FleetPlanner planner(service, planner_options);
+  try {
+    planner.pack(request);
+    FAIL() << "unknown model accepted";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("no-such-model"), std::string::npos) << what;
+    EXPECT_NE(what.find("jobs[0]"), std::string::npos) << what;
+  }
+  EXPECT_EQ(service.session().size(), 0u) << "a profile ran before validation";
+
+  // Incremental arrivals are held to the same rule.
+  request.jobs.erase(request.jobs.begin());
+  planner.pack(request);
+  sched::JobArrival arrival;
+  arrival.job = fleet_job(
+      "late", make_job("no-such-model", 5, fw::OptimizerKind::kSgd));
+  EXPECT_THROW(planner.apply(arrival), std::invalid_argument);
 }
 
 TEST(FleetRequestJson, UnknownPolicyAndDuplicateIdsAreRejected) {

@@ -8,7 +8,9 @@
 //   * the destructor drains the queue — every submitted task runs even
 //     when the pool is torn down immediately after submission;
 //   * many concurrent writers fill disjoint slots exactly once (the
-//     invariant the sweep's slot-per-entry fan-out relies on).
+//     invariant the sweep's slot-per-entry fan-out relies on);
+//   * fan_out() waits for every sibling before rethrowing a failure, and
+//     make_pool() maps the `threads` option (0 = default, 1 = serial).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -133,6 +136,55 @@ TEST(ThreadPool, StressSubmissionFromManyThreads) {
 
   const std::int64_t total = kProducers * kPerProducer;
   EXPECT_EQ(sum.load(), total * (total + 1) / 2);
+}
+
+TEST(FanOut, FailureWaitsForEverySiblingBeforeRethrowing) {
+  // Callers hand fan_out tasks that reference their stack; returning while
+  // a sibling still runs would let it read freed memory mid-unwind.
+  util::ThreadPool pool(4);
+  constexpr int kTasks = 16;
+  std::atomic<int> finished{0};
+  EXPECT_THROW(util::fan_out(&pool, kTasks,
+                             [&finished](std::size_t i) {
+                               if (i == 0) throw std::runtime_error("first");
+                               std::this_thread::sleep_for(
+                                   std::chrono::milliseconds(5));
+                               finished.fetch_add(1);
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), kTasks - 1);
+}
+
+TEST(FanOut, RethrowsTheLowestIndexFailure) {
+  util::ThreadPool pool(4);
+  try {
+    util::fan_out(&pool, 8, [](std::size_t i) {
+      if (i == 5 || i == 2) {
+        throw std::runtime_error("task " + std::to_string(i));
+      }
+    });
+    FAIL() << "fan_out swallowed the failures";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "task 2");
+  }
+}
+
+TEST(FanOut, NullPoolRunsInIndexOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  util::fan_out(nullptr, 5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(FanOut, MakePoolMapsTheThreadsOption) {
+  EXPECT_EQ(util::make_pool(1), nullptr);
+  EXPECT_EQ(util::make_pool(3)->size(), 3u);
+  const std::unique_ptr<util::ThreadPool> fallback = util::make_pool(0);
+  const std::size_t width = util::ThreadPool::default_threads();
+  EXPECT_EQ(fallback ? fallback->size() : 1u, width);
 }
 
 }  // namespace
