@@ -23,7 +23,10 @@
 # contract via each report's stage counters. The sweep fixture includes the
 # knobbed cub-binned backend with an explicit allocator_config block, so
 # the knob plumbing (request JSON -> registry factory -> replay tower) is
-# golden-diffed end to end. The plan smoke is a refine
+# golden-diffed end to end; stream-pool rides along with a 0-byte release
+# threshold and 8 MiB chunks, the setting that trims on nearly every free.
+# The sweep smoke also asserts replays_run equals the fixture's allocator
+# count (one replay per allocator, read by every device). The plan smoke is a refine
 # smoke: the fixture enables refine_top_k, so the report must show exactly
 # one CPU profile AND a nonzero replayed_candidates counter (the two-phase
 # search ran, still off one profile), plus at least one verdict_changed
@@ -112,6 +115,15 @@ sweep_actual="$(mktemp)"
   --no-timings > "${sweep_actual}"
 if ! grep -q '"profiles_run": 1,' "${sweep_actual}"; then
   echo "SWEEP SMOKE: expected exactly one CPU profile in stage_counters" >&2
+  GOLDEN_FAILED=1
+fi
+# Replay once per allocator, not once per (device, allocator): every device
+# verdict reads its allocator's one unbounded peak. The fixture lists one
+# allocator name per line inside its "allocators" array.
+sweep_allocators="$(sed -n '/"allocators"/,/]/p' \
+  "${FIXTURE_DIR}/sweep_request.json" | grep -c '^ *"[^"]*",\{0,1\} *$' || true)"
+if ! grep -q "\"replays_run\": ${sweep_allocators}," "${sweep_actual}"; then
+  echo "SWEEP SMOKE: expected replays_run == ${sweep_allocators} (one per allocator)" >&2
   GOLDEN_FAILED=1
 fi
 if [[ "${UPDATE_GOLDENS}" == "1" ]]; then

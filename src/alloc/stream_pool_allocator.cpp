@@ -15,6 +15,10 @@ struct StreamPoolAllocator::Block {
   Block* prev = nullptr;
   Block* next = nullptr;
   std::uint64_t chunk_addr = 0;  ///< driver reservation base of the chunk
+
+  bool wholly_free() const {
+    return !allocated && prev == nullptr && next == nullptr;
+  }
 };
 
 bool StreamPoolAllocator::Less::operator()(const Block* a,
@@ -94,6 +98,7 @@ fw::BackendAllocResult StreamPoolAllocator::backend_alloc(std::int64_t bytes) {
   if (it != free_blocks_.end()) {
     block = *it;
     free_blocks_.erase(it);
+    if (block->wholly_free()) free_chunks_.erase(block->addr);
   } else {
     block = grow(rounded);
     if (block == nullptr) return fw::BackendAllocResult{-1, 0, true};
@@ -151,6 +156,9 @@ void StreamPoolAllocator::backend_free(std::int64_t id) {
     recycle_block(next->addr);
   }
   free_blocks_.insert(block);
+  // A merged neighbor shared a chunk with this block, so it was never in
+  // the trim index; only the coalesced result can newly span its chunk.
+  if (block->wholly_free()) free_chunks_.emplace(block->addr, block);
 
   // The stream-ordered trim: shed wholly-free chunks until the idle
   // (reserved minus active) memory fits under the release threshold.
@@ -164,16 +172,14 @@ void StreamPoolAllocator::backend_free(std::int64_t id) {
 
 void StreamPoolAllocator::release_free_chunks(std::int64_t keep_idle_bytes) {
   // Release chunks whose whole extent is one free block, lowest address
-  // first, stopping once idle memory is back under the bound.
-  std::vector<Block*> releasable;
-  for (auto& [addr, block] : blocks_) {
-    if (!block->allocated && block->prev == nullptr &&
-        block->next == nullptr) {
-      releasable.push_back(block.get());
-    }
-  }
-  for (Block* block : releasable) {
-    if (stats_.reserved_bytes - stats_.active_bytes <= keep_idle_bytes) break;
+  // first, stopping once idle memory is back under the bound. The index
+  // holds exactly those chunks, so the cost is the chunks released plus
+  // one lookup — not a walk over every block the pool holds.
+  auto it = free_chunks_.begin();
+  while (it != free_chunks_.end() &&
+         stats_.reserved_bytes - stats_.active_bytes > keep_idle_bytes) {
+    Block* block = it->second;
+    it = free_chunks_.erase(it);
     free_blocks_.erase(block);
     driver_.cuda_free(block->chunk_addr);
     stats_.reserved_bytes -= block->size;
@@ -194,9 +200,16 @@ void StreamPoolAllocator::backend_reset() {
   blocks_.clear();
   live_.clear();
   free_blocks_.clear();
+  free_chunks_.clear();
   next_id_ = 1;
   num_threshold_releases_ = 0;
   stats_ = fw::BackendStats{};
+}
+
+std::int64_t StreamPoolAllocator::num_wholly_free_chunks() const {
+  return static_cast<std::int64_t>(
+      std::count_if(blocks_.begin(), blocks_.end(),
+                    [](const auto& entry) { return entry.second->wholly_free(); }));
 }
 
 fw::BackendStats StreamPoolAllocator::backend_stats() const {

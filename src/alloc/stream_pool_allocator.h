@@ -57,6 +57,9 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
 
   /// Chunks released by threshold trimming so far (not by trim/reset).
   std::int64_t num_threshold_releases() const { return num_threshold_releases_; }
+  /// Chunks held whose whole extent is one free block, counted by walking
+  /// every block (O(blocks); an observer, independent of the trim index).
+  std::int64_t num_wholly_free_chunks() const;
 
  private:
   struct Block;
@@ -74,6 +77,9 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
   std::map<std::uint64_t, std::unique_ptr<Block>> blocks_;
   std::map<std::int64_t, Block*> live_;
   std::set<Block*, Less> free_blocks_;
+  /// Trim index: the wholly-free chunks (one free block spanning the whole
+  /// chunk), address-ordered, so a trim visits only what it can release.
+  std::map<std::uint64_t, Block*> free_chunks_;
   std::vector<std::unique_ptr<Block>> spare_blocks_;
   std::int64_t next_id_ = 1;
   std::int64_t num_threshold_releases_ = 0;

@@ -168,6 +168,42 @@ const alloc::BackendKnobs& knobs_for(
   return it == config.end() ? empty : it->second;
 }
 
+/// The result-cache key of one (estimator, device, allocator) entry.
+std::string result_key(const EstimateRequest& request,
+                       const std::string& estimator,
+                       const gpu::DeviceModel& device,
+                       const std::string& allocator) {
+  std::string key = estimator;
+  key += '|';
+  key += request.job.label();
+  key += "|s";
+  key += std::to_string(request.job.seed);
+  key += "|it";
+  key += std::to_string(request.profile_iterations);
+  key += '|';
+  key += device.name;
+  // A name alone does not identify a device: custom what-if entries may
+  // reuse a name with different geometry, and the verdict depends on it.
+  key += '#';
+  key += std::to_string(device.capacity);
+  key += '/';
+  key += std::to_string(device.m_init);
+  key += '/';
+  key += std::to_string(device.m_fm);
+  key += '|';
+  key += allocator;
+  const alloc::BackendKnobs& knobs =
+      knobs_for(request.allocator_config, allocator);
+  if (!knobs.empty()) {
+    // Same backend under different knobs is a different question.
+    key += '{';
+    key += alloc::knobs_fingerprint(knobs);
+    key += '}';
+  }
+  key += request.record_curve ? "|curve" : "";
+  return key;
+}
+
 /// A request document's shared head: the job and its candidate devices.
 template <typename Request>
 Request request_from_json(const util::Json& json, const std::string& context) {
@@ -561,19 +597,6 @@ void validate_question(
   validate_allocator_config(allocator_config, surface);
 }
 
-/// One entry's share of the stage counters, read back from its timings: a
-/// result-cache hit did no work; a session-backed miss replayed once.
-void count_entry(StageCounters& counters, bool session_backed,
-                 const StageTimings& timings) {
-  if (timings.result_cache_hit) {
-    ++counters.result_cache_hits;
-  } else if (session_backed) {
-    ++counters.replays_run;
-    ++(timings.profile_cache_hit ? counters.profile_cache_hits
-                                 : counters.profiles_run);
-  }
-}
-
 /// 100 * (value - base) / base, integer-truncated; 0 when base is 0.
 int pct_change(std::int64_t value, std::int64_t base) {
   return base > 0 ? static_cast<int>(100 * (value - base) / base) : 0;
@@ -604,8 +627,8 @@ void sort_best_first(std::vector<PlanCandidate>::iterator first,
             });
 }
 
-/// The single-device baseline as a sweep: one xMem replay per candidate
-/// device, all sharing the session's profile.
+/// The single-device baseline as a sweep: one xMem replay of the session's
+/// profile, every candidate device's verdict read from its peak.
 EstimateRequest single_device_request(const PlanRequest& request) {
   EstimateRequest baseline;
   baseline.job = request.job;
@@ -919,99 +942,99 @@ void EstimationService::result_cache_put(const std::string& key,
   }
 }
 
-EstimateEntry EstimationService::run_entry(const EstimateRequest& request,
-                                           const EntrySpec& spec) {
-  const gpu::DeviceModel& device = request.devices[spec.device_index];
-  std::string result_key = spec.estimator;
-  result_key += '|';
-  result_key += request.job.label();
-  result_key += "|s";
-  result_key += std::to_string(request.job.seed);
-  result_key += "|it";
-  result_key += std::to_string(request.profile_iterations);
-  result_key += '|';
-  result_key += device.name;
-  // A name alone does not identify a device: custom what-if entries may
-  // reuse a name with different geometry, and the verdict depends on it.
-  result_key += '#';
-  result_key += std::to_string(device.capacity);
-  result_key += '/';
-  result_key += std::to_string(device.m_init);
-  result_key += '/';
-  result_key += std::to_string(device.m_fm);
-  result_key += '|';
-  result_key += spec.allocator;
-  const alloc::BackendKnobs& knobs =
-      knobs_for(request.allocator_config, spec.allocator);
-  if (!knobs.empty()) {
-    // Same backend under different knobs is a different question.
-    result_key += '{';
-    result_key += alloc::knobs_fingerprint(knobs);
-    result_key += '}';
+void EstimationService::run_group(const EstimateRequest& request,
+                                  EntryGroup& group,
+                                  std::vector<EstimateEntry>& entries) {
+  const auto group_start = std::chrono::steady_clock::now();
+  std::vector<std::size_t> missing;  // positions in group.slots
+  std::vector<std::string> keys;     // parallel to missing
+  for (std::size_t k = 0; k < group.slots.size(); ++k) {
+    std::string key =
+        result_key(request, group.estimator,
+                   request.devices[group.devices[k]], group.allocator);
+    EstimateEntry& entry = entries[group.slots[k]];
+    if (result_cache_get(key, entry)) {
+      entry.timings.result_cache_hit = true;
+    } else {
+      missing.push_back(k);
+      keys.push_back(std::move(key));
+    }
   }
-  result_key += request.record_curve ? "|curve" : "";
+  if (missing.empty()) return;
 
-  EstimateEntry cached;
-  if (result_cache_get(result_key, cached)) {
-    cached.timings.result_cache_hit = true;
-    return cached;
+  for (const std::size_t k : missing) {
+    const gpu::DeviceModel& device = request.devices[group.devices[k]];
+    EstimateEntry& entry = entries[group.slots[k]];
+    entry.estimator = group.estimator;
+    entry.device = device.name;
+    entry.allocator = group.allocator;
+    entry.device_job_budget = device.job_budget();
   }
 
-  const auto entry_start = std::chrono::steady_clock::now();
-  EstimateEntry entry;
-  entry.estimator = spec.estimator;
-  entry.device = device.name;
-  entry.allocator = spec.allocator;
-  entry.device_job_budget = device.job_budget();
-
-  if (spec.session_backed) {
+  if (group.session_backed) {
     const ProfileSession::Lookup lookup = session_->get(
-        profile_key_for(request.job, estimator_orchestrates(spec.estimator),
+        profile_key_for(request.job, estimator_orchestrates(group.estimator),
                         request.profile_iterations),
         request.tenant);
 
     const auto replay_start = std::chrono::steady_clock::now();
     MemorySimulator simulator;
     SimulationOptions sim_options;
-    sim_options.backend = spec.allocator;
-    sim_options.backend_knobs = knobs;
+    sim_options.backend = group.allocator;
+    sim_options.backend_knobs =
+        knobs_for(request.allocator_config, group.allocator);
     sim_options.record_series = request.record_curve;
-    // Worker-thread-lifetime scratch: consecutive entries on this thread
+    // Worker-thread-lifetime scratch: consecutive groups on this thread
     // reset the allocator tower instead of rebuilding it (byte-identical
     // results per the backend_reset() contract, so the report stays
-    // independent of how entries land on threads).
+    // independent of how groups land on threads).
     thread_local ReplayScratch replay_scratch;
     const SimulationResult simulation = simulator.replay(
         lookup.artifacts->orchestration.sequence, sim_options,
         &replay_scratch);
+    const double simulate_seconds = seconds_since(replay_start);
+    group.replayed = true;
+    group.profile_cache_hit = lookup.cache_hit;
 
-    entry.estimated_peak = simulation.peak_device;
-    entry.oom_predicted = entry.estimated_peak > device.job_budget();
-    entry.has_orchestrator_stats = true;
-    entry.orchestrator_stats = lookup.artifacts->orchestration.stats;
-    if (request.record_curve) entry.reserved_curve = simulation.reserved_series;
-
-    entry.timings.profile_cache_hit = lookup.cache_hit;
-    if (!lookup.cache_hit) {
-      entry.timings.profile_seconds = lookup.artifacts->profile_seconds;
-      entry.timings.analyze_seconds = lookup.artifacts->analyze_seconds;
+    for (const std::size_t k : missing) {
+      EstimateEntry& entry = entries[group.slots[k]];
+      entry.estimated_peak = simulation.peak_device;
+      entry.oom_predicted = entry.estimated_peak > entry.device_job_budget;
+      entry.has_orchestrator_stats = true;
+      entry.orchestrator_stats = lookup.artifacts->orchestration.stats;
+      if (request.record_curve) {
+        entry.reserved_curve = simulation.reserved_series;
+      }
+      // The lookup and the replay are charged once, to the first entry.
+      entry.timings.profile_cache_hit = true;
+      entry.timings.total_seconds = seconds_since(group_start);
     }
-    entry.timings.simulate_seconds = seconds_since(replay_start);
-    entry.timings.total_seconds = seconds_since(entry_start);
+    StageTimings& first = entries[group.slots[missing.front()]].timings;
+    first.profile_cache_hit = lookup.cache_hit;
+    if (!lookup.cache_hit) {
+      first.profile_seconds = lookup.artifacts->profile_seconds;
+      first.analyze_seconds = lookup.artifacts->analyze_seconds;
+    }
+    first.simulate_seconds = simulate_seconds;
   } else {
-    Estimator& estimator = estimator_instance(spec.estimator);
-    const EstimateResult result = estimator.estimate(request.job, device);
-    entry.supported = result.supported;
-    entry.estimated_peak = result.supported ? result.estimated_peak : 0;
-    entry.oom_predicted = result.supported && result.oom_predicted;
-    // The uniform wrapper clock (estimator_api.h), so lazy estimator
-    // construction (SchedTune's one-time GBM training) is not charged to
-    // the entry that happened to trigger it.
-    entry.timings.total_seconds = result.runtime_seconds;
+    Estimator& estimator = estimator_instance(group.estimator);
+    for (const std::size_t k : missing) {
+      EstimateEntry& entry = entries[group.slots[k]];
+      const EstimateResult result =
+          estimator.estimate(request.job, request.devices[group.devices[k]]);
+      entry.supported = result.supported;
+      entry.estimated_peak = result.supported ? result.estimated_peak : 0;
+      entry.oom_predicted = result.supported && result.oom_predicted;
+      // The uniform wrapper clock (estimator_api.h), so lazy estimator
+      // construction (SchedTune's one-time GBM training) is not charged to
+      // the entry that happened to trigger it.
+      entry.timings.total_seconds = result.runtime_seconds;
+    }
   }
 
-  result_cache_put(result_key, entry);
-  return entry;
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    result_cache_put(keys[i], entries[group.slots[missing[i]]]);
+  }
 }
 
 EstimateReport EstimationService::sweep(const EstimateRequest& request) {
@@ -1027,8 +1050,11 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
       request.estimators.empty() ? std::vector<std::string>{"xMem"}
                                  : request.estimators;
 
-  // Fix the (deterministic) entry order up front; workers fill slots.
-  std::vector<EntrySpec> specs;
+  // Fix the (deterministic) entry order up front — estimator, then device,
+  // then allocator — and bind every slot to the group that answers it.
+  std::vector<EntryGroup> groups;
+  std::map<std::pair<std::string, std::string>, std::size_t> replay_groups;
+  std::size_t slot = 0;
   for (const std::string& estimator : estimators) {
     if (!is_known_estimator(estimator)) {
       throw std::invalid_argument("sweep: unknown estimator '" + estimator +
@@ -1036,12 +1062,17 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
     }
     const bool session_backed = estimator_uses_session(estimator);
     for (std::size_t d = 0; d < request.devices.size(); ++d) {
-      if (session_backed) {
-        for (const std::string& allocator : allocators) {
-          specs.push_back(EntrySpec{estimator, d, allocator, true});
-        }
-      } else {
-        specs.push_back(EntrySpec{estimator, d, std::string(), false});
+      if (!session_backed) {
+        groups.push_back(EntryGroup{estimator, std::string(), false,
+                                    {slot++}, {d}});
+        continue;
+      }
+      for (const std::string& allocator : allocators) {
+        const auto [it, added] = replay_groups.emplace(
+            std::make_pair(estimator, allocator), groups.size());
+        if (added) groups.push_back(EntryGroup{estimator, allocator, true, {}, {}});
+        groups[it->second].slots.push_back(slot++);
+        groups[it->second].devices.push_back(d);
       }
     }
   }
@@ -1052,12 +1083,18 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
 
   EstimateReport report;
   report.job = request.job;
-  report.entries.resize(specs.size());
-  util::fan_out(pool_.get(), specs.size(), [&](std::size_t i) {
-    report.entries[i] = run_entry(normalized, specs[i]);
+  report.entries.resize(slot);
+  util::fan_out(pool_.get(), groups.size(), [&](std::size_t i) {
+    run_group(normalized, groups[i], report.entries);
   });
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    count_entry(report, specs[i].session_backed, report.entries[i].timings);
+  for (const EstimateEntry& entry : report.entries) {
+    if (entry.timings.result_cache_hit) ++report.result_cache_hits;
+  }
+  for (const EntryGroup& group : groups) {
+    if (!group.replayed) continue;
+    ++report.replays_run;
+    ++(group.profile_cache_hit ? report.profile_cache_hits
+                               : report.profiles_run);
   }
   report.wall_seconds = seconds_since(sweep_start);
   return report;

@@ -6,8 +6,9 @@
 // each allocator policy?" — so the service accepts a structured
 // EstimateRequest (job + candidate devices + allocator backends + report
 // options) and answers all combinations in one sweep: the profile prefix is
-// captured once in a ProfileSession and the cheap simulator replays fan out
-// concurrently on a util::ThreadPool. A bounded LRU of finished entries
+// captured once in a ProfileSession, and one cheap simulator replay per
+// allocator — read by every device's verdict — fans out concurrently on a
+// util::ThreadPool. A bounded LRU of finished entries
 // (the old EvalHarness estimate cache, collapsed into the service) makes
 // repeated questions free.
 //
@@ -96,12 +97,15 @@ struct EstimateRequest {
 
 /// Stage-level timing split for one entry (RQ4 / §6.1). On a profile cache
 /// hit the profile/analyze stages cost nothing — that asymmetry is the
-/// profile-once/estimate-many win, and the counters below prove it.
+/// profile-once/estimate-many win, and the counters below prove it. Device
+/// entries that share one replay charge the profile lookup and the replay
+/// to the first of them; the others read its result and record no stage
+/// cost (profile_cache_hit true, simulate_seconds 0).
 struct StageTimings {
   double profile_seconds = 0.0;   ///< CPU profile + JSON round trip (0 on hit)
   double analyze_seconds = 0.0;   ///< Analyzer + Orchestrator (0 on hit)
-  double simulate_seconds = 0.0;  ///< simulator replay for this entry
-  double total_seconds = 0.0;     ///< end-to-end wall time for this entry
+  double simulate_seconds = 0.0;  ///< simulator replay this entry ran
+  double total_seconds = 0.0;     ///< wall time until this entry was answered
   bool profile_cache_hit = false;
   bool result_cache_hit = false;
 };
@@ -130,12 +134,17 @@ struct EstimateEntry {
 
 /// The tally every sweep, plan, and fleet report carries. `profiles_run ==
 /// 1` for a single-job request that missed the cache once proves the CPU
-/// profile ran exactly once. Counted after the fan-out barrier.
+/// profile ran exactly once. Counted after the fan-out barrier from what
+/// each replay group recorded, so the counts do not depend on threads.
 struct StageCounters {
-  std::size_t profiles_run = 0;        ///< CPU profiles executed
-  std::size_t profile_cache_hits = 0;  ///< profiles served by the session
-  std::size_t replays_run = 0;         ///< simulator replays executed
-  std::size_t result_cache_hits = 0;   ///< entries served fully from cache
+  /// CPU profiles executed. profiles_run + profile_cache_hits is the number
+  /// of session lookups: one per replayed group.
+  std::size_t profiles_run = 0;
+  std::size_t profile_cache_hits = 0;  ///< lookups the session served
+  /// Simulator replays executed: one per (estimator, allocator) group with
+  /// at least one entry missing the result cache — not one per device.
+  std::size_t replays_run = 0;
+  std::size_t result_cache_hits = 0;  ///< entries served fully from cache
 
   StageCounters& operator+=(const StageCounters& other);
   /// Set the four counts on `json` (an object) under their field names.
@@ -254,7 +263,8 @@ struct PlanCandidate {
 };
 
 /// The answer to a PlanRequest: single-device baseline (analytic + one
-/// simulator replay per candidate device) and the ranked decompositions.
+/// simulator replay, read by every candidate device) and the ranked
+/// decompositions.
 /// The whole search runs exactly one CPU profile — `profiles_run == 1` on
 /// a cold session, proven by the same stage counters as a sweep.
 struct PlanReport : StageCounters {
@@ -352,15 +362,27 @@ class EstimationService {
   ProfileSession& session() { return *session_; }
 
  private:
-  struct EntrySpec {
+  /// The report entries one unit of work answers. A session-backed
+  /// estimator's device entries under one allocator all read ONE replay:
+  /// the simulator runs without a capacity limit (§3.4), so the peak is
+  /// device-independent and each device verdict is just peak > budget.
+  /// Any other estimator's entry is a group of its own.
+  struct EntryGroup {
     std::string estimator;
-    std::size_t device_index = 0;
-    std::string allocator;
+    std::string allocator;  ///< empty for estimators that ignore it
     bool session_backed = false;
+    std::vector<std::size_t> slots;    ///< report entry indices
+    std::vector<std::size_t> devices;  ///< request device index per slot
+    /// Written by the worker that ran the group; read after the barrier.
+    bool replayed = false;
+    bool profile_cache_hit = false;
   };
 
-  EstimateEntry run_entry(const EstimateRequest& request,
-                          const EntrySpec& spec);
+  /// Serve the group's entries from the result cache; if any miss, look up
+  /// the profile and replay once (session-backed) or run the estimator per
+  /// missing device (otherwise), then cache every entry it computed.
+  void run_group(const EstimateRequest& request, EntryGroup& group,
+                 std::vector<EstimateEntry>& entries);
   ProfileKey profile_key_for(const TrainJob& job, bool orchestrate,
                              int profile_iterations) const;
   Estimator& estimator_instance(const std::string& name);

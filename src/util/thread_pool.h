@@ -1,6 +1,6 @@
 // Small fixed-size thread pool for fan-out work inside the estimation
-// service (concurrent what-if sweeps: one task per (device, allocator)
-// replay) and the fleet planner (one sweep per job archetype).
+// service (concurrent what-if sweeps: one task per allocator replay) and
+// the fleet planner (one sweep per job archetype).
 // Deliberately minimal: submit() returns a std::future, the destructor
 // drains the queue and joins. Tasks must not submit follow-up work to the
 // same pool from inside a task and then block on it (no work stealing),

@@ -4,11 +4,14 @@
 // fw::AllocatorBackend view of it and the other registered backends.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 
 #include "alloc/backend_registry.h"
 #include "alloc/caching_allocator.h"
 #include "alloc/cuda_driver_sim.h"
+#include "alloc/event_stream.h"
+#include "alloc/stream_pool_allocator.h"
 #include "util/bytes.h"
 
 namespace xmem::alloc {
@@ -229,6 +232,54 @@ TEST(BackendContract, ReservedCoversActiveOnEveryBackend) {
     EXPECT_EQ(s.active_bytes, a.charged_bytes + b.charged_bytes) << name;
     EXPECT_GE(s.reserved_bytes, s.active_bytes) << name;
     EXPECT_EQ(s.num_allocs - s.num_frees, s.num_live_blocks) << name;
+  }
+}
+
+// ---------- stream-pool threshold trimming ----------
+
+TEST(StreamPoolTrim, IdleMemoryStaysUnderThresholdOrNoWhollyFreeChunkRemains) {
+  // The trim contract, checked after every free across the knob grid: the
+  // pool either holds no more idle bytes than its release threshold, or it
+  // has nothing left it could release (no chunk is one free block). The
+  // wholly-free count walks every block, independent of the trim index.
+  EventStreamConfig stream;
+  stream.seed = 2024;
+  stream.num_events = 4000;
+  const std::vector<StreamEvent> events = generate_event_stream(stream);
+  for (const std::int64_t threshold :
+       {std::int64_t{0}, 256 * kMiB, 2 * util::kGiB}) {
+    for (const std::int64_t chunk : {8 * kMiB, 32 * kMiB, 128 * kMiB}) {
+      SimulatedCudaDriver driver(std::int64_t{1} << 50);
+      StreamPoolAllocator pool(driver, StreamPoolConfig{threshold, chunk});
+      std::map<std::int64_t, std::int64_t> ids;  // block_id -> backend id
+      std::size_t frees = 0;
+      for (const StreamEvent& event : events) {
+        if (event.is_alloc) {
+          const fw::BackendAllocResult result = pool.backend_alloc(event.bytes);
+          ASSERT_FALSE(result.oom);
+          ids[event.block_id] = result.id;
+          continue;
+        }
+        pool.backend_free(ids.at(event.block_id));
+        ids.erase(event.block_id);
+        ++frees;
+        const fw::BackendStats stats = pool.backend_stats();
+        ASSERT_TRUE(stats.reserved_bytes - stats.active_bytes <= threshold ||
+                    pool.num_wholly_free_chunks() == 0)
+            << "threshold " << threshold << " chunk " << chunk << " free #"
+            << frees << ": idle " << stats.reserved_bytes - stats.active_bytes
+            << " with " << pool.num_wholly_free_chunks()
+            << " wholly-free chunk(s) left unreleased";
+      }
+      ASSERT_TRUE(ids.empty()) << "the stream must drain";
+      EXPECT_EQ(pool.backend_stats().active_bytes, 0)
+          << "threshold " << threshold << " chunk " << chunk;
+      EXPECT_EQ(pool.backend_stats().num_live_blocks, 0);
+      EXPECT_LE(pool.backend_stats().reserved_bytes, threshold);
+      if (threshold == 0) {
+        EXPECT_GT(pool.num_threshold_releases(), 0);
+      }
+    }
   }
 }
 

@@ -394,7 +394,7 @@ TEST(PlanSearch, EightGpuBudgetRunsExactlyOneProfile) {
   EXPECT_GE(report.candidates_evaluated, 8u);  // the acceptance bar
   EXPECT_EQ(report.candidates.size(), report.candidates_evaluated);
   EXPECT_EQ(report.profiles_run, 1u);
-  EXPECT_EQ(report.replays_run, report.devices.size());
+  EXPECT_EQ(report.replays_run, 1u);  // every device reads one replay
   ASSERT_EQ(report.single_device_entries.size(), 3u);
   EXPECT_GT(report.single_device_peak, 0);
   for (const auto& entry : report.single_device_entries) {

@@ -2,8 +2,9 @@
 //
 //   * request/report JSON schema round-trips (the `xmem sweep` interface);
 //   * a sweep over N devices x M allocators runs exactly ONE CPU profile
-//     (stage counters prove it) and the concurrent path returns
-//     byte-identical reports to the serial path;
+//     and ONE replay per allocator (stage counters prove it), every entry
+//     matches an independent per-device replay, and the concurrent path
+//     returns byte-identical reports to the serial path;
 //   * supports() gates execution in the service path: an unsupported job
 //     yields a supported=false entry and compute() is never invoked;
 //   * the ProfileSession LRU is bounded and deduplicates in-flight work;
@@ -18,6 +19,7 @@
 #include "core/estimation_service.h"
 #include "core/estimator_registry.h"
 #include "core/profile_session.h"
+#include "core/simulator.h"
 #include "core/xmem_estimator.h"
 #include "util/json.h"
 
@@ -238,8 +240,9 @@ TEST(EstimationServiceSweep, RejectsUnknownNames) {
 // ---------- profile-once / estimate-many ----------
 
 TEST(EstimationServiceSweep, OneProfileManyReplays) {
-  // The acceptance sweep: 1 job x 4 devices x 3 allocators. Exactly one
-  // CPU profile; every other entry is a cheap replay against the session.
+  // The acceptance sweep: 1 job x 4 devices x every allocator. Exactly one
+  // CPU profile and one replay per allocator; each device verdict reads
+  // its allocator's unbounded peak.
   core::EstimateRequest request = sweep_request();
   request.devices.push_back(gpu::DeviceModel{"Custom-24GB",
                                              std::int64_t{24} << 30,
@@ -254,8 +257,8 @@ TEST(EstimationServiceSweep, OneProfileManyReplays) {
   const std::size_t n = request.devices.size() * request.allocators.size();
   ASSERT_EQ(report.entries.size(), n);
   EXPECT_EQ(report.profiles_run, 1u);
-  EXPECT_EQ(report.profile_cache_hits, n - 1);
-  EXPECT_EQ(report.replays_run, n);
+  EXPECT_EQ(report.profile_cache_hits, request.allocators.size() - 1);
+  EXPECT_EQ(report.replays_run, request.allocators.size());
   EXPECT_EQ(report.result_cache_hits, 0u);
 
   // Stage timings prove no re-profile: exactly one entry paid the profile.
@@ -306,6 +309,138 @@ TEST(EstimationServiceSweep, ConcurrentSweepMatchesSerialByteForByte) {
   EXPECT_EQ(concurrent_report.profiles_run, 1u);
   EXPECT_EQ(concurrent_report.profile_cache_hits,
             serial_report.profile_cache_hits);
+}
+
+/// Four cards with different job budgets around distilgpt2 b5's ~3.8 GB
+/// peak: a 3 GiB what-if card that cannot hold it, three that can.
+std::vector<gpu::DeviceModel> mixed_budget_devices() {
+  const gpu::DeviceModel tight{"Tight-3GB", std::int64_t{3} << 30,
+                               std::int64_t{300} << 20,
+                               std::int64_t{300} << 20};
+  return {tight, gpu::rtx4060(), gpu::rtx3060(), gpu::a100_40gb()};
+}
+
+TEST(EstimationServiceSweep, EveryEntryMatchesAnIndependentPerDeviceReplay) {
+  // Device entries share one replay per allocator; that sharing must be
+  // invisible. For every registry backend, each entry's peak, verdict and
+  // curve equal a fresh replay the test runs for that device on its own.
+  core::EstimateRequest request;
+  request.job = small_job();
+  request.devices = mixed_budget_devices();
+  request.allocators = alloc::backend_names();
+  request.record_curve = true;
+
+  // The profile the service replays, under the key the "xMem" engine uses
+  // (default orchestrator rules, JSON round trip).
+  const auto session = std::make_shared<core::ProfileSession>();
+  core::ProfileKey key;
+  key.model_name = request.job.model_name;
+  key.batch_size = request.job.batch_size;
+  key.optimizer = request.job.optimizer;
+  key.placement = request.job.placement;
+  key.seed = request.job.seed;
+  key.profile_iterations = request.profile_iterations;
+  const core::OrchestratedSequence& sequence =
+      session->get(key).artifacts->orchestration.sequence;
+
+  core::ServiceOptions serial_options;
+  serial_options.threads = 1;
+  serial_options.session = session;
+  core::EstimationService serial(serial_options);
+  const core::EstimateReport report = serial.sweep(request);
+  EXPECT_EQ(report.profiles_run, 0u)
+      << "the service did not reuse the test's profile key";
+  EXPECT_EQ(report.replays_run, request.allocators.size());
+  ASSERT_EQ(report.entries.size(),
+            request.devices.size() * request.allocators.size());
+
+  std::size_t ooms = 0;
+  std::size_t fits = 0;
+  std::size_t i = 0;
+  for (const gpu::DeviceModel& device : request.devices) {
+    for (const std::string& backend : request.allocators) {
+      const core::EstimateEntry& entry = report.entries[i++];
+      ASSERT_EQ(entry.device, device.name);
+      ASSERT_EQ(entry.allocator, backend);
+      core::SimulationOptions options;
+      options.backend = backend;
+      options.record_series = true;
+      const core::SimulationResult fresh =
+          core::MemorySimulator().replay(sequence, options);
+      EXPECT_EQ(entry.estimated_peak, fresh.peak_device)
+          << device.name << "/" << backend;
+      EXPECT_EQ(entry.oom_predicted, fresh.peak_device > device.job_budget())
+          << device.name << "/" << backend;
+      EXPECT_EQ(entry.reserved_curve, fresh.reserved_series)
+          << device.name << "/" << backend;
+      ++(entry.oom_predicted ? ooms : fits);
+    }
+  }
+  EXPECT_EQ(ooms, request.allocators.size()) << "the 3 GiB card must OOM";
+  EXPECT_EQ(fits, 3 * request.allocators.size());
+
+  core::ServiceOptions threaded_options = serial_options;
+  threaded_options.threads = 4;
+  core::EstimationService threaded(threaded_options);
+  EXPECT_EQ(report.to_json(/*include_timings=*/false).dump(2),
+            threaded.sweep(request).to_json(/*include_timings=*/false).dump(2));
+}
+
+TEST(EstimationServiceSweep, PartlyWarmSweepReplaysOnceAndFillsTheGaps) {
+  // A group replays iff one of its entries misses the result cache, and
+  // then computes only the missing entries; a fully cached group neither
+  // replays nor looks the profile up.
+  const auto session = std::make_shared<core::ProfileSession>();
+  core::ServiceOptions options;
+  options.threads = 4;
+  options.session = session;
+  core::EstimationService service(options);
+
+  core::EstimateRequest full;
+  full.job = small_job();
+  full.devices = mixed_budget_devices();
+  full.allocators = alloc::backend_names();
+  core::EstimateRequest warm = full;
+  warm.devices.resize(2);
+  warm.allocators.pop_back();  // the last backend stays wholly cold
+  service.sweep(warm);
+
+  const std::uint64_t lookups_before = session->hits() + session->misses();
+  const core::EstimateReport report = service.sweep(full);
+  EXPECT_EQ(report.replays_run, full.allocators.size());
+  EXPECT_EQ(report.profiles_run, 0u);
+  EXPECT_EQ(report.profile_cache_hits, full.allocators.size());
+  EXPECT_EQ(session->hits() + session->misses() - lookups_before,
+            full.allocators.size());
+  EXPECT_EQ(report.result_cache_hits,
+            warm.devices.size() * warm.allocators.size());
+  std::size_t i = 0;
+  for (std::size_t d = 0; d < full.devices.size(); ++d) {
+    for (std::size_t a = 0; a < full.allocators.size(); ++a) {
+      const bool was_warm = d < warm.devices.size() &&
+                            a < warm.allocators.size();
+      EXPECT_EQ(report.entries[i++].timings.result_cache_hit, was_warm)
+          << full.devices[d].name << "/" << full.allocators[a];
+    }
+  }
+
+  // The filled-in entries equal a cold service's answers.
+  core::EstimationService cold;
+  const core::EstimateReport fresh = cold.sweep(full);
+  ASSERT_EQ(fresh.entries.size(), report.entries.size());
+  for (std::size_t e = 0; e < fresh.entries.size(); ++e) {
+    EXPECT_EQ(report.entries[e].to_json(/*include_timings=*/false).dump(),
+              fresh.entries[e].to_json(/*include_timings=*/false).dump());
+  }
+
+  // Now every group is cached: no replay, no session lookup.
+  const std::uint64_t lookups_warm = session->hits() + session->misses();
+  const core::EstimateReport repeat = service.sweep(full);
+  EXPECT_EQ(repeat.replays_run, 0u);
+  EXPECT_EQ(repeat.profiles_run + repeat.profile_cache_hits, 0u);
+  EXPECT_EQ(repeat.result_cache_hits, full.devices.size() *
+                                          full.allocators.size());
+  EXPECT_EQ(session->hits() + session->misses(), lookups_warm);
 }
 
 TEST(EstimationServiceSweep, ResultCacheServesRepeats) {
