@@ -24,7 +24,9 @@
 # knobbed cub-binned backend with an explicit allocator_config block, so
 # the knob plumbing (request JSON -> registry factory -> replay tower) is
 # golden-diffed end to end; stream-pool rides along with a 0-byte release
-# threshold and 8 MiB chunks, the setting that trims on nearly every free.
+# threshold and 8 MiB chunks, the setting that trims on nearly every free,
+# and pytorch-expandable with an 8 MiB max_split_size_bytes, so all six
+# backends are golden-diffed.
 # The sweep smoke also asserts replays_run equals the fixture's allocator
 # count (one replay per allocator, read by every device). The plan smoke is a refine
 # smoke: the fixture enables refine_top_k, so the report must show exactly
@@ -39,9 +41,12 @@
 # the serve smoke: the daemon must answer it with an error reply and keep
 # serving.
 #
-# The sanitizer pass (end of the file) builds a second tree next to the
-# main one (`<build-dir>-asan`) with AddressSanitizer + UBSan and runs the
-# full ctest set in it, so memory errors in the threaded fan-outs fail CI.
+# The sanitizer passes (end of the file) build two more trees next to the
+# main one and run the full ctest set in each: `<build-dir>-asan` with
+# AddressSanitizer + UBSan, so memory errors in the threaded fan-outs fail
+# CI, and `<build-dir>-tsan` with ThreadSanitizer, so data races in the
+# per-thread replay scratch, the profile session's in-flight dedup and the
+# server fail CI too.
 #
 # The serve smoke boots the `xmem serve` daemon and
 # proves the process boundary is invisible: `xmem request` replies diff
@@ -464,6 +469,21 @@ if ! ctest --test-dir "${ASAN_DIR}" --output-on-failure -j "${JOBS}"; then
   GOLDEN_FAILED=1
 else
   echo "sanitizer pass ok"
+fi
+
+# A third tree with ThreadSanitizer, built like the ASan tree. TSan stops
+# at the first reported race, so a race fails its suite.
+TSAN_DIR="${BUILD_DIR}-tsan"
+cmake -B "${TSAN_DIR}" -S "${REPO_ROOT}" -DXMEM_WERROR=ON \
+  -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS="-fsanitize=thread -O1 -g" \
+  -DXMEM_BUILD_EXAMPLES=OFF -DXMEM_BUILD_BENCH=OFF
+cmake --build "${TSAN_DIR}" -j "${JOBS}"
+if ! TSAN_OPTIONS="halt_on_error=1" \
+     ctest --test-dir "${TSAN_DIR}" --output-on-failure -j "${JOBS}"; then
+  echo "SANITIZER PASS: a test failed under TSan" >&2
+  GOLDEN_FAILED=1
+else
+  echo "thread sanitizer pass ok"
 fi
 
 exit "${GOLDEN_FAILED}"

@@ -1,46 +1,14 @@
 #include "alloc/caching_allocator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "util/json.h"
 
 namespace xmem::alloc {
 
-struct CachingAllocatorSim::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;            ///< rounded size of this block
-  std::int64_t requested_size = 0;  ///< pre-rounding size (0 when cached)
-  bool allocated = false;
-  BlockId id = kInvalidBlock;       ///< valid only while allocated
-  Block* prev = nullptr;            ///< neighbour within the same segment
-  Block* next = nullptr;
-  std::uint64_t segment_addr = 0;   ///< base address of the owning segment
-  std::int64_t segment_size = 0;    ///< only meaningful on segment head
-  bool is_small_pool = false;
-};
-
-struct CachingAllocatorSim::BlockPool {
-  explicit BlockPool(bool small) : is_small(small) {}
-
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const {
-      if (a->size != b->size) return a->size < b->size;
-      return a->addr < b->addr;
-    }
-  };
-
-  bool is_small;
-  std::set<Block*, Less> free_blocks;
-};
-
 CachingAllocatorSim::CachingAllocatorSim(SimulatedCudaDriver& driver)
-    : driver_(driver),
-      small_pool_(std::make_unique<BlockPool>(true)),
-      large_pool_(std::make_unique<BlockPool>(false)) {}
-
-CachingAllocatorSim::~CachingAllocatorSim() = default;
+    : driver_(driver) {}
 
 std::int64_t CachingAllocatorSim::round_size(std::int64_t size) {
   if (size < kMinBlockSize) return kMinBlockSize;
@@ -60,38 +28,6 @@ bool CachingAllocatorSim::should_split(const Block& block,
   return remaining > kSmallSize;
 }
 
-CachingAllocatorSim::Block* CachingAllocatorSim::find_free_block(
-    BlockPool& pool, std::int64_t size) {
-  // Best fit: the first block whose size is >= the request, ties broken by
-  // address, exactly like the std::set search in the upstream allocator.
-  Block key;
-  key.size = size;
-  key.addr = 0;
-  auto it = pool.free_blocks.lower_bound(&key);
-  if (it == pool.free_blocks.end()) return nullptr;
-  Block* block = *it;
-  pool.free_blocks.erase(it);
-  return block;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::acquire_block() {
-  if (spare_blocks_.empty()) {
-    arena_.push_back(std::make_unique<Block>());
-    return arena_.back().get();
-  }
-  Block* block = spare_blocks_.back();
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::live_block(BlockId id) const {
-  if (id < 1 || static_cast<std::size_t>(id) >= live_slots_.size()) {
-    return nullptr;
-  }
-  return live_slots_[static_cast<std::size_t>(id)];
-}
-
 CachingAllocatorSim::Block* CachingAllocatorSim::allocate_segment(
     BlockPool& pool, std::int64_t alloc_size) {
   auto addr = driver_.cuda_malloc(alloc_size);
@@ -105,42 +41,17 @@ CachingAllocatorSim::Block* CachingAllocatorSim::allocate_segment(
   }
   if (!addr.has_value()) return nullptr;
 
-  Block* raw = acquire_block();
-  raw->addr = *addr;
-  raw->size = alloc_size;
-  raw->allocated = false;
-  raw->segment_addr = *addr;
-  raw->segment_size = alloc_size;
-  raw->is_small_pool = pool.is_small;
-  segments_[raw->addr] = raw;
+  Block* head = core_.acquire();
+  head->addr = *addr;
+  head->size = alloc_size;
+  head->is_small_pool = pool.is_small;
+  segments_[head->addr] = head;
 
   stats_.reserved_bytes += alloc_size;
   stats_.peak_reserved_bytes =
       std::max(stats_.peak_reserved_bytes, stats_.reserved_bytes);
   ++stats_.num_segments_allocated;
-  return raw;
-}
-
-CachingAllocatorSim::Block* CachingAllocatorSim::split_block(Block* block,
-                                                             std::int64_t size,
-                                                             BlockPool& pool) {
-  assert(!block->allocated);
-  assert(block->size > size);
-  Block* remainder = acquire_block();
-  remainder->addr = block->addr + static_cast<std::uint64_t>(size);
-  remainder->size = block->size - size;
-  remainder->allocated = false;
-  remainder->segment_addr = block->segment_addr;
-  remainder->is_small_pool = block->is_small_pool;
-  remainder->prev = block;
-  remainder->next = block->next;
-  if (block->next != nullptr) block->next->prev = remainder;
-  block->next = remainder;
-  block->size = size;
-
-  pool.free_blocks.insert(remainder);
-  ++stats_.num_splits;
-  return remainder;
+  return head;
 }
 
 AllocOutcome CachingAllocatorSim::allocate(std::int64_t size) {
@@ -148,9 +59,11 @@ AllocOutcome CachingAllocatorSim::allocate(std::int64_t size) {
     throw std::invalid_argument("CachingAllocatorSim::allocate: size <= 0");
   }
   const std::int64_t rounded = round_size(size);
-  BlockPool& pool = rounded <= kSmallSize ? *small_pool_ : *large_pool_;
+  BlockPool& pool = rounded <= kSmallSize ? small_pool_ : large_pool_;
 
-  Block* block = find_free_block(pool, rounded);
+  // Best fit: the first block whose size is >= the request, ties broken by
+  // address, exactly like the std::set search in the upstream allocator.
+  Block* block = pool.free_blocks.take(rounded);
   if (block == nullptr) {
     block = allocate_segment(pool, allocation_size(rounded));
   }
@@ -158,67 +71,31 @@ AllocOutcome CachingAllocatorSim::allocate(std::int64_t size) {
     return AllocOutcome{kInvalidBlock, true, rounded};
   }
   if (should_split(*block, rounded)) {
-    split_block(block, rounded, pool);
+    core_.split(block, rounded, pool.free_blocks);
+    ++stats_.num_splits;
   }
-  block->allocated = true;
   block->requested_size = size;
-  block->id = next_id_++;
-  const auto slot = static_cast<std::size_t>(block->id);
-  if (slot >= live_slots_.size()) {
-    live_slots_.resize(std::max(live_slots_.size() * 2, slot + 1), nullptr);
-  }
-  live_slots_[slot] = block;
-  ++num_live_;
+  const BlockId id = core_.publish(block);
 
   stats_.allocated_bytes += block->size;
   stats_.requested_bytes += size;
   stats_.peak_allocated_bytes =
       std::max(stats_.peak_allocated_bytes, stats_.allocated_bytes);
   ++stats_.num_allocs;
-  return AllocOutcome{block->id, false, block->size};
-}
-
-void CachingAllocatorSim::coalesce_with_neighbors(Block* block,
-                                                  BlockPool& pool) {
-  // Merge `block` with its previous neighbour if that neighbour is free,
-  // then with the next. Merging erases the absorbed block.
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    pool.free_blocks.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    recycle_block(block);
-    block = prev;
-    ++stats_.num_coalesces;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    pool.free_blocks.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    recycle_block(next);
-    ++stats_.num_coalesces;
-  }
-  pool.free_blocks.insert(block);
+  return AllocOutcome{id, false, block->size};
 }
 
 void CachingAllocatorSim::free(BlockId id) {
-  Block* block = live_block(id);
+  Block* block = core_.retire(id);
   if (block == nullptr) {
     throw std::logic_error("CachingAllocatorSim::free: unknown block id");
   }
-  live_slots_[static_cast<std::size_t>(id)] = nullptr;
-  --num_live_;
-
   stats_.allocated_bytes -= block->size;
   stats_.requested_bytes -= block->requested_size;
   ++stats_.num_frees;
-
-  block->allocated = false;
   block->requested_size = 0;
-  block->id = kInvalidBlock;
-  BlockPool& pool = block->is_small_pool ? *small_pool_ : *large_pool_;
-  coalesce_with_neighbors(block, pool);
+  core_.coalesce(block, pool_of(*block).free_blocks,
+                 [this](Block*, Block*) { ++stats_.num_coalesces; });
 }
 
 std::int64_t CachingAllocatorSim::release_cached_segments() {
@@ -226,18 +103,17 @@ std::int64_t CachingAllocatorSim::release_cached_segments() {
   // A segment is releasable when its whole extent is one free block (the
   // head with no neighbours), released in address order.
   for (auto it = segments_.begin(); it != segments_.end();) {
-    Block* block = it->second;
-    if (block->allocated || block->next != nullptr) {
+    Block* head = it->second;
+    if (head->allocated || head->next != nullptr) {
       ++it;
       continue;
     }
-    BlockPool& pool = block->is_small_pool ? *small_pool_ : *large_pool_;
-    pool.free_blocks.erase(block);
-    driver_.cuda_free(block->segment_addr);
-    stats_.reserved_bytes -= block->size;
+    pool_of(*head).free_blocks.erase(head);
+    driver_.cuda_free(head->addr);
+    stats_.reserved_bytes -= head->size;
     ++stats_.num_segments_released;
-    released += block->size;
-    recycle_block(block);
+    released += head->size;
+    core_.recycle(head);
     it = segments_.erase(it);
   }
   return released;
@@ -246,25 +122,14 @@ std::int64_t CachingAllocatorSim::release_cached_segments() {
 void CachingAllocatorSim::empty_cache() { release_cached_segments(); }
 
 void CachingAllocatorSim::backend_reset() {
-  // Release every driver reservation (one per segment head), then move all
-  // Block nodes — live or cached — to the spare pool so the next replay
-  // reuses them instead of hitting the heap. The flat live table keeps its
-  // capacity; only the occupied prefix is cleared.
-  for (auto& [addr, head] : segments_) {
-    driver_.cuda_free(head->segment_addr);
-    for (Block* b = head; b != nullptr;) {
-      Block* next = b->next;
-      spare_blocks_.push_back(b);
-      b = next;
-    }
-  }
+  // Release every driver reservation (one per segment head); the core then
+  // recycles every node, live or cached, and restarts the handles.
+  for (const auto& [addr, head] : segments_) driver_.cuda_free(addr);
   segments_.clear();
-  std::fill(live_slots_.begin(), live_slots_.end(), nullptr);
-  num_live_ = 0;
-  small_pool_->free_blocks.clear();
-  large_pool_->free_blocks.clear();
+  core_.reset();
+  small_pool_.free_blocks.clear();
+  large_pool_.free_blocks.clear();
   stats_ = CachingAllocatorStats{};
-  next_id_ = 1;
 }
 
 fw::BackendStats CachingAllocatorSim::backend_stats() const {
@@ -277,16 +142,16 @@ fw::BackendStats CachingAllocatorSim::backend_stats() const {
   s.num_frees = stats_.num_frees;
   s.num_segments =
       stats_.num_segments_allocated - stats_.num_segments_released;
-  s.num_live_blocks = num_live_;
+  s.num_live_blocks = core_.num_live();
   return s;
 }
 
 bool CachingAllocatorSim::is_live(BlockId id) const {
-  return live_block(id) != nullptr;
+  return core_.live(id) != nullptr;
 }
 
 std::int64_t CachingAllocatorSim::block_size(BlockId id) const {
-  const Block* block = live_block(id);
+  const Block* block = core_.live(id);
   if (block == nullptr) {
     throw std::logic_error("block_size: unknown block id");
   }
@@ -294,7 +159,7 @@ std::int64_t CachingAllocatorSim::block_size(BlockId id) const {
 }
 
 std::uint64_t CachingAllocatorSim::block_addr(BlockId id) const {
-  const Block* block = live_block(id);
+  const Block* block = core_.live(id);
   if (block == nullptr) {
     throw std::logic_error("block_addr: unknown block id");
   }
@@ -331,7 +196,7 @@ std::vector<SegmentInfo> CachingAllocatorSim::snapshot() const {
   std::vector<SegmentInfo> segments;
   for (const auto& [addr, head] : segments_) {
     SegmentInfo seg;
-    seg.addr = head->segment_addr;
+    seg.addr = addr;
     seg.is_small_pool = head->is_small_pool;
     for (const Block* b = head; b != nullptr; b = b->next) {
       seg.blocks.push_back(BlockInfo{b->addr, b->size, b->allocated});

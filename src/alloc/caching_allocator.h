@@ -21,11 +21,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
 #include "fw/backend.h"
 
@@ -89,7 +88,6 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
   /// The allocator does not own the driver; one driver may sit under several
   /// allocators in multi-process experiments.
   explicit CachingAllocatorSim(SimulatedCudaDriver& driver);
-  ~CachingAllocatorSim();
 
   CachingAllocatorSim(const CachingAllocatorSim&) = delete;
   CachingAllocatorSim& operator=(const CachingAllocatorSim&) = delete;
@@ -133,7 +131,7 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
   std::int64_t block_size(BlockId id) const;
   std::uint64_t block_addr(BlockId id) const;
   std::size_t num_live_blocks() const {
-    return static_cast<std::size_t>(num_live_);
+    return static_cast<std::size_t>(core_.num_live());
   }
 
   /// Full segment map in address order, mirroring
@@ -141,36 +139,31 @@ class CachingAllocatorSim final : public fw::AllocatorBackend {
   std::vector<SegmentInfo> snapshot() const;
 
  private:
-  struct Block;
-  struct BlockPool;
+  struct Block : bfc::Node<Block> {
+    std::int64_t requested_size = 0;  ///< pre-rounding size (0 when cached)
+    bool is_small_pool = false;
+  };
+  struct BlockPool {
+    bool is_small = false;
+    bfc::FreeSet<Block> free_blocks;
+  };
 
-  Block* find_free_block(BlockPool& pool, std::int64_t size);
+  BlockPool& pool_of(const Block& block) {
+    return block.is_small_pool ? small_pool_ : large_pool_;
+  }
   Block* allocate_segment(BlockPool& pool, std::int64_t alloc_size);
   bool should_split(const Block& block, std::int64_t size) const;
-  Block* split_block(Block* block, std::int64_t size, BlockPool& pool);
-  void coalesce_with_neighbors(Block* block, BlockPool& pool);
   std::int64_t release_cached_segments();
-  Block* acquire_block();
-  void recycle_block(Block* block) { spare_blocks_.push_back(block); }
-  Block* live_block(BlockId id) const;
 
   SimulatedCudaDriver& driver_;
-  std::unique_ptr<BlockPool> small_pool_;
-  std::unique_ptr<BlockPool> large_pool_;
-  // Block nodes are owned by a grow-only arena and threaded through the
-  // segments via prev/next; splits and coalesces are pure pointer surgery
-  // plus free-set updates — no per-event tree-node churn. Only the segment
-  // heads live in an ordered map (touched on segment alloc/release, the
-  // rare path), which release/snapshot walk in address order.
-  std::vector<std::unique_ptr<Block>> arena_;
-  std::vector<Block*> spare_blocks_;
+  BlockPool small_pool_{true, {}};
+  BlockPool large_pool_{false, {}};
+  // Block nodes, handles and split/coalesce come from the shared BFC core
+  // (alloc/bfc_core.h). Only the segment heads live in an ordered map
+  // (touched on segment alloc/release, the rare path), which release and
+  // snapshot walk in address order; a head's addr is its segment's base.
+  bfc::Core<Block> core_;
   std::map<std::uint64_t, Block*> segments_;
-  // Block ids are handed out sequentially and never reused within a run
-  // (backend_reset() restarts them), so the live table is a flat vector
-  // indexed by id — O(1) per event, and its capacity survives reset.
-  std::vector<Block*> live_slots_;
-  std::int64_t num_live_ = 0;
-  BlockId next_id_ = 1;
   CachingAllocatorStats stats_;
 };
 

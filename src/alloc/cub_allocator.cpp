@@ -86,8 +86,7 @@ fw::BackendAllocResult CubBinnedAllocator::backend_alloc(std::int64_t bytes) {
     ++stats_.num_segments;
   }
 
-  const std::int64_t id = next_id_++;
-  live_[id] = LiveBlock{addr, bin_bytes, oversize};
+  const std::int64_t id = live_.add(LiveBlock{addr, bin_bytes, oversize});
   stats_.active_bytes += bin_bytes;
   stats_.peak_active_bytes =
       std::max(stats_.peak_active_bytes, stats_.active_bytes);
@@ -96,12 +95,10 @@ fw::BackendAllocResult CubBinnedAllocator::backend_alloc(std::int64_t bytes) {
 }
 
 void CubBinnedAllocator::backend_free(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
+  const LiveBlock block = live_.take(id);
+  if (block.bytes == 0) {
     throw std::logic_error("CubBinnedAllocator::backend_free: unknown id");
   }
-  const LiveBlock block = it->second;
-  live_.erase(it);
   stats_.active_bytes -= block.bytes;
   ++stats_.num_frees;
 
@@ -132,19 +129,18 @@ void CubBinnedAllocator::backend_trim() { free_all_cached(); }
 
 void CubBinnedAllocator::backend_reset() {
   free_all_cached();
-  for (const auto& [id, block] : live_) {
+  live_.for_each([this](const LiveBlock& block) {
     driver_.cuda_free(block.addr);
-  }
+  });
   live_.clear();
   cached_.clear();
-  next_id_ = 1;
   num_driver_mallocs_ = 0;
   stats_ = fw::BackendStats{};
 }
 
 fw::BackendStats CubBinnedAllocator::backend_stats() const {
   fw::BackendStats s = stats_;
-  s.num_live_blocks = static_cast<std::int64_t>(live_.size());
+  s.num_live_blocks = live_.size();
   return s;
 }
 

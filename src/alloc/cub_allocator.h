@@ -23,8 +23,8 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
 #include "fw/backend.h"
 
@@ -65,6 +65,7 @@ class CubBinnedAllocator final : public fw::AllocatorBackend {
     std::uint64_t addr = 0;
     std::int64_t bytes = 0;   ///< bin size (or exact size when oversize)
     bool oversize = false;    ///< past the largest bin: never cached
+    bool operator==(const LiveBlock&) const = default;
   };
 
   void free_all_cached();
@@ -76,8 +77,9 @@ class CubBinnedAllocator final : public fw::AllocatorBackend {
   // first for deterministic reuse.
   std::map<std::int64_t, std::set<std::uint64_t>> cached_;
   std::int64_t cached_bytes_ = 0;
-  std::map<std::int64_t, LiveBlock> live_;
-  std::int64_t next_id_ = 1;
+  // The shared BFC core's live-id table (alloc/bfc_core.h); a live block
+  // always has bytes > 0, so LiveBlock{} marks a free slot.
+  bfc::LiveIds<LiveBlock> live_;
   std::int64_t num_driver_mallocs_ = 0;
   fw::BackendStats stats_;
 };

@@ -1,7 +1,6 @@
 #include "alloc/expandable_allocator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace xmem::alloc {
@@ -14,22 +13,6 @@ namespace {
 constexpr std::uint64_t kSmallSegmentBase = 0x010000000000ULL;  // 1 TiB
 constexpr std::uint64_t kLargeSegmentBase = 0x400000000000ULL;  // 64 TiB
 }  // namespace
-
-struct ExpandableSegmentsAllocator::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;
-  bool allocated = false;
-  std::int64_t id = -1;
-  Block* prev = nullptr;
-  Block* next = nullptr;
-  Segment* owner = nullptr;
-};
-
-bool ExpandableSegmentsAllocator::Less::operator()(const Block* a,
-                                                   const Block* b) const {
-  if (a->size != b->size) return a->size < b->size;
-  return a->addr < b->addr;
-}
 
 ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
     SimulatedCudaDriver& driver, const ExpandableConfig& config)
@@ -49,27 +32,9 @@ ExpandableSegmentsAllocator::ExpandableSegmentsAllocator(
   large_.base = kLargeSegmentBase;
 }
 
-ExpandableSegmentsAllocator::~ExpandableSegmentsAllocator() = default;
-
 std::int64_t ExpandableSegmentsAllocator::round_size(std::int64_t size) {
   if (size < kMinBlockSize) return kMinBlockSize;
   return util::round_up(size, kMinBlockSize);
-}
-
-std::unique_ptr<ExpandableSegmentsAllocator::Block>
-ExpandableSegmentsAllocator::acquire_block() {
-  if (spare_blocks_.empty()) return std::make_unique<Block>();
-  auto block = std::move(spare_blocks_.back());
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-void ExpandableSegmentsAllocator::recycle_block(std::uint64_t addr) {
-  auto it = blocks_.find(addr);
-  assert(it != blocks_.end());
-  spare_blocks_.push_back(std::move(it->second));
-  blocks_.erase(it);
 }
 
 ExpandableSegmentsAllocator::Segment& ExpandableSegmentsAllocator::pool_for(
@@ -85,23 +50,14 @@ bool ExpandableSegmentsAllocator::may_split(const Block& block) const {
 ExpandableSegmentsAllocator::Block*
 ExpandableSegmentsAllocator::find_free_block(Segment& seg,
                                              std::int64_t rounded) {
-  Block key;
-  key.size = rounded;
-  key.addr = 0;
+  // max_split_size semantics: an over-cap free block is never split, so it
+  // may only be reused (whole) by a request that is itself over the cap —
+  // small requests skip past it rather than swallowing it.
   const std::int64_t cap = config_.max_split_size_bytes;
-  for (auto it = seg.free_blocks.lower_bound(&key);
-       it != seg.free_blocks.end(); ++it) {
-    Block* block = *it;
-    // max_split_size semantics: an over-cap free block is never split, so
-    // it may only be reused (whole) by a request that is itself over the
-    // cap — small requests skip past it rather than swallowing it.
-    const bool oversize = cap > 0 && block->size > cap;
-    if (!oversize || rounded > cap) {
-      seg.free_blocks.erase(it);
-      return block;
-    }
-  }
-  return nullptr;
+  return seg.free_blocks.take(rounded, [&](const Block& block) {
+    const bool oversize = cap > 0 && block.size > cap;
+    return !oversize || rounded > cap;
+  });
 }
 
 ExpandableSegmentsAllocator::Block* ExpandableSegmentsAllocator::expand(
@@ -138,15 +94,13 @@ ExpandableSegmentsAllocator::Block* ExpandableSegmentsAllocator::expand(
     tail->size += grow;
     result = tail;
   } else {
-    auto block = acquire_block();
-    block->addr = seg.base + static_cast<std::uint64_t>(seg.span);
-    block->size = grow;
-    block->prev = tail;
-    block->owner = &seg;
-    if (tail != nullptr) tail->next = block.get();
-    seg.tail = block.get();
-    result = block.get();
-    blocks_[result->addr] = std::move(block);
+    result = core_.acquire();
+    result->addr = seg.base + static_cast<std::uint64_t>(seg.span);
+    result->size = grow;
+    result->prev = tail;
+    result->owner = &seg;
+    if (tail != nullptr) tail->next = result;
+    seg.tail = result;
   }
   seg.span += grow;
   return result;
@@ -171,62 +125,30 @@ fw::BackendAllocResult ExpandableSegmentsAllocator::backend_alloc(
   const std::int64_t min_remainder =
       (&seg == &small_) ? kMinBlockSize : kSmallSize + 1;
   if (remainder >= min_remainder && may_split(*block)) {
-    auto rest = acquire_block();
-    rest->addr = block->addr + static_cast<std::uint64_t>(rounded);
-    rest->size = remainder;
-    rest->prev = block;
-    rest->next = block->next;
-    rest->owner = &seg;
-    if (block->next != nullptr) block->next->prev = rest.get();
-    block->next = rest.get();
-    block->size = rounded;
-    if (seg.tail == block) seg.tail = rest.get();
-    seg.free_blocks.insert(rest.get());
-    blocks_[rest->addr] = std::move(rest);
+    Block* rest = core_.split(block, rounded, seg.free_blocks);
+    if (seg.tail == block) seg.tail = rest;
   }
 
-  block->allocated = true;
-  block->id = next_id_++;
-  live_[block->id] = block;
+  const std::int64_t id = core_.publish(block);
   stats_.active_bytes += block->size;
   stats_.peak_active_bytes =
       std::max(stats_.peak_active_bytes, stats_.active_bytes);
   ++stats_.num_allocs;
-  return fw::BackendAllocResult{block->id, block->size, false};
+  return fw::BackendAllocResult{id, block->size, false};
 }
 
 void ExpandableSegmentsAllocator::backend_free(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
+  Block* block = core_.retire(id);
+  if (block == nullptr) {
     throw std::logic_error(
         "ExpandableSegmentsAllocator::backend_free: unknown id");
   }
-  Block* block = it->second;
-  live_.erase(it);
   stats_.active_bytes -= block->size;
   ++stats_.num_frees;
-  block->allocated = false;
-  block->id = -1;
   Segment& seg = *block->owner;
-
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    seg.free_blocks.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    if (seg.tail == block) seg.tail = prev;
-    recycle_block(block->addr);
-    block = prev;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    seg.free_blocks.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    if (seg.tail == next) seg.tail = block;
-    recycle_block(next->addr);
-  }
-  seg.free_blocks.insert(block);
+  core_.coalesce(block, seg.free_blocks, [&seg](Block* survivor, Block* gone) {
+    if (seg.tail == gone) seg.tail = survivor;
+  });
 }
 
 void ExpandableSegmentsAllocator::trim_segment(Segment& seg) {
@@ -244,7 +166,7 @@ void ExpandableSegmentsAllocator::trim_segment(Segment& seg) {
     if (tail->size == extent.bytes) {
       if (tail->prev != nullptr) tail->prev->next = nullptr;
       seg.tail = tail->prev;
-      recycle_block(tail->addr);
+      core_.recycle(tail);
     } else {
       tail->size -= extent.bytes;
       seg.free_blocks.insert(tail);
@@ -268,12 +190,7 @@ void ExpandableSegmentsAllocator::backend_reset() {
     seg->tail = nullptr;
     seg->span = 0;
   }
-  for (auto& [addr, block] : blocks_) {
-    spare_blocks_.push_back(std::move(block));
-  }
-  blocks_.clear();
-  live_.clear();
-  next_id_ = 1;
+  core_.reset();
   stats_ = fw::BackendStats{};
 }
 
@@ -281,7 +198,7 @@ fw::BackendStats ExpandableSegmentsAllocator::backend_stats() const {
   fw::BackendStats s = stats_;
   s.num_segments = static_cast<std::int64_t>(small_.extents.size() +
                                              large_.extents.size());
-  s.num_live_blocks = static_cast<std::int64_t>(live_.size());
+  s.num_live_blocks = core_.num_live();
   return s;
 }
 

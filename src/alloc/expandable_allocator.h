@@ -23,11 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
 #include "fw/backend.h"
 
@@ -53,7 +51,6 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
   /// page_bytes, negative split cap).
   ExpandableSegmentsAllocator(SimulatedCudaDriver& driver,
                               const ExpandableConfig& config);
-  ~ExpandableSegmentsAllocator();
   ExpandableSegmentsAllocator(const ExpandableSegmentsAllocator&) = delete;
   ExpandableSegmentsAllocator& operator=(const ExpandableSegmentsAllocator&) =
       delete;
@@ -72,9 +69,9 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
   void backend_reset() override;
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
+  struct Segment;
+  struct Block : bfc::Node<Block> {
+    Segment* owner = nullptr;
   };
   /// One driver reservation backing a slice of a segment's VA range.
   struct Extent {
@@ -87,7 +84,7 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
     std::uint64_t base = 0;
     std::int64_t span = 0;          ///< VA bytes currently backed
     std::vector<Extent> extents;    ///< growth history, newest last
-    std::set<Block*, Less> free_blocks;
+    bfc::FreeSet<Block> free_blocks;
     Block* tail = nullptr;          ///< last block in address order
   };
 
@@ -96,17 +93,12 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
   Block* expand(Segment& seg, std::int64_t rounded);
   bool may_split(const Block& block) const;
   void trim_segment(Segment& seg);
-  std::unique_ptr<Block> acquire_block();
-  void recycle_block(std::uint64_t addr);
 
   SimulatedCudaDriver& driver_;
   ExpandableConfig config_;
   Segment small_;
   Segment large_;
-  std::map<std::uint64_t, std::unique_ptr<Block>> blocks_;
-  std::map<std::int64_t, Block*> live_;
-  std::vector<std::unique_ptr<Block>> spare_blocks_;
-  std::int64_t next_id_ = 1;
+  bfc::Core<Block> core_;
   fw::BackendStats stats_;
 };
 

@@ -14,10 +14,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <set>
-#include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
 #include "fw/backend.h"
 
@@ -40,7 +38,6 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
   /// chunk_bytes, negative release threshold).
   StreamPoolAllocator(SimulatedCudaDriver& driver,
                       const StreamPoolConfig& config);
-  ~StreamPoolAllocator();
   StreamPoolAllocator(const StreamPoolAllocator&) = delete;
   StreamPoolAllocator& operator=(const StreamPoolAllocator&) = delete;
 
@@ -58,30 +55,32 @@ class StreamPoolAllocator final : public fw::AllocatorBackend {
   /// Chunks released by threshold trimming so far (not by trim/reset).
   std::int64_t num_threshold_releases() const { return num_threshold_releases_; }
   /// Chunks held whose whole extent is one free block, counted by walking
-  /// every block (O(blocks); an observer, independent of the trim index).
+  /// every chunk head (O(chunks); an observer, independent of the trim
+  /// index).
   std::int64_t num_wholly_free_chunks() const;
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
+  struct Block : bfc::Node<Block> {
+    /// One free block spanning its whole chunk (a chunk head's addr is the
+    /// chunk's driver reservation).
+    bool wholly_free() const {
+      return !allocated && prev == nullptr && next == nullptr;
+    }
   };
 
   Block* grow(std::int64_t rounded);
   void release_free_chunks(std::int64_t keep_idle_bytes);
-  std::unique_ptr<Block> acquire_block();
-  void recycle_block(std::uint64_t addr);
 
   SimulatedCudaDriver& driver_;
   StreamPoolConfig config_;
-  std::map<std::uint64_t, std::unique_ptr<Block>> blocks_;
-  std::map<std::int64_t, Block*> live_;
-  std::set<Block*, Less> free_blocks_;
+  bfc::FreeSet<Block> free_blocks_;
+  bfc::Core<Block> core_;
+  /// Chunk heads by address, touched only when a chunk is acquired or
+  /// released.
+  std::map<std::uint64_t, Block*> chunks_;
   /// Trim index: the wholly-free chunks (one free block spanning the whole
   /// chunk), address-ordered, so a trim visits only what it can release.
   std::map<std::uint64_t, Block*> free_chunks_;
-  std::vector<std::unique_ptr<Block>> spare_blocks_;
-  std::int64_t next_id_ = 1;
   std::int64_t num_threshold_releases_ = 0;
   fw::BackendStats stats_;
 };

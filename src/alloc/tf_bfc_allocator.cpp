@@ -7,69 +7,35 @@
 
 namespace xmem::alloc {
 
-struct TfBfcAllocator::Chunk {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;
-  bool allocated = false;
-  std::int64_t id = -1;
-  Chunk* prev = nullptr;
-  Chunk* next = nullptr;
-};
-
-bool TfBfcAllocator::Less::operator()(const Chunk* a, const Chunk* b) const {
-  if (a->size != b->size) return a->size < b->size;
-  return a->addr < b->addr;
-}
-
 TfBfcAllocator::TfBfcAllocator(SimulatedCudaDriver& driver)
     : driver_(driver) {}
-
-TfBfcAllocator::~TfBfcAllocator() = default;
 
 std::int64_t TfBfcAllocator::round_size(std::int64_t bytes) {
   if (bytes < kMinAllocationSize) return kMinAllocationSize;
   return util::round_up(bytes, kMinAllocationSize);
 }
 
-std::unique_ptr<TfBfcAllocator::Chunk> TfBfcAllocator::acquire_chunk() {
-  if (spare_chunks_.empty()) return std::make_unique<Chunk>();
-  auto chunk = std::move(spare_chunks_.back());
-  spare_chunks_.pop_back();
-  *chunk = Chunk{};
-  return chunk;
-}
-
-void TfBfcAllocator::recycle_chunk(std::uint64_t addr) {
-  auto it = chunks_.find(addr);
-  spare_chunks_.push_back(std::move(it->second));
-  chunks_.erase(it);
-}
-
 TfBfcAllocator::Chunk* TfBfcAllocator::extend(std::int64_t rounded) {
   // Region growth: at least the request, preferring the doubling schedule.
-  std::int64_t region = std::max(next_region_size_,
-                                 util::round_up(rounded, kInitialRegionSize));
+  // TF backs off to smaller regions before giving up; each distinct size is
+  // asked for once, since the driver state is the same between probes.
+  const std::int64_t min_region = util::round_up(rounded, kInitialRegionSize);
+  std::int64_t region = std::max(next_region_size_, min_region);
   std::optional<std::uint64_t> addr = driver_.cuda_malloc(region);
-  while (!addr.has_value() && region > rounded) {
-    // TF backs off to smaller regions before giving up.
-    region = std::max(util::round_up(rounded, kInitialRegionSize), region / 2);
+  while (!addr.has_value() && region > min_region) {
+    region = std::max(min_region, region / 2);
     addr = driver_.cuda_malloc(region);
-    if (region == util::round_up(rounded, kInitialRegionSize)) break;
-  }
-  if (!addr.has_value()) {
-    addr = driver_.cuda_malloc(util::round_up(rounded, kInitialRegionSize));
   }
   if (!addr.has_value()) return nullptr;
   next_region_size_ = std::min<std::int64_t>(region * 2,
                                              std::int64_t{1} << 33);
-  auto chunk = acquire_chunk();
+  Chunk* chunk = core_.acquire();
   chunk->addr = *addr;
   chunk->size = driver_.reservation_size(*addr).value_or(region);
-  Chunk* raw = chunk.get();
-  chunks_[raw->addr] = std::move(chunk);
-  stats_.region_bytes += raw->size;
+  regions_.push_back(*addr);
+  stats_.region_bytes += chunk->size;
   ++stats_.num_regions;
-  return raw;
+  return chunk;
 }
 
 TfAllocOutcome TfBfcAllocator::allocate(std::int64_t bytes) {
@@ -78,86 +44,39 @@ TfAllocOutcome TfBfcAllocator::allocate(std::int64_t bytes) {
   }
   const std::int64_t rounded = round_size(bytes);
 
-  Chunk key;
-  key.size = rounded;
-  key.addr = 0;
-  Chunk* chunk = nullptr;
-  auto it = free_chunks_.lower_bound(&key);
-  if (it != free_chunks_.end()) {
-    chunk = *it;
-    free_chunks_.erase(it);
-  } else {
+  Chunk* chunk = free_chunks_.take(rounded);
+  if (chunk == nullptr) {
     chunk = extend(rounded);
     if (chunk == nullptr) return TfAllocOutcome{-1, true, rounded};
   }
-
   if (chunk->size - rounded >= kMinAllocationSize) {
-    auto remainder = acquire_chunk();
-    remainder->addr = chunk->addr + static_cast<std::uint64_t>(rounded);
-    remainder->size = chunk->size - rounded;
-    remainder->prev = chunk;
-    remainder->next = chunk->next;
-    if (chunk->next != nullptr) chunk->next->prev = remainder.get();
-    chunk->next = remainder.get();
-    chunk->size = rounded;
-    free_chunks_.insert(remainder.get());
-    chunks_[remainder->addr] = std::move(remainder);
+    core_.split(chunk, rounded, free_chunks_);
   }
 
-  chunk->allocated = true;
-  chunk->id = next_id_++;
-  live_[chunk->id] = chunk;
+  const std::int64_t id = core_.publish(chunk);
   stats_.allocated_bytes += chunk->size;
   stats_.peak_allocated_bytes =
       std::max(stats_.peak_allocated_bytes, stats_.allocated_bytes);
   ++stats_.num_allocs;
-  return TfAllocOutcome{chunk->id, false, chunk->size};
+  return TfAllocOutcome{id, false, chunk->size};
 }
 
 void TfBfcAllocator::free(std::int64_t id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
+  Chunk* chunk = core_.retire(id);
+  if (chunk == nullptr) {
     throw std::logic_error("TfBfcAllocator::free: unknown id");
   }
-  Chunk* chunk = it->second;
-  live_.erase(it);
   stats_.allocated_bytes -= chunk->size;
   ++stats_.num_frees;
-  chunk->allocated = false;
-  chunk->id = -1;
-
-  if (Chunk* prev = chunk->prev; prev != nullptr && !prev->allocated) {
-    free_chunks_.erase(prev);
-    prev->size += chunk->size;
-    prev->next = chunk->next;
-    if (chunk->next != nullptr) chunk->next->prev = prev;
-    recycle_chunk(chunk->addr);
-    chunk = prev;
-  }
-  if (Chunk* next = chunk->next; next != nullptr && !next->allocated) {
-    free_chunks_.erase(next);
-    chunk->size += next->size;
-    chunk->next = next->next;
-    if (next->next != nullptr) next->next->prev = chunk;
-    recycle_chunk(next->addr);
-  }
-  free_chunks_.insert(chunk);
+  core_.coalesce(chunk, free_chunks_);
 }
 
 void TfBfcAllocator::backend_reset() {
-  // Regions are driver reservations whose base is the chunk with no
-  // predecessor; release them, then recycle every Chunk node.
-  for (auto& [addr, chunk] : chunks_) {
-    if (chunk->prev == nullptr) driver_.cuda_free(chunk->addr);
-  }
-  for (auto& [addr, chunk] : chunks_) {
-    spare_chunks_.push_back(std::move(chunk));
-  }
-  chunks_.clear();
-  live_.clear();
+  for (const std::uint64_t region : regions_) driver_.cuda_free(region);
+  regions_.clear();
+  core_.reset();
   free_chunks_.clear();
   next_region_size_ = kInitialRegionSize;
-  next_id_ = 1;
   stats_ = TfBfcStats{};
 }
 

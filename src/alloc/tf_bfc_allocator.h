@@ -11,11 +11,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
 #include "fw/backend.h"
 
@@ -42,7 +40,6 @@ class TfBfcAllocator final : public fw::AllocatorBackend {
   static constexpr std::int64_t kInitialRegionSize = 2 * 1024 * 1024;
 
   explicit TfBfcAllocator(SimulatedCudaDriver& driver);
-  ~TfBfcAllocator();
   TfBfcAllocator(const TfBfcAllocator&) = delete;
   TfBfcAllocator& operator=(const TfBfcAllocator&) = delete;
 
@@ -52,7 +49,9 @@ class TfBfcAllocator final : public fw::AllocatorBackend {
   void free(std::int64_t id);
 
   const TfBfcStats& stats() const { return stats_; }
-  std::size_t num_live() const { return live_.size(); }
+  std::size_t num_live() const {
+    return static_cast<std::size_t>(core_.num_live());
+  }
 
   // fw::AllocatorBackend. Regions are never returned to the device, so
   // reserved_bytes is monotone and backend_trim() stays the default no-op.
@@ -72,7 +71,7 @@ class TfBfcAllocator final : public fw::AllocatorBackend {
     s.num_allocs = stats_.num_allocs;
     s.num_frees = stats_.num_frees;
     s.num_segments = stats_.num_regions;
-    s.num_live_blocks = static_cast<std::int64_t>(live_.size());
+    s.num_live_blocks = core_.num_live();
     return s;
   }
   std::int64_t backend_round(std::int64_t bytes) const override {
@@ -81,23 +80,16 @@ class TfBfcAllocator final : public fw::AllocatorBackend {
   void backend_reset() override;
 
  private:
-  struct Chunk;
-  struct Less {
-    bool operator()(const Chunk* a, const Chunk* b) const;
-  };
+  struct Chunk : bfc::Node<Chunk> {};
 
   Chunk* extend(std::int64_t rounded);
-  std::unique_ptr<Chunk> acquire_chunk();
-  void recycle_chunk(std::uint64_t addr);
 
   SimulatedCudaDriver& driver_;
   std::int64_t next_region_size_ = kInitialRegionSize;
-  std::int64_t next_id_ = 1;
-  std::map<std::uint64_t, std::unique_ptr<Chunk>> chunks_;
-  std::map<std::int64_t, Chunk*> live_;
-  std::set<Chunk*, Less> free_chunks_;
-  // Retired Chunk nodes recycled across backend_reset() replays.
-  std::vector<std::unique_ptr<Chunk>> spare_chunks_;
+  bfc::FreeSet<Chunk> free_chunks_;
+  bfc::Core<Chunk> core_;
+  // Region bases (driver reservations), released only by backend_reset().
+  std::vector<std::uint64_t> regions_;
   TfBfcStats stats_;
 };
 

@@ -7,56 +7,14 @@
 
 namespace xmem::baselines {
 
-struct BasicBfcAllocator::Block {
-  std::uint64_t addr = 0;
-  std::int64_t size = 0;
-  bool allocated = false;
-  std::int64_t id = -1;
-  Block* prev = nullptr;
-  Block* next = nullptr;
-};
-
-bool BasicBfcAllocator::Less::operator()(const Block* a, const Block* b) const {
-  if (a->size != b->size) return a->size < b->size;
-  return a->addr < b->addr;
-}
-
-BasicBfcAllocator::BasicBfcAllocator() = default;
-BasicBfcAllocator::~BasicBfcAllocator() = default;
-
-BasicBfcAllocator::Block* BasicBfcAllocator::acquire_block() {
-  if (spare_blocks_.empty()) {
-    arena_.push_back(std::make_unique<Block>());
-    return arena_.back().get();
-  }
-  Block* block = spare_blocks_.back();
-  spare_blocks_.pop_back();
-  *block = Block{};
-  return block;
-}
-
-BasicBfcAllocator::Block* BasicBfcAllocator::live_block(std::int64_t id) const {
-  if (id < 1 || static_cast<std::size_t>(id) >= live_slots_.size()) {
-    return nullptr;
-  }
-  return live_slots_[static_cast<std::size_t>(id)];
-}
-
 std::int64_t BasicBfcAllocator::alloc(std::int64_t bytes) {
   if (bytes <= 0) throw std::invalid_argument("BasicBfcAllocator: bytes <= 0");
   const std::int64_t rounded = util::round_up(bytes, kAlignment);
 
-  Block key;
-  key.size = rounded;
-  key.addr = 0;
-  Block* block = nullptr;
-  auto it = free_blocks_.lower_bound(&key);
-  if (it != free_blocks_.end()) {
-    block = *it;
-    free_blocks_.erase(it);
-  } else {
+  Block* block = free_blocks_.take(rounded);
+  if (block == nullptr) {
     const std::int64_t segment = util::round_up(rounded, kSegmentGranularity);
-    block = acquire_block();
+    block = core_.acquire();
     block->addr = next_addr_;
     block->size = segment;
     next_addr_ += static_cast<std::uint64_t>(segment) + kSegmentGranularity;
@@ -64,75 +22,32 @@ std::int64_t BasicBfcAllocator::alloc(std::int64_t bytes) {
     peak_reserved_ = std::max(peak_reserved_, reserved_);
     ++num_segments_;
   }
-
   if (block->size - rounded >= kAlignment) {
-    Block* remainder = acquire_block();
-    remainder->addr = block->addr + static_cast<std::uint64_t>(rounded);
-    remainder->size = block->size - rounded;
-    remainder->prev = block;
-    remainder->next = block->next;
-    if (block->next != nullptr) block->next->prev = remainder;
-    block->next = remainder;
-    block->size = rounded;
-    free_blocks_.insert(remainder);
+    core_.split(block, rounded, free_blocks_);
   }
 
-  block->allocated = true;
-  block->id = next_id_++;
-  const auto slot = static_cast<std::size_t>(block->id);
-  if (slot >= live_slots_.size()) {
-    live_slots_.resize(std::max(live_slots_.size() * 2, slot + 1), nullptr);
-  }
-  live_slots_[slot] = block;
-  ++num_live_;
   allocated_ += block->size;
   peak_allocated_ = std::max(peak_allocated_, allocated_);
   ++num_allocs_;
-  return block->id;
+  return core_.publish(block);
 }
 
 void BasicBfcAllocator::free(std::int64_t id) {
-  Block* block = live_block(id);
+  Block* block = core_.retire(id);
   if (block == nullptr) {
     throw std::logic_error("BasicBfcAllocator::free: unknown id");
   }
-  live_slots_[static_cast<std::size_t>(id)] = nullptr;
-  --num_live_;
   allocated_ -= block->size;
   ++num_frees_;
-  block->allocated = false;
-  block->id = -1;
-
-  if (Block* prev = block->prev; prev != nullptr && !prev->allocated) {
-    free_blocks_.erase(prev);
-    prev->size += block->size;
-    prev->next = block->next;
-    if (block->next != nullptr) block->next->prev = prev;
-    spare_blocks_.push_back(block);
-    block = prev;
-  }
-  if (Block* next = block->next; next != nullptr && !next->allocated) {
-    free_blocks_.erase(next);
-    block->size += next->size;
-    block->next = next->next;
-    if (next->next != nullptr) next->next->prev = block;
-    spare_blocks_.push_back(next);
-  }
-  free_blocks_.insert(block);
+  core_.coalesce(block, free_blocks_);
 }
 
 void BasicBfcAllocator::backend_reset() {
-  // No driver underneath — every node goes back on the spare list (the
-  // arena keeps ownership) and the address space restarts. live_slots_
-  // keeps its capacity so the next replay writes into warm storage.
-  spare_blocks_.clear();
-  spare_blocks_.reserve(arena_.size());
-  for (const auto& block : arena_) spare_blocks_.push_back(block.get());
-  std::fill(live_slots_.begin(), live_slots_.end(), nullptr);
+  // No driver underneath — the core recycles every node and restarts the
+  // handles, and the address space restarts.
+  core_.reset();
   free_blocks_.clear();
-  num_live_ = 0;
   next_addr_ = kArenaBase;
-  next_id_ = 1;
   reserved_ = 0;
   peak_reserved_ = 0;
   allocated_ = 0;
@@ -144,7 +59,7 @@ void BasicBfcAllocator::backend_reset() {
 
 fw::BackendAllocResult BasicBfcAllocator::backend_alloc(std::int64_t bytes) {
   const std::int64_t id = alloc(bytes);
-  return fw::BackendAllocResult{id, live_block(id)->size, false};
+  return fw::BackendAllocResult{id, core_.live(id)->size, false};
 }
 
 fw::BackendStats BasicBfcAllocator::backend_stats() const {
@@ -156,7 +71,7 @@ fw::BackendStats BasicBfcAllocator::backend_stats() const {
   s.num_allocs = num_allocs_;
   s.num_frees = num_frees_;
   s.num_segments = num_segments_;
-  s.num_live_blocks = static_cast<std::int64_t>(num_live_);
+  s.num_live_blocks = core_.num_live();
   return s;
 }
 

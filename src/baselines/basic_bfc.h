@@ -6,10 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <set>
-#include <vector>
 
+#include "alloc/bfc_core.h"
 #include "fw/backend.h"
 
 namespace xmem::baselines {
@@ -19,8 +17,7 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   static constexpr std::int64_t kAlignment = 512;
   static constexpr std::int64_t kSegmentGranularity = 2 * 1024 * 1024;
 
-  BasicBfcAllocator();
-  ~BasicBfcAllocator();
+  BasicBfcAllocator() = default;
   BasicBfcAllocator(const BasicBfcAllocator&) = delete;
   BasicBfcAllocator& operator=(const BasicBfcAllocator&) = delete;
 
@@ -33,7 +30,9 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   std::int64_t peak_reserved_bytes() const { return peak_reserved_; }
   std::int64_t allocated_bytes() const { return allocated_; }
   std::int64_t peak_allocated_bytes() const { return peak_allocated_; }
-  std::size_t num_live() const { return num_live_; }
+  std::size_t num_live() const {
+    return static_cast<std::size_t>(core_.num_live());
+  }
 
   // fw::AllocatorBackend. The arena is unbounded (no driver underneath), so
   // backend_alloc never reports OOM and backend_trim() is the default no-op
@@ -46,18 +45,11 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   void backend_reset() override;
 
  private:
-  struct Block;
-  struct Less {
-    bool operator()(const Block* a, const Block* b) const;
-  };
-
-  Block* acquire_block();
-  Block* live_block(std::int64_t id) const;
+  struct Block : alloc::bfc::Node<Block> {};
 
   static constexpr std::uint64_t kArenaBase = 0x400000000ULL;
 
   std::uint64_t next_addr_ = kArenaBase;
-  std::int64_t next_id_ = 1;
   std::int64_t reserved_ = 0;
   std::int64_t peak_reserved_ = 0;
   std::int64_t allocated_ = 0;
@@ -65,16 +57,8 @@ class BasicBfcAllocator final : public fw::AllocatorBackend {
   std::int64_t num_allocs_ = 0;
   std::int64_t num_frees_ = 0;
   std::int64_t num_segments_ = 0;
-  std::size_t num_live_ = 0;
-  std::set<Block*, Less> free_blocks_;
-  // Grow-only node storage: the arena owns every Block ever created;
-  // coalescing and backend_reset() only move raw pointers onto the spare
-  // list, so steady-state replays allocate no nodes at all.
-  std::vector<std::unique_ptr<Block>> arena_;
-  std::vector<Block*> spare_blocks_;
-  // Flat live table indexed directly by the sequential block id (slot ==
-  // id); grows by doubling and keeps its capacity across backend_reset().
-  std::vector<Block*> live_slots_;
+  alloc::bfc::FreeSet<Block> free_blocks_;
+  alloc::bfc::Core<Block> core_;
 };
 
 }  // namespace xmem::baselines

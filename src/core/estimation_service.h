@@ -286,8 +286,13 @@ struct PlanReport : StageCounters {
   ///   rank_replays_run  — distinct sequences the refine pass must simulate
   ///   replays_deduped   — logical rank replays collapsed onto a sibling's
   ///                       verdict (symmetric DP/TP ranks + repeated stages)
-  ///   replay_cache_hits — sequences served from the cross-candidate memo
-  ///                       cache instead of a fresh simulation
+  ///   replay_cache_hits — repeat sightings of an earlier candidate's
+  ///                       sequence
+  /// They model an unbounded memo shared by every worker. The real memo is
+  /// a 32-entry FIFO per worker thread (ReplayScratch), so more replays run
+  /// than rank_replays_run counts, and how many depends on the thread count
+  /// and scheduling (gpt2, batch 8, 16 GPUs, refine all + overlap: 435
+  /// counted, 494-525 run).
   std::size_t rank_replays_run = 0;
   std::size_t replays_deduped = 0;
   std::size_t replay_cache_hits = 0;

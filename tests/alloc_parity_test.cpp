@@ -39,6 +39,25 @@ ReplayReport replay_backend(const std::string& name,
   return replay_with_invariants(*backend, events);
 }
 
+/// The drain-to-zero teardown invariant: once a stream has freed every
+/// block, backend_trim() hands every driver reservation back — except on
+/// the policies that never return memory (TF's regions, DNNMem's arena),
+/// where trim must leave the footprint exactly as it was.
+void expect_trim_drains_to_zero(const std::string& name,
+                                fw::AllocatorBackend& backend,
+                                const SimulatedCudaDriver& driver) {
+  const std::int64_t reserved = backend.backend_stats().reserved_bytes;
+  backend.backend_trim();
+  if (name == "tf-bfc" || name == "basic-bfc") {
+    EXPECT_EQ(backend.backend_stats().reserved_bytes, reserved) << name;
+  } else {
+    EXPECT_EQ(driver.num_live_reservations(), 0u) << name;
+    EXPECT_EQ(driver.stats().used_bytes, 0) << name;
+    EXPECT_EQ(backend.backend_stats().reserved_bytes, 0) << name;
+    EXPECT_EQ(backend.backend_stats().num_segments, 0) << name;
+  }
+}
+
 // ---------- the event-stream generator itself ----------
 
 TEST(EventStream, FixedSeedIsByteIdentical) {
@@ -106,7 +125,9 @@ TEST(AllocatorParity, TenThousandEventStreamHoldsInvariantsEverywhere) {
 
   std::map<std::string, ReplayReport> reports;
   for (const std::string& name : backend_names()) {
-    const ReplayReport report = replay_backend(name, events);
+    SimulatedCudaDriver driver(kUnbounded);
+    const auto backend = make_backend(name, driver);
+    const ReplayReport report = replay_with_invariants(*backend, events);
     EXPECT_TRUE(report.ok) << name << " violated '" << report.violation
                            << "' at event " << report.event_index << "\n"
                            << dump_stream(events, 16);
@@ -115,6 +136,7 @@ TEST(AllocatorParity, TenThousandEventStreamHoldsInvariantsEverywhere) {
     EXPECT_EQ(report.final_stats.num_live_blocks, 0) << name;
     EXPECT_EQ(report.final_stats.num_allocs, report.final_stats.num_frees)
         << name;
+    expect_trim_drains_to_zero(name, *backend, driver);
     // No policy can reserve less than the exact live bytes at their peak.
     EXPECT_GE(report.peak_reserved, report.peak_live_bytes) << name;
     reports[name] = report;
@@ -146,11 +168,14 @@ TEST(AllocatorParity, HoldsAcrossSeedsAndStreamMixes) {
     config.alloc_bias = 0.5 + 0.01 * static_cast<double>(seed % 10);
     const auto events = generate_event_stream(config);
     for (const std::string& name : backend_names()) {
-      const ReplayReport report = replay_backend(name, events);
+      SimulatedCudaDriver driver(kUnbounded);
+      const auto backend = make_backend(name, driver);
+      const ReplayReport report = replay_with_invariants(*backend, events);
       EXPECT_TRUE(report.ok)
           << name << " seed " << seed << ": " << report.violation
           << " at event " << report.event_index;
       EXPECT_EQ(report.final_stats.active_bytes, 0) << name;
+      expect_trim_drains_to_zero(name, *backend, driver);
     }
   }
 }
@@ -179,6 +204,133 @@ TEST(AllocatorParity, SimulatorReplayMatchesDirectBackendReplay) {
     EXPECT_EQ(sim.peak_allocated, direct.final_stats.peak_active_bytes)
         << name;
   }
+}
+
+// ---------- pinned per-event replay digests ----------
+//
+// The differential suites above compare backends with each other and with
+// themselves; these digests compare each backend with its own recorded
+// behaviour. Every alloc outcome (oom, handle, charged bytes), every
+// per-event BackendStats snapshot plus the driver's used bytes, and the
+// post-trim footprint are folded into one FNV-1a digest per configuration,
+// so any refactor of an allocator's internals that moves a single byte or
+// handle fails here. Driver OOM-probe counts are deliberately left out:
+// they describe how a backend searches for memory, not what it hands out.
+
+class ReplayDigest {
+ public:
+  void add(std::int64_t value) {
+    auto bits = static_cast<std::uint64_t>(value);
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= bits & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+      bits >>= 8;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Replay `events` tolerating OOM (frees of blocks that never got memory
+/// are skipped), folding every observable into `digest`. Returns the
+/// number of allocations that hit OOM.
+std::int64_t digest_replay(fw::AllocatorBackend& backend,
+                   const SimulatedCudaDriver& driver,
+                   const std::vector<StreamEvent>& events,
+                   ReplayDigest& digest) {
+  std::unordered_map<std::int64_t, std::int64_t> handles;
+  std::int64_t ooms = 0;
+  for (const StreamEvent& event : events) {
+    if (event.is_alloc) {
+      const fw::BackendAllocResult result = backend.backend_alloc(event.bytes);
+      ooms += result.oom ? 1 : 0;
+      digest.add(result.oom ? 1 : 0);
+      digest.add(result.id);
+      digest.add(result.charged_bytes);
+      if (!result.oom) handles[event.block_id] = result.id;
+    } else if (auto it = handles.find(event.block_id); it != handles.end()) {
+      backend.backend_free(it->second);
+      handles.erase(it);
+    }
+    const fw::BackendStats s = backend.backend_stats();
+    for (const std::int64_t field :
+         {s.active_bytes, s.peak_active_bytes, s.reserved_bytes,
+          s.peak_reserved_bytes, s.num_allocs, s.num_frees, s.num_segments,
+          s.num_live_blocks, driver.stats().used_bytes}) {
+      digest.add(field);
+    }
+  }
+  backend.backend_trim();
+  digest.add(backend.backend_stats().reserved_bytes);
+  digest.add(backend.backend_stats().num_segments);
+  digest.add(static_cast<std::int64_t>(driver.num_live_reservations()));
+  return ooms;
+}
+
+TEST(ReplayDigests, EveryBackendAndKnobSettingReplaysItsPinnedBytes) {
+  struct Pin {
+    std::string backend;
+    BackendKnobs knobs;
+    std::uint64_t digest;
+  };
+  const std::vector<Pin> pins = {
+      {"basic-bfc", {}, 0x16b000818e07d755ULL},
+      {"cub-binned", {}, 0xdf77579621b49b8dULL},
+      {"pytorch", {}, 0xb8f25e89eba609ddULL},
+      {"pytorch-expandable", {}, 0xf89d229336291959ULL},
+      {"stream-pool", {}, 0xee0a07dffa779a91ULL},
+      {"tf-bfc", {}, 0x290f588705050551ULL},
+      {"pytorch-expandable", {{"max_split_size_bytes", 8 * kMiB}},
+       0x8e9e2b051eee6471ULL},
+      {"pytorch-expandable", {{"page_bytes", 20 * kMiB}},
+       0x56cbc39b610e6dddULL},
+      {"stream-pool",
+       {{"release_threshold_bytes", 0}, {"chunk_bytes", 8 * kMiB}},
+       0xf27277d987d1b149ULL},
+      {"stream-pool",
+       {{"release_threshold_bytes", 64 * kMiB}, {"chunk_bytes", 4 * kMiB}},
+       0xb73bd518cd0df0a5ULL},
+      {"cub-binned", {{"max_cached_bytes", 50000000}},
+       0xb9d355a6d64547b1ULL},
+  };
+  // Every registry backend is pinned at its defaults.
+  for (const std::string& name : backend_names()) {
+    EXPECT_TRUE(std::any_of(pins.begin(), pins.end(), [&](const Pin& pin) {
+      return pin.backend == name && pin.knobs.empty();
+    })) << name << " has no pinned digest";
+  }
+  std::vector<std::vector<StreamEvent>> streams;
+  for (const std::uint64_t seed : {5ULL, 17ULL, 2024ULL, 90210ULL}) {
+    EventStreamConfig config;
+    config.seed = seed;
+    config.num_events = 5000;
+    streams.push_back(generate_event_stream(config));
+  }
+  std::int64_t bounded_ooms = 0;
+  for (const Pin& pin : pins) {
+    ReplayDigest digest;
+    // Unbounded, and at a capacity the streams' live peaks overrun.
+    for (const std::int64_t capacity : {kUnbounded, 600 * kMiB}) {
+      for (const auto& events : streams) {
+        SimulatedCudaDriver driver(capacity);
+        const auto backend = make_backend(pin.backend, driver, pin.knobs);
+        const std::int64_t ooms =
+            digest_replay(*backend, driver, events, digest);
+        if (capacity != kUnbounded) bounded_ooms += ooms;
+        // Again through the reset tower: identical bytes, same digest input.
+        backend->backend_reset();
+        driver.reset();
+        digest_replay(*backend, driver, events, digest);
+      }
+    }
+    EXPECT_EQ(digest.value(), pin.digest)
+        << pin.backend << " {" << knobs_fingerprint(pin.knobs) << "}: 0x"
+        << std::hex << digest.value();
+  }
+  // The bounded leg must actually exercise the OOM paths.
+  EXPECT_GT(bounded_ooms, 0);
 }
 
 // ---------- knob sweeps: documented monotonicity per backend ----------

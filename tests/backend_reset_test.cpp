@@ -163,7 +163,13 @@ TEST(BackendReset, ResetRestoresPostConstructionObservables) {
     const auto backend = make_backend(name, driver);
     const std::int64_t first_id = backend->backend_alloc(4096).id;
     replay_with_invariants(*backend, events);
+    // Reset with blocks still live: the backend itself must hand every
+    // reservation back, before the driver is reset underneath it.
+    ASSERT_FALSE(backend->backend_alloc(util::kMiB).oom) << name;
+    ASSERT_FALSE(backend->backend_alloc(48 * util::kMiB).oom) << name;
     backend->backend_reset();
+    EXPECT_EQ(driver.num_live_reservations(), 0u) << name;
+    EXPECT_EQ(driver.stats().used_bytes, 0) << name;
     driver.reset();
 
     const fw::BackendStats after = backend->backend_stats();

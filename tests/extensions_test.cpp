@@ -76,6 +76,36 @@ TEST(TfBfc, NoReclaimMeansOomUnderCap) {
   EXPECT_TRUE(b.oom);
 }
 
+TEST(TfBfc, ProbesEachRegionSizeOnceBeforeOom) {
+  // Region growth backs off by halving; the driver state does not change
+  // between failed probes, so asking twice for one size only inflates the
+  // driver's OOM counter.
+  {
+    // 6 MiB on a 4 MiB device: one 6 MiB probe.
+    alloc::SimulatedCudaDriver driver(4 * kMiB);
+    alloc::TfBfcAllocator tf(driver);
+    EXPECT_TRUE(tf.allocate(6 * kMiB).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 1);
+  }
+  {
+    // 3 MiB on a 3 MiB device: the request rounds to one 4 MiB region.
+    alloc::SimulatedCudaDriver driver(3 * kMiB);
+    alloc::TfBfcAllocator tf(driver);
+    EXPECT_TRUE(tf.allocate(3 * kMiB).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 1);
+  }
+  {
+    // Fill 2 + 4 + 8 MiB regions on a 14 MiB device: the next region backs
+    // off 16 -> 8 -> 4 -> 2 MiB, four distinct probes, then OOM.
+    alloc::SimulatedCudaDriver driver(14 * kMiB);
+    alloc::TfBfcAllocator tf(driver);
+    for (int i = 0; i < 7; ++i) ASSERT_FALSE(tf.allocate(1800 * 1024).oom);
+    ASSERT_EQ(tf.stats().region_bytes, 14 * kMiB);
+    EXPECT_TRUE(tf.allocate(1800 * 1024).oom);
+    EXPECT_EQ(driver.stats().num_oom_failures, 4);
+  }
+}
+
 TEST(TfBfc, BasicInvariants) {
   alloc::SimulatedCudaDriver driver(util::kGiB);
   alloc::TfBfcAllocator allocator(driver);
