@@ -35,7 +35,10 @@
 # replay (the fidelity gain over the analytic model). The negative smoke
 # feeds every ci/fixtures/bad_*.json through `xmem sweep` — except the
 # plan-shaped bad_refine.json, which goes through `xmem plan` — and
-# requires a nonzero exit.
+# requires a nonzero exit. bad_wrapped_int.json (a batch past INT_MAX) and
+# bad_typed_field.json (a string where an integer belongs) must fail rather
+# than be narrowed or defaulted. request_schema_test pins each fixture's
+# exact message; this loop checks the CLI exit codes.
 #
 # bad_fleet_model.json (a queue naming an unknown model) also goes through
 # the serve smoke: the daemon must answer it with an error reply and keep

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <list>
 #include <map>
 #include <mutex>
@@ -11,85 +10,13 @@
 #include <unordered_set>
 
 #include "core/estimator_registry.h"
+#include "core/request_fields.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
 #include "models/zoo.h"
 #include "util/thread_pool.h"
 
 namespace xmem::core {
-
-// job/device JSON helpers are public (declared in estimation_service.h):
-// the sweep, plan, and fleet request schemas all share them.
-TrainJob job_from_json(const util::Json& json) {
-  TrainJob job;
-  job.model_name = json.get_string_or("model", "");
-  job.batch_size = static_cast<int>(json.get_int_or("batch", 0));
-  job.optimizer =
-      fw::optimizer_from_string(json.get_string_or("optimizer", "SGD"));
-  job.placement =
-      fw::placement_from_string(json.get_string_or("placement", "POS1"));
-  job.seed = static_cast<std::uint64_t>(json.get_int_or("seed", 1));
-  if (job.model_name.empty()) {
-    throw std::invalid_argument("request job: missing \"model\"");
-  }
-  if (job.batch_size <= 0) {
-    throw std::invalid_argument("request job: \"batch\" must be > 0");
-  }
-  return job;
-}
-
-util::Json job_to_json(const TrainJob& job) {
-  util::Json json = util::Json::object();
-  json["model"] = util::Json(job.model_name);
-  json["batch"] = util::Json(job.batch_size);
-  json["optimizer"] = util::Json(to_string(job.optimizer));
-  json["placement"] = util::Json(to_string(job.placement));
-  json["seed"] = util::Json(static_cast<std::int64_t>(job.seed));
-  return json;
-}
-
-gpu::DeviceModel device_from_json(const util::Json& json) {
-  if (json.is_string()) return gpu::device_by_name(json.as_string());
-  if (!json.is_object()) {
-    throw std::invalid_argument(
-        "request devices: entries must be alias strings or device objects");
-  }
-  const std::string name = json.get_string_or("name", "");
-  if (name.empty()) {
-    throw std::invalid_argument("request device object: missing \"name\"");
-  }
-  // Start from the named reference card when the name resolves (so partial
-  // overrides — e.g. only m_init_bytes — are what-ifs against real
-  // geometry), from a blank device otherwise.
-  gpu::DeviceModel device;
-  try {
-    device = gpu::device_by_name(name);
-  } catch (const std::invalid_argument&) {
-    device.name = name;
-  }
-  device.capacity = json.get_int_or("capacity_bytes", device.capacity);
-  device.m_init = json.get_int_or("m_init_bytes", device.m_init);
-  device.m_fm = json.get_int_or("m_fm_bytes", device.m_fm);
-  if (device.capacity <= 0) {
-    throw std::invalid_argument(
-        "request device object: unknown name '" + name +
-        "' needs an explicit \"capacity_bytes\" > 0");
-  }
-  return device;
-}
-
-util::Json devices_to_json(const std::vector<gpu::DeviceModel>& devices) {
-  util::Json device_array = util::Json::array();
-  for (const gpu::DeviceModel& device : devices) {
-    util::Json entry = util::Json::object();
-    entry["name"] = util::Json(device.name);
-    entry["capacity_bytes"] = util::Json(device.capacity);
-    entry["m_init_bytes"] = util::Json(device.m_init);
-    entry["m_fm_bytes"] = util::Json(device.m_fm);
-    device_array.push_back(std::move(entry));
-  }
-  return device_array;
-}
 
 namespace {
 
@@ -111,34 +38,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
-    const util::Json& json, const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context +
-                                ": \"allocator_config\" must be an object "
-                                "mapping backend name -> knob object");
-  }
-  std::map<std::string, alloc::BackendKnobs> config;
-  for (const auto& [name, knobs] : json.as_object()) {
-    config[name] = alloc::parse_backend_knobs(
-        knobs, context + ": allocator_config." + name);
-  }
-  return config;
-}
-
-util::Json allocator_config_to_json(
-    const std::map<std::string, alloc::BackendKnobs>& config) {
-  util::Json json = util::Json::object();
-  for (const auto& [name, knobs] : config) {
-    util::Json knob_object = util::Json::object();
-    for (const auto& [knob, value] : knobs) {
-      knob_object[knob] = util::Json(value);
-    }
-    json[name] = std::move(knob_object);
-  }
-  return json;
-}
 
 /// Fail a request up front when its allocator_config is malformed: unknown
 /// backend names, and — by constructing a throwaway backend — unknown knob
@@ -204,73 +103,31 @@ std::string result_key(const EstimateRequest& request,
   return key;
 }
 
-/// A request document's shared head: the job and its candidate devices.
-template <typename Request>
-Request request_from_json(const util::Json& json, const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": top level must be an object");
-  }
-  Request request;
-  request.job = job_from_json(json.at("job"));
-  if (!json.contains("devices") || json.at("devices").size() == 0) {
-    throw std::invalid_argument(context +
-                                ": \"devices\" must be a non-empty array");
-  }
-  for (const util::Json& entry : json.at("devices").as_array()) {
-    request.devices.push_back(device_from_json(entry));
-  }
-  return request;
+const fields::List<EstimateRequest>& sweep_fields() {
+  using R = EstimateRequest;
+  using fields::field;
+  static const fields::List<R> list = {
+      fields::job(&R::job),
+      fields::devices(&R::devices),
+      field("allocators", &R::allocators, fields::array(fields::text())),
+      field("estimators", &R::estimators, fields::array(fields::text())),
+      fields::allocator_config(&R::allocator_config),
+      field("profile_iterations", &R::profile_iterations,
+            fields::integer<int>(1)),
+      field("curve", &R::record_curve, fields::boolean()),
+      field("tenant", &R::tenant, fields::text(), fields::Emit::kUnlessDefault),
+  };
+  return list;
 }
 
 }  // namespace
 
 EstimateRequest EstimateRequest::from_json(const util::Json& json) {
-  EstimateRequest request =
-      request_from_json<EstimateRequest>(json, "request");
-  if (json.contains("allocators")) {
-    request.allocators.clear();
-    for (const util::Json& entry : json.at("allocators").as_array()) {
-      request.allocators.push_back(entry.as_string());
-    }
-  }
-  if (json.contains("estimators")) {
-    request.estimators.clear();
-    for (const util::Json& entry : json.at("estimators").as_array()) {
-      request.estimators.push_back(entry.as_string());
-    }
-  }
-  if (json.contains("allocator_config")) {
-    request.allocator_config =
-        allocator_config_from_json(json.at("allocator_config"), "request");
-  }
-  request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  request.record_curve = json.contains("curve") && json.at("curve").as_bool();
-  request.tenant = json.get_string_or("tenant", "");
-  return request;
+  return fields::parse(json, sweep_fields(), "request");
 }
 
 util::Json EstimateRequest::to_json() const {
-  util::Json json = util::Json::object();
-  json["job"] = job_to_json(job);
-  json["devices"] = devices_to_json(devices);
-  util::Json allocator_array = util::Json::array();
-  for (const std::string& name : allocators) {
-    allocator_array.push_back(util::Json(name));
-  }
-  json["allocators"] = std::move(allocator_array);
-  util::Json estimator_array = util::Json::array();
-  for (const std::string& name : estimators) {
-    estimator_array.push_back(util::Json(name));
-  }
-  json["estimators"] = std::move(estimator_array);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["curve"] = util::Json(record_curve);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  return json;
+  return fields::write(sweep_fields(), *this);
 }
 
 EstimateResult EstimateEntry::to_result() const {
@@ -339,7 +196,7 @@ void StageCounters::write_json(util::Json& json) const {
 util::Json EstimateReport::to_json(bool include_timings) const {
   util::Json json = util::Json::object();
   json["schema_version"] = util::Json(1);
-  json["job"] = job_to_json(job);
+  json["job"] = fields::write(fields::job_fields(), job);
   util::Json entry_array = util::Json::array();
   for (const EstimateEntry& entry : entries) {
     entry_array.push_back(entry.to_json(include_timings));
@@ -353,25 +210,6 @@ util::Json EstimateReport::to_json(bool include_timings) const {
 }
 
 namespace {
-
-/// Plan-document integer field (absent = `fallback`), rejected with a
-/// message naming the field outside [min, max]. The default `max` keeps
-/// int fields from wrapping when narrowed.
-std::int64_t plan_int_in_range(
-    const util::Json& json, const std::string& key, std::int64_t fallback,
-    std::int64_t min,
-    std::int64_t max = std::numeric_limits<int>::max()) {
-  const std::int64_t value = json.get_int_or(key, fallback);
-  if (value < min) {
-    throw std::invalid_argument("plan request: \"" + key + "\" must be >= " +
-                                std::to_string(min));
-  }
-  if (value > max) {
-    throw std::invalid_argument("plan request: \"" + key + "\" must be <= " +
-                                std::to_string(max));
-  }
-  return value;
-}
 
 util::Json peaks_to_json(const std::vector<std::int64_t>& peaks) {
   util::Json array = util::Json::array();
@@ -393,95 +231,72 @@ util::Json verdicts_to_json(const std::vector<gpu::DeviceModel>& devices,
 
 }  // namespace
 
-PlanRequest PlanRequest::from_json(const util::Json& json) {
-  PlanRequest request = request_from_json<PlanRequest>(json, "plan request");
-  request.max_gpus =
-      static_cast<int>(plan_int_in_range(json, "max_gpus", 8, 1));
-  request.micro_batches =
-      static_cast<int>(plan_int_in_range(json, "micro_batches", 4, 1));
-  request.schedule =
-      pipeline_schedule_from_string(json.get_string_or("schedule", "1f1b"));
-  request.virtual_stages =
-      static_cast<int>(plan_int_in_range(json, "virtual_stages", 1, 1));
-  request.zero = zero_stage_from_int(
-      static_cast<int>(json.get_int_or("zero_stage", 0)));
-  request.ddp_bucket_bytes =
-      plan_int_in_range(json, "ddp_bucket_bytes", request.ddp_bucket_bytes, 0,
-                        std::numeric_limits<std::int64_t>::max());
-  request.ddp_bucket_count = static_cast<int>(plan_int_in_range(
-      json, "ddp_bucket_count", request.ddp_bucket_count, 0));
-  request.activation_replication_pct = static_cast<int>(
-      json.get_int_or("activation_replication_pct", 25));
-  if (request.activation_replication_pct < 0 ||
-      request.activation_replication_pct > 100) {
-    throw std::invalid_argument(
-        "plan request: \"activation_replication_pct\" must be 0..100");
-  }
-  request.allocator = json.get_string_or("allocator", request.allocator);
-  if (json.contains("allocator_config")) {
-    request.allocator_config = allocator_config_from_json(
-        json.at("allocator_config"), "plan request");
-  }
-  request.profile_iterations =
-      static_cast<int>(plan_int_in_range(json, "profile_iterations", 3, 1));
-  request.max_candidates = static_cast<std::size_t>(
-      plan_int_in_range(json, "max_candidates", 0, 0,
-                        std::numeric_limits<std::int64_t>::max()));
-  if (json.contains("refine_top_k") && json.at("refine_top_k").is_string()) {
-    // Full-search mode spells itself as the string "all"; any other string
-    // is a typo, not a count.
-    if (json.at("refine_top_k").as_string() != "all") {
-      throw std::invalid_argument(
-          "plan request: \"refine_top_k\" must be an integer >= 0 or the "
-          "string \"all\" (refine every ranked decomposition)");
+namespace {
+
+/// "refine_top_k": a count, or the string "all" for full-search refinement
+/// (refine_all) — any other string is a typo, not a count.
+fields::Field<PlanRequest> refine_top_k_field() {
+  static const std::string kAll = "all";
+  fields::Field<PlanRequest> field = fields::field(
+      "refine_top_k", &PlanRequest::refine_top_k, fields::integer<int>(0));
+  field.read = [count = field.read, key = field.key](
+                   const util::Json& value, PlanRequest& request,
+                   const std::string& context) {
+    if (!value.is_string()) return count(value, request, context);
+    if (value.as_string() != kAll) {
+      fields::At{context, key}.fail("must be an integer >= 0 or the string \"" +
+                                    kAll +
+                                    "\" (refine every ranked decomposition)");
     }
     request.refine_all = true;
-  } else {
-    request.refine_top_k = static_cast<int>(
-        plan_int_in_range(json, "refine_top_k", request.refine_top_k, 0));
-  }
-  if (json.contains("comm_overlap")) {
-    if (!json.at("comm_overlap").is_bool()) {
-      throw std::invalid_argument(
-          "plan request: \"comm_overlap\" must be a boolean (true simulates "
-          "collectives as schedule-tied overlap windows and re-ranks refined "
-          "candidates by window-replayed peaks; omit it or pass false for "
-          "resident staging buffers)");
-    }
-    request.comm_overlap = json.at("comm_overlap").as_bool();
-  }
-  request.tenant = json.get_string_or("tenant", "");
-  return request;
+  };
+  field.write = [count = field.write, key = field.key](
+                    const PlanRequest& request, util::JsonObject& out) {
+    if (!request.refine_all) return count(request, out);
+    out[key] = util::Json(kAll);
+  };
+  return field;
+}
+
+const fields::List<PlanRequest>& plan_fields() {
+  using R = PlanRequest;
+  using fields::field;
+  using fields::integer;
+  static const fields::List<R> list = {
+      fields::job(&R::job),
+      fields::devices(&R::devices),
+      field("max_gpus", &R::max_gpus, integer<int>(1)),
+      field("micro_batches", &R::micro_batches, integer<int>(1)),
+      field("schedule", &R::schedule,
+            fields::named(pipeline_schedule_from_string)),
+      field("virtual_stages", &R::virtual_stages, integer<int>(1)),
+      field("zero_stage", &R::zero, integer<ZeroStage>(0, 3)),
+      field("ddp_bucket_bytes", &R::ddp_bucket_bytes,
+            integer<std::int64_t>(0)),
+      field("ddp_bucket_count", &R::ddp_bucket_count, integer<int>(0)),
+      field("activation_replication_pct", &R::activation_replication_pct,
+            integer<int>(0, 100)),
+      field("allocator", &R::allocator, fields::text()),
+      fields::allocator_config(&R::allocator_config),
+      field("profile_iterations", &R::profile_iterations, integer<int>(1)),
+      field("max_candidates", &R::max_candidates, integer<std::size_t>()),
+      refine_top_k_field(),
+      // Left out when off, so resident-mode documents round-trip unchanged.
+      field("comm_overlap", &R::comm_overlap, fields::boolean(),
+            fields::Emit::kUnlessDefault),
+      field("tenant", &R::tenant, fields::text(), fields::Emit::kUnlessDefault),
+  };
+  return list;
+}
+
+}  // namespace
+
+PlanRequest PlanRequest::from_json(const util::Json& json) {
+  return fields::parse(json, plan_fields(), "plan request");
 }
 
 util::Json PlanRequest::to_json() const {
-  util::Json json = util::Json::object();
-  json["job"] = job_to_json(job);
-  json["devices"] = devices_to_json(devices);
-  json["max_gpus"] = util::Json(max_gpus);
-  json["micro_batches"] = util::Json(micro_batches);
-  json["schedule"] = util::Json(to_string(schedule));
-  json["virtual_stages"] = util::Json(virtual_stages);
-  json["zero_stage"] = util::Json(static_cast<int>(zero));
-  json["ddp_bucket_bytes"] = util::Json(ddp_bucket_bytes);
-  json["ddp_bucket_count"] = util::Json(ddp_bucket_count);
-  json["activation_replication_pct"] = util::Json(activation_replication_pct);
-  json["allocator"] = util::Json(allocator);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["max_candidates"] =
-      util::Json(static_cast<std::int64_t>(max_candidates));
-  if (refine_all) {
-    json["refine_top_k"] = util::Json(std::string("all"));
-  } else {
-    json["refine_top_k"] = util::Json(refine_top_k);
-  }
-  // Emitted only when set so resident-mode documents round-trip unchanged.
-  if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  return json;
+  return fields::write(plan_fields(), *this);
 }
 
 util::Json PlanCandidate::to_json(
@@ -535,7 +350,7 @@ util::Json PlanReport::to_json(bool include_timings) const {
   json["schema_version"] = util::Json(1);
   // Emitted only when set, so resident-mode reports stay byte-identical.
   if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  json["job"] = job_to_json(job);
+  json["job"] = fields::write(fields::job_fields(), job);
   util::Json single = util::Json::object();
   single["analytic_peak_bytes"] = util::Json(single_device_peak);
   util::Json entry_array = util::Json::array();

@@ -45,17 +45,6 @@ struct FleetReport;
 
 namespace xmem::core {
 
-/// Shared request-schema JSON helpers — the sweep, plan, and fleet request
-/// documents all spell jobs, devices, and allocator knobs the same way.
-/// All parsers throw std::invalid_argument on bad input.
-TrainJob job_from_json(const util::Json& json);
-util::Json job_to_json(const TrainJob& job);
-gpu::DeviceModel device_from_json(const util::Json& json);
-util::Json devices_to_json(const std::vector<gpu::DeviceModel>& devices);
-std::map<std::string, alloc::BackendKnobs> allocator_config_from_json(
-    const util::Json& json, const std::string& context);
-util::Json allocator_config_to_json(
-    const std::map<std::string, alloc::BackendKnobs>& config);
 /// Fail fast on unknown backend names / knob names / out-of-range values,
 /// surfacing the backend's own actionable message.
 void validate_allocator_config(

@@ -4,54 +4,6 @@
 
 namespace xmem::gpu {
 
-namespace {
-
-/// GpuMemoryEnv variant that also records event-granularity curves (the
-/// NVML sampler stays the source of the *metric* peak; curves are for the
-/// Fig. 1 / Fig. 6 plots, which the paper draws from the snapshot profiler).
-class RecordingGpuEnv final : public fw::MemoryEnv {
- public:
-  RecordingGpuEnv(alloc::CachingAllocatorSim& allocator, NvmlSampler& sampler,
-                  const util::SimClock& clock, GroundTruthResult* out)
-      : allocator_(allocator), sampler_(sampler), clock_(clock), out_(out) {}
-
-  std::uint64_t alloc(std::int64_t bytes) override {
-    const alloc::AllocOutcome outcome = allocator_.allocate(bytes);
-    if (outcome.oom) throw fw::OomError(bytes);
-    sampler_.poll();
-    record();
-    return static_cast<std::uint64_t>(outcome.id);
-  }
-
-  void free(std::uint64_t handle) override {
-    allocator_.free(static_cast<alloc::BlockId>(handle));
-    sampler_.poll();
-    record();
-  }
-
-  std::int64_t total_allocated() const override {
-    return allocator_.stats().allocated_bytes;
-  }
-
-  void tick() override { sampler_.poll(); }
-
- private:
-  void record() {
-    if (out_ == nullptr) return;
-    out_->reserved_series.emplace_back(clock_.now(),
-                                       allocator_.stats().reserved_bytes);
-    out_->allocated_series.emplace_back(clock_.now(),
-                                        allocator_.stats().allocated_bytes);
-  }
-
-  alloc::CachingAllocatorSim& allocator_;
-  NvmlSampler& sampler_;
-  const util::SimClock& clock_;
-  GroundTruthResult* out_;
-};
-
-}  // namespace
-
 GroundTruthResult GroundTruthRunner::run(const fw::ModelDescriptor& model,
                                          fw::OptimizerKind optimizer,
                                          const DeviceModel& device,
@@ -67,8 +19,8 @@ GroundTruthResult GroundTruthRunner::run(const fw::ModelDescriptor& model,
                       /*record_series=*/false);
 
   GroundTruthResult result;
-  RecordingGpuEnv env(allocator, sampler, clock,
-                      options.record_series ? &result : nullptr);
+  GpuMemoryEnv env(allocator, sampler, &clock,
+                   options.record_series ? &result : nullptr);
 
   fw::ExecOptions exec_options;
   exec_options.iterations = options.iterations;

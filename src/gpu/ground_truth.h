@@ -18,35 +18,6 @@
 
 namespace xmem::gpu {
 
-/// MemoryEnv running on the two-level CUDA allocator tower.
-class GpuMemoryEnv final : public fw::MemoryEnv {
- public:
-  GpuMemoryEnv(alloc::CachingAllocatorSim& allocator, NvmlSampler& sampler)
-      : allocator_(allocator), sampler_(sampler) {}
-
-  std::uint64_t alloc(std::int64_t bytes) override {
-    const alloc::AllocOutcome outcome = allocator_.allocate(bytes);
-    if (outcome.oom) throw fw::OomError(bytes);
-    sampler_.poll();
-    return static_cast<std::uint64_t>(outcome.id);
-  }
-
-  void free(std::uint64_t handle) override {
-    allocator_.free(static_cast<alloc::BlockId>(handle));
-    sampler_.poll();
-  }
-
-  std::int64_t total_allocated() const override {
-    return allocator_.stats().allocated_bytes;
-  }
-
-  void tick() override { sampler_.poll(); }
-
- private:
-  alloc::CachingAllocatorSim& allocator_;
-  NvmlSampler& sampler_;
-};
-
 struct GroundTruthOptions {
   int iterations = 5;
   fw::ZeroGradPlacement placement = fw::ZeroGradPlacement::kPos1IterStart;
@@ -75,6 +46,56 @@ struct GroundTruthResult {
   std::vector<std::pair<util::TimeUs, std::int64_t>> allocated_series;
   /// Segment map at the end of the run (memory_snapshot equivalent).
   std::vector<alloc::SegmentInfo> final_snapshot;
+};
+
+/// MemoryEnv running on the two-level CUDA allocator tower. Given a clock
+/// and a `series` target, it also records (time, reserved) and (time,
+/// allocated) after every alloc/free: the event-granularity Fig. 1 / Fig. 6
+/// curves, which the paper draws from the snapshot profiler. The NVML
+/// sampler stays the source of the metric peak either way.
+class GpuMemoryEnv final : public fw::MemoryEnv {
+ public:
+  GpuMemoryEnv(alloc::CachingAllocatorSim& allocator, NvmlSampler& sampler,
+               const util::SimClock* clock = nullptr,
+               GroundTruthResult* series = nullptr)
+      : allocator_(allocator),
+        sampler_(sampler),
+        clock_(clock),
+        series_(series) {}
+
+  std::uint64_t alloc(std::int64_t bytes) override {
+    const alloc::AllocOutcome outcome = allocator_.allocate(bytes);
+    if (outcome.oom) throw fw::OomError(bytes);
+    sampler_.poll();
+    record();
+    return static_cast<std::uint64_t>(outcome.id);
+  }
+
+  void free(std::uint64_t handle) override {
+    allocator_.free(static_cast<alloc::BlockId>(handle));
+    sampler_.poll();
+    record();
+  }
+
+  std::int64_t total_allocated() const override {
+    return allocator_.stats().allocated_bytes;
+  }
+
+  void tick() override { sampler_.poll(); }
+
+ private:
+  void record() {
+    if (clock_ == nullptr || series_ == nullptr) return;
+    series_->reserved_series.emplace_back(clock_->now(),
+                                          allocator_.stats().reserved_bytes);
+    series_->allocated_series.emplace_back(clock_->now(),
+                                           allocator_.stats().allocated_bytes);
+  }
+
+  alloc::CachingAllocatorSim& allocator_;
+  NvmlSampler& sampler_;
+  const util::SimClock* clock_;
+  GroundTruthResult* series_;
 };
 
 class GroundTruthRunner {

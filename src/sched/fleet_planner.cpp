@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/estimator_registry.h"
+#include "core/request_fields.h"
 #include "models/zoo.h"
 #include "util/thread_pool.h"
 
@@ -25,36 +26,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// share one CPU profile (and one planner cache entry).
 std::string job_key(const core::TrainJob& job) {
   return job.label() + "|seed" + std::to_string(job.seed);
-}
-
-HeadroomRule headroom_rule_from_json(const util::Json& json,
-                                     const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": headroom rules must be objects");
-  }
-  HeadroomRule rule;
-  rule.absolute_bytes = json.get_int_or("absolute_bytes", 0);
-  rule.percent = static_cast<int>(json.get_int_or("percent", 0));
-  if (rule.absolute_bytes < 0) {
-    throw std::invalid_argument(context +
-                                ": headroom \"absolute_bytes\" must be >= 0");
-  }
-  if (rule.percent < 0) {
-    throw std::invalid_argument(context +
-                                ": headroom \"percent\" must be >= 0");
-  }
-  return rule;
-}
-
-util::Json headroom_rule_to_json(const HeadroomRule& rule) {
-  util::Json json = util::Json::object();
-  json["absolute_bytes"] = util::Json(rule.absolute_bytes);
-  json["percent"] = util::Json(rule.percent);
-  return json;
-}
-
-util::Json device_to_json(const gpu::DeviceModel& device) {
-  return core::devices_to_json({device}).as_array().front();
 }
 
 /// Reject a job whose model the zoo cannot build before any profile runs.
@@ -111,53 +82,107 @@ const char* to_string(Verdict verdict) {
   return "reject";
 }
 
+namespace {
+
+namespace fields = core::fields;
+using fields::field;
+using fields::integer;
+
+const fields::List<FleetJob>& fleet_job_fields() {
+  static const fields::List<FleetJob> list = {
+      field("id", &FleetJob::id, fields::text()),
+      fields::job(&FleetJob::job),
+      field("priority", &FleetJob::priority, integer<int>()),
+  };
+  return list;
+}
+
+const fields::List<GpuPool>& pool_fields() {
+  static const fields::List<GpuPool> list = {
+      fields::required(field("device", &GpuPool::device, fields::device())),
+      fields::required(field("count", &GpuPool::count, integer<int>(1))),
+  };
+  return list;
+}
+
+const fields::List<HeadroomRule>& rule_fields() {
+  static const fields::List<HeadroomRule> list = {
+      field("absolute_bytes", &HeadroomRule::absolute_bytes,
+            integer<std::int64_t>(0)),
+      field("percent", &HeadroomRule::percent, integer<int>(0)),
+  };
+  return list;
+}
+
+/// The base rule's keys sit flat in the headroom object, next to the
+/// per-device overrides.
+const fields::List<HeadroomPolicy>& headroom_fields() {
+  static const fields::List<HeadroomPolicy> list = [] {
+    fields::List<HeadroomPolicy> flat =
+        fields::flatten(&HeadroomPolicy::base, rule_fields());
+    flat.push_back(field("per_device", &HeadroomPolicy::per_device,
+                         fields::map(fields::object(rule_fields())),
+                         fields::Emit::kUnlessDefault));
+    return flat;
+  }();
+  return list;
+}
+
+const fields::List<FleetRequest>& fleet_fields() {
+  using R = FleetRequest;
+  using fields::Emit;
+  static const fields::List<R> list = {
+      fields::required(field(
+          "jobs", &R::jobs,
+          fields::array(fields::Codec<FleetJob>{
+                            [](const util::Json& value, const fields::At& at) {
+                              return FleetJob::from_json(value, at.index);
+                            },
+                            [](const FleetJob& job) { return job.to_json(); }},
+                        /*non_empty=*/true))),
+      fields::required(field(
+          "pools", &R::pools,
+          fields::array(fields::object(pool_fields()), /*non_empty=*/true))),
+      field("policy", &R::policy, fields::text()),
+      field("headroom", &R::headroom, fields::object(headroom_fields())),
+      field("estimator", &R::estimator, fields::text()),
+      field("allocator", &R::allocator, fields::text()),
+      fields::allocator_config(&R::allocator_config),
+      field("profile_iterations", &R::profile_iterations, integer<int>(1)),
+      field("max_gpus_per_job", &R::max_gpus_per_job, integer<int>(1)),
+      // Plan-fallback flags (forwarded by fallback_plan()), left out when
+      // off so resident-mode documents round-trip unchanged.
+      field("comm_overlap", &R::comm_overlap, fields::boolean(),
+            Emit::kUnlessDefault),
+      field("refine_all", &R::refine_all, fields::boolean(),
+            Emit::kUnlessDefault),
+      field("tenant", &R::tenant, fields::text(), Emit::kUnlessDefault),
+      field("what_if", &R::what_if, fields::array(fields::object(pool_fields())),
+            Emit::kUnlessDefault),
+  };
+  return list;
+}
+
+}  // namespace
+
 FleetJob FleetJob::from_json(const util::Json& json, std::size_t index) {
-  const std::string context = "fleet request jobs[" + std::to_string(index) +
-                              "]";
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": entries must be objects");
-  }
-  if (!json.contains("job")) {
-    throw std::invalid_argument(context + ": missing \"job\" object");
-  }
   FleetJob fleet_job;
-  fleet_job.job = core::job_from_json(json.at("job"));
-  fleet_job.id = json.get_string_or("id", "job-" + std::to_string(index));
-  fleet_job.priority = static_cast<int>(json.get_int_or("priority", 0));
+  fleet_job.id = "job-" + std::to_string(index);
+  fields::read(json, fleet_job_fields(), fleet_job,
+               "fleet request jobs[" + std::to_string(index) + "]");
   return fleet_job;
 }
 
 util::Json FleetJob::to_json() const {
-  util::Json json = util::Json::object();
-  json["id"] = util::Json(id);
-  json["job"] = core::job_to_json(job);
-  json["priority"] = util::Json(priority);
-  return json;
+  return fields::write(fleet_job_fields(), *this);
 }
 
 GpuPool GpuPool::from_json(const util::Json& json,
                            const std::string& context) {
-  if (!json.is_object()) {
-    throw std::invalid_argument(context + ": pool entries must be objects");
-  }
-  if (!json.contains("device")) {
-    throw std::invalid_argument(context + ": missing \"device\"");
-  }
-  GpuPool pool;
-  pool.device = core::device_from_json(json.at("device"));
-  pool.count = static_cast<int>(json.get_int_or("count", 0));
-  if (pool.count <= 0) {
-    throw std::invalid_argument(context + ": \"count\" must be > 0");
-  }
-  return pool;
+  return fields::parse(json, pool_fields(), context);
 }
 
-util::Json GpuPool::to_json() const {
-  util::Json json = util::Json::object();
-  json["device"] = device_to_json(device);
-  json["count"] = util::Json(count);
-  return json;
-}
+util::Json GpuPool::to_json() const { return fields::write(pool_fields(), *this); }
 
 std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
                                        std::int64_t predicted_peak) const {
@@ -167,133 +192,19 @@ std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
 }
 
 HeadroomPolicy HeadroomPolicy::from_json(const util::Json& json) {
-  HeadroomPolicy policy;
-  policy.base = headroom_rule_from_json(json, "fleet request");
-  if (json.contains("per_device")) {
-    const util::Json& overrides = json.at("per_device");
-    if (!overrides.is_object()) {
-      throw std::invalid_argument(
-          "fleet request: headroom \"per_device\" must be an object keyed by "
-          "device name");
-    }
-    for (const auto& [name, rule] : overrides.as_object()) {
-      policy.per_device[name] = headroom_rule_from_json(
-          rule, "fleet request: headroom per_device." + name);
-    }
-  }
-  return policy;
+  return fields::parse(json, headroom_fields(), "fleet request headroom");
 }
 
 util::Json HeadroomPolicy::to_json() const {
-  util::Json json = headroom_rule_to_json(base);
-  if (!per_device.empty()) {
-    util::Json overrides = util::Json::object();
-    for (const auto& [name, rule] : per_device) {
-      overrides[name] = headroom_rule_to_json(rule);
-    }
-    json["per_device"] = std::move(overrides);
-  }
-  return json;
+  return fields::write(headroom_fields(), *this);
 }
 
 FleetRequest FleetRequest::from_json(const util::Json& json) {
-  if (!json.is_object()) {
-    throw std::invalid_argument("fleet request: top level must be an object");
-  }
-  FleetRequest request;
-  if (!json.contains("jobs") || !json.at("jobs").is_array() ||
-      json.at("jobs").size() == 0) {
-    throw std::invalid_argument(
-        "fleet request: \"jobs\" must be a non-empty array");
-  }
-  const util::JsonArray& jobs = json.at("jobs").as_array();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    request.jobs.push_back(FleetJob::from_json(jobs[i], i));
-  }
-  if (!json.contains("pools") || !json.at("pools").is_array() ||
-      json.at("pools").size() == 0) {
-    throw std::invalid_argument(
-        "fleet request: \"pools\" must be a non-empty array");
-  }
-  const util::JsonArray& pools = json.at("pools").as_array();
-  for (std::size_t i = 0; i < pools.size(); ++i) {
-    request.pools.push_back(GpuPool::from_json(
-        pools[i], "fleet request pools[" + std::to_string(i) + "]"));
-  }
-  request.policy = json.get_string_or("policy", "first-fit");
-  if (json.contains("headroom")) {
-    request.headroom = HeadroomPolicy::from_json(json.at("headroom"));
-  }
-  request.estimator = json.get_string_or("estimator", "xMem");
-  request.allocator =
-      json.get_string_or("allocator", alloc::kDefaultBackendName);
-  if (json.contains("allocator_config")) {
-    request.allocator_config = core::allocator_config_from_json(
-        json.at("allocator_config"), "fleet request");
-  }
-  request.profile_iterations =
-      static_cast<int>(json.get_int_or("profile_iterations", 3));
-  request.max_gpus_per_job =
-      static_cast<int>(json.get_int_or("max_gpus_per_job", 8));
-  // Plan-fallback flags: optional booleans, forwarded by fallback_plan().
-  const auto flag = [&json](const std::string& key, const std::string& use) {
-    if (!json.contains(key)) return false;
-    if (!json.at(key).is_bool()) {
-      throw std::invalid_argument("fleet request: \"" + key +
-                                  "\" must be a boolean (true makes the "
-                                  "multi-GPU plan fallback " + use + ")");
-    }
-    return json.at(key).as_bool();
-  };
-  request.comm_overlap = flag(
-      "comm_overlap",
-      "simulate collectives as overlap windows; omit it or pass false for "
-      "resident staging buffers");
-  request.refine_all = flag(
-      "refine_all",
-      "replay every ranked decomposition instead of the top-K");
-  request.tenant = json.get_string_or("tenant", "");
-  if (json.contains("what_if")) {
-    if (!json.at("what_if").is_array()) {
-      throw std::invalid_argument(
-          "fleet request: \"what_if\" must be an array of pools");
-    }
-    const util::JsonArray& added = json.at("what_if").as_array();
-    for (std::size_t i = 0; i < added.size(); ++i) {
-      request.what_if.push_back(GpuPool::from_json(
-          added[i], "fleet request what_if[" + std::to_string(i) + "]"));
-    }
-  }
-  return request;
+  return fields::parse(json, fleet_fields(), "fleet request");
 }
 
 util::Json FleetRequest::to_json() const {
-  util::Json json = util::Json::object();
-  util::Json job_array = util::Json::array();
-  for (const FleetJob& fleet_job : jobs) job_array.push_back(fleet_job.to_json());
-  json["jobs"] = std::move(job_array);
-  util::Json pool_array = util::Json::array();
-  for (const GpuPool& pool : pools) pool_array.push_back(pool.to_json());
-  json["pools"] = std::move(pool_array);
-  json["policy"] = util::Json(policy);
-  json["headroom"] = headroom.to_json();
-  json["estimator"] = util::Json(estimator);
-  json["allocator"] = util::Json(allocator);
-  if (!allocator_config.empty()) {
-    json["allocator_config"] = core::allocator_config_to_json(allocator_config);
-  }
-  json["profile_iterations"] = util::Json(profile_iterations);
-  json["max_gpus_per_job"] = util::Json(max_gpus_per_job);
-  // Emitted only when set so resident-mode documents round-trip unchanged.
-  if (comm_overlap) json["comm_overlap"] = util::Json(true);
-  if (refine_all) json["refine_all"] = util::Json(true);
-  if (!tenant.empty()) json["tenant"] = util::Json(tenant);
-  if (!what_if.empty()) {
-    util::Json added = util::Json::array();
-    for (const GpuPool& pool : what_if) added.push_back(pool.to_json());
-    json["what_if"] = std::move(added);
-  }
-  return json;
+  return fields::write(fleet_fields(), *this);
 }
 
 util::Json JobVerdict::to_json() const {
@@ -471,14 +382,9 @@ struct FleetPlanner::Impl {
   }
 
   static void validate(const FleetRequest& request) {
-    if (request.jobs.empty()) {
-      throw std::invalid_argument(
-          "fleet request: \"jobs\" must be a non-empty array");
-    }
-    if (request.pools.empty()) {
-      throw std::invalid_argument(
-          "fleet request: \"pools\" must be a non-empty array");
-    }
+    // Types and ranges: the JSON path's own field-list checks, so C++
+    // callers get the same messages as documents.
+    FleetRequest::from_json(request.to_json());
     std::set<std::string> ids;
     for (std::size_t i = 0; i < request.jobs.size(); ++i) {
       const FleetJob& fleet_job = request.jobs[i];
@@ -490,10 +396,6 @@ struct FleetPlanner::Impl {
                   "fleet request jobs[" + std::to_string(i) + "]");
     }
     auto check_pool = [](const GpuPool& gpu_pool) {
-      if (gpu_pool.count <= 0) {
-        throw std::invalid_argument("fleet request: pool \"count\" must be "
-                                    "> 0");
-      }
       if (gpu_pool.device.job_budget() <= 0) {
         throw std::invalid_argument("fleet request: device '" +
                                     gpu_pool.device.name +
@@ -533,14 +435,6 @@ struct FleetPlanner::Impl {
                                   request.allocator + "'");
     }
     core::validate_allocator_config(request.allocator_config, "fleet request");
-    if (request.profile_iterations <= 0) {
-      throw std::invalid_argument(
-          "fleet request: \"profile_iterations\" must be > 0");
-    }
-    if (request.max_gpus_per_job < 1) {
-      throw std::invalid_argument(
-          "fleet request: \"max_gpus_per_job\" must be >= 1");
-    }
   }
 
   /// Distinct device models across the given pool lists, sorted by name.

@@ -51,11 +51,16 @@
 // JSON).
 // `request`: 0 on an ok reply, 2 when the server answered with an error
 // frame (code + message on stderr), 1 on usage/transport error.
+#include <cctype>
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -155,134 +160,87 @@ struct Cli {
   std::size_t max_frame = server::kDefaultMaxFrameBytes;
 };
 
+/// Parse a numeric flag's value strictly: decimal digits only (no sign,
+/// space or trailing characters), at most the field type's maximum.
+template <typename N>
+bool parse_count(const char* flag, const char* text, N& out) {
+  const std::uint64_t max = std::numeric_limits<N>::max();
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || value > max) {
+    std::fprintf(stderr, "%s: expects an integer in 0..%llu, got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    return false;
+  }
+  out = static_cast<N>(value);
+  return true;
+}
+
 bool parse_args(int argc, char** argv, Cli& cli) {
   if (argc < 2) return false;
   cli.command = argv[1];
+  const std::map<std::string, bool*> switches = {
+      {"--pos0", &cli.pos0},
+      {"--json", &cli.json},
+      {"--curve", &cli.curve},
+      {"--no-timings", &cli.no_timings},
+      {"--serial", &cli.serial},
+      {"--no-refine", &cli.no_refine},
+      {"--refine-all", &cli.refine_all},
+      {"--comm-overlap", &cli.comm_overlap},
+      {"--stats", &cli.stats},
+      {"--ping", &cli.ping},
+      {"--shutdown", &cli.shutdown},
+      {"--reject-over-quota", &cli.reject_over_quota},
+  };
+  using Setter = std::function<bool(const char* flag, const char* value)>;
+  const auto text = [](std::string& field) -> Setter {
+    return [&field](const char*, const char* value) {
+      field = value;
+      return true;
+    };
+  };
+  const auto count = [](auto& field) -> Setter {
+    return [&field](const char* flag, const char* value) {
+      return parse_count(flag, value, field);
+    };
+  };
+  const std::map<std::string, Setter> valued = {
+      {"--model", text(cli.model)},
+      {"--batch", count(cli.batch)},
+      {"--optimizer", text(cli.optimizer)},
+      {"--device", text(cli.device)},
+      {"--allocator", text(cli.allocator)},
+      {"--estimator", text(cli.estimator)},
+      {"--iterations", count(cli.iterations)},
+      {"--out", text(cli.out_file)},
+      {"--socket", text(cli.socket_path)},
+      {"--tenant", text(cli.tenant)},
+      {"--sweep", text(cli.sweep_file)},
+      {"--plan", text(cli.plan_file)},
+      {"--fleet", text(cli.fleet_file)},
+      {"--raw", text(cli.raw_file)},
+      {"--timeout", count(cli.timeout_ms)},
+      {"--workers", count(cli.workers)},
+      {"--queue", count(cli.queue)},
+      {"--service-threads", count(cli.service_threads)},
+      {"--profile-cache", count(cli.profile_cache)},
+      {"--tenant-quota", count(cli.tenant_quota)},
+      {"--max-frame", count(cli.max_frame)},
+      {"--refine-top-k", count(cli.refine_top_k)},
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> const char* {
+    if (const auto it = switches.find(arg); it != switches.end()) {
+      *it->second = true;
+    } else if (const auto setter = valued.find(arg); setter != valued.end()) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--model") {
-      const char* v = next("--model");
-      if (v == nullptr) return false;
-      cli.model = v;
-    } else if (arg == "--batch") {
-      const char* v = next("--batch");
-      if (v == nullptr) return false;
-      cli.batch = std::atoi(v);
-    } else if (arg == "--optimizer") {
-      const char* v = next("--optimizer");
-      if (v == nullptr) return false;
-      cli.optimizer = v;
-    } else if (arg == "--device") {
-      const char* v = next("--device");
-      if (v == nullptr) return false;
-      cli.device = v;
-    } else if (arg == "--allocator") {
-      const char* v = next("--allocator");
-      if (v == nullptr) return false;
-      cli.allocator = v;
-    } else if (arg == "--estimator") {
-      const char* v = next("--estimator");
-      if (v == nullptr) return false;
-      cli.estimator = v;
-    } else if (arg == "--iterations") {
-      const char* v = next("--iterations");
-      if (v == nullptr) return false;
-      cli.iterations = std::atoi(v);
-    } else if (arg == "--out") {
-      const char* v = next("--out");
-      if (v == nullptr) return false;
-      cli.out_file = v;
-    } else if (arg == "--pos0") {
-      cli.pos0 = true;
-    } else if (arg == "--json") {
-      cli.json = true;
-    } else if (arg == "--curve") {
-      cli.curve = true;
-    } else if (arg == "--no-timings") {
-      cli.no_timings = true;
-    } else if (arg == "--serial") {
-      cli.serial = true;
-    } else if (arg == "--no-refine") {
-      cli.no_refine = true;
-    } else if (arg == "--refine-all") {
-      cli.refine_all = true;
-    } else if (arg == "--comm-overlap") {
-      cli.comm_overlap = true;
-    } else if (arg == "--socket") {
-      const char* v = next("--socket");
-      if (v == nullptr) return false;
-      cli.socket_path = v;
-    } else if (arg == "--tenant") {
-      const char* v = next("--tenant");
-      if (v == nullptr) return false;
-      cli.tenant = v;
-    } else if (arg == "--sweep") {
-      const char* v = next("--sweep");
-      if (v == nullptr) return false;
-      cli.sweep_file = v;
-    } else if (arg == "--plan") {
-      const char* v = next("--plan");
-      if (v == nullptr) return false;
-      cli.plan_file = v;
-    } else if (arg == "--fleet") {
-      const char* v = next("--fleet");
-      if (v == nullptr) return false;
-      cli.fleet_file = v;
-    } else if (arg == "--raw") {
-      const char* v = next("--raw");
-      if (v == nullptr) return false;
-      cli.raw_file = v;
-    } else if (arg == "--stats") {
-      cli.stats = true;
-    } else if (arg == "--ping") {
-      cli.ping = true;
-    } else if (arg == "--shutdown") {
-      cli.shutdown = true;
-    } else if (arg == "--timeout") {
-      const char* v = next("--timeout");
-      if (v == nullptr) return false;
-      cli.timeout_ms = std::atoi(v);
-    } else if (arg == "--workers") {
-      const char* v = next("--workers");
-      if (v == nullptr) return false;
-      cli.workers = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--queue") {
-      const char* v = next("--queue");
-      if (v == nullptr) return false;
-      cli.queue = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--service-threads") {
-      const char* v = next("--service-threads");
-      if (v == nullptr) return false;
-      cli.service_threads = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--profile-cache") {
-      const char* v = next("--profile-cache");
-      if (v == nullptr) return false;
-      cli.profile_cache = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--tenant-quota") {
-      const char* v = next("--tenant-quota");
-      if (v == nullptr) return false;
-      cli.tenant_quota = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--reject-over-quota") {
-      cli.reject_over_quota = true;
-    } else if (arg == "--max-frame") {
-      const char* v = next("--max-frame");
-      if (v == nullptr) return false;
-      cli.max_frame = static_cast<std::size_t>(std::atol(v));
-    } else if (arg == "--refine-top-k") {
-      const char* v = next("--refine-top-k");
-      if (v == nullptr) return false;
-      cli.refine_top_k = std::atoi(v);
-      if (cli.refine_top_k < 0) {
-        std::fprintf(stderr, "--refine-top-k must be >= 0\n");
+        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
         return false;
       }
+      if (!setter->second(arg.c_str(), argv[++i])) return false;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;

@@ -6,14 +6,21 @@
 //     exit codes, so a codec rewrite could otherwise drift them silently;
 //   * to_json() of every fixture request, and of seeded random requests of
 //     every type, emits pinned bytes (the server's coalescing key) and
-//     round-trips: to_json(from_json(to_json(r))) == to_json(r).
+//     round-trips: to_json(from_json(to_json(r))) == to_json(r);
+//   * a wrong-typed value is rejected, never defaulted, and an integer is
+//     range-checked before it is narrowed, on the document and C++ paths;
+//   * the CLI parses numeric flags strictly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "core/estimation_service.h"
 #include "sched/fleet_planner.h"
@@ -80,17 +87,21 @@ TEST(RejectionPins, BadFixtures) {
       {"bad_refine.json", "plan"},
       {"bad_refine_all.json", "plan"},
       {"bad_unknown_estimator.json", "sweep"},
+      {"bad_wrapped_int.json", "sweep"},
+      {"bad_typed_field.json", "sweep"},
   };
   const std::vector<const char*> messages = {
       "cub-binned: malformed bin config: max_bin (5) must be >= min_bin (20)",
-      "fleet request pools[0]: \"count\" must be > 0",
+      "fleet request pools[0]: \"count\" must be >= 1",
       "fleet request jobs[0]: unknown model 'no-such-model'",
       "unexpected end of input at offset 47",
-      "request: \"devices\" must be a non-empty array",
-      "plan request: \"comm_overlap\" must be a boolean (true simulates collectives as schedule-tied overlap windows and re-ranks refined candidates by window-replayed peaks; omit it or pass false for resident staging buffers)",
+      "request: missing \"devices\"",
+      "plan request: \"comm_overlap\" must be a boolean",
       "plan request: \"refine_top_k\" must be >= 0",
       "plan request: \"refine_top_k\" must be an integer >= 0 or the string \"all\" (refine every ranked decomposition)",
       "sweep: unknown estimator 'warp-drive'",
+      "request job: \"batch\" must be <= 2147483647",
+      "request: \"profile_iterations\" must be an integer",
   };
   ASSERT_EQ(fixtures.size(), messages.size());
   for (std::size_t i = 0; i < fixtures.size(); ++i) {
@@ -105,15 +116,15 @@ TEST(RejectionPins, BadFixtures) {
 
 TEST(RejectionPins, Sweep) {
   expect_pins({
-      {"sweep", R"([])", "request: top level must be an object"},
-      {"sweep", R"({)" DEV R"(})", "Json::at: missing key 'job'"},
-      {"sweep", R"({"job": 5, )" DEV R"(})", "request job: missing \"model\""},
+      {"sweep", R"([])", "request: must be an object"},
+      {"sweep", R"({)" DEV R"(})", "request: missing \"job\""},
+      {"sweep", R"({"job": 5, )" DEV R"(})", "request: \"job\" must be an object"},
       {"sweep", R"({"job": {"batch": 5}, )" DEV R"(})",
        "request job: missing \"model\""},
       {"sweep", R"({"job": {"model": "distilgpt2"}, )" DEV R"(})",
-       "request job: \"batch\" must be > 0"},
+       "request job: missing \"batch\""},
       {"sweep", R"({"job": {"model": "distilgpt2", "batch": -3}, )" DEV R"(})",
-       "request job: \"batch\" must be > 0"},
+       "request job: \"batch\" must be >= 1"},
       {"sweep",
        R"({"job": {"model": "distilgpt2", "batch": 5, "optimizer": "Lion"}, )" DEV
        R"(})",
@@ -127,29 +138,29 @@ TEST(RejectionPins, Sweep) {
       {"sweep", R"({)" JOB R"(, "devices": []})",
        "request: \"devices\" must be a non-empty array"},
       {"sweep", R"({)" JOB R"(, "devices": [5]})",
-       "request devices: entries must be alias strings or device objects"},
+       "request: \"devices[0]\" must be an alias string or an object"},
       {"sweep", R"({)" JOB R"(, "devices": ["rtx9999"]})",
        "unknown device: rtx9999 (rtx3060 | rtx4060 | a100)"},
       {"sweep", R"({)" JOB R"(, "devices": [{"capacity_bytes": 100}]})",
-       "request device object: missing \"name\""},
+       "request devices[0]: missing \"name\""},
       {"sweep", R"({)" JOB R"(, "devices": [{"name": "mystery"}]})",
-       "request device object: unknown name 'mystery' needs an explicit \"capacity_bytes\" > 0"},
+       "request devices[0]: unknown device 'mystery' needs an explicit \"capacity_bytes\""},
       {"sweep", R"({)" JOB "," DEV R"(, "allocators": ["warp"]})",
        "sweep: unknown allocator 'warp'"},
       {"sweep", R"({)" JOB "," DEV R"(, "allocators": "pytorch"})",
-       "std::get: wrong index for variant"},
+       "request: \"allocators\" must be an array"},
       {"sweep", R"({)" JOB "," DEV R"(, "estimators": "xMem"})",
-       "std::get: wrong index for variant"},
+       "request: \"estimators\" must be an array"},
       {"sweep", R"({)" JOB "," DEV R"(, "curve": 1})",
-       "std::get: wrong index for variant"},
+       "request: \"curve\" must be a boolean"},
       {"sweep", R"({)" JOB "," DEV R"(, "allocator_config": 5})",
-       "request: \"allocator_config\" must be an object mapping backend name -> knob object"},
+       "request: \"allocator_config\" must be an object"},
       {"sweep", R"({)" JOB "," DEV R"(, "allocator_config": {"pytorch": 5}})",
-       "request: allocator_config.pytorch: backend knobs must be a JSON object of integer values"},
+       "request allocator_config.pytorch: backend knobs must be a JSON object of integer values"},
       {"sweep",
        R"({)" JOB "," DEV
        R"(, "allocator_config": {"cub-binned": {"min_bin": "3"}}})",
-       "request: allocator_config.cub-binned: knob 'min_bin' must be an integer (byte/count knobs only \xE2\x80\x94 no strings or fractions)"},
+       "request allocator_config.cub-binned: knob 'min_bin' must be an integer (byte/count knobs only \xE2\x80\x94 no strings or fractions)"},
       {"sweep",
        R"({)" JOB "," DEV R"(, "allocator_config": {"warp": {"x": 1}}})",
        "sweep: allocator_config names unknown backend 'warp'"},
@@ -158,7 +169,7 @@ TEST(RejectionPins, Sweep) {
 
 TEST(RejectionPins, Plan) {
   expect_pins({
-      {"plan", R"([])", "plan request: top level must be an object"},
+      {"plan", R"([])", "plan request: must be an object"},
       {"plan", R"({)" JOB R"(, "devices": []})",
        "plan request: \"devices\" must be a non-empty array"},
       {"plan", R"({)" JOB "," DEV R"(, "max_gpus": 0})",
@@ -172,15 +183,15 @@ TEST(RejectionPins, Plan) {
       {"plan", R"({)" JOB "," DEV R"(, "schedule": "zigzag"})",
        "unknown pipeline schedule 'zigzag' (1f1b | interleaved)"},
       {"plan", R"({)" JOB "," DEV R"(, "zero_stage": 5})",
-       "zero_stage must be 0..3, got 5"},
+       "plan request: \"zero_stage\" must be <= 3"},
       {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_bytes": -1})",
        "plan request: \"ddp_bucket_bytes\" must be >= 0"},
       {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_count": -1})",
        "plan request: \"ddp_bucket_count\" must be >= 0"},
       {"plan", R"({)" JOB "," DEV R"(, "activation_replication_pct": 101})",
-       "plan request: \"activation_replication_pct\" must be 0..100"},
+       "plan request: \"activation_replication_pct\" must be <= 100"},
       {"plan", R"({)" JOB "," DEV R"(, "activation_replication_pct": -1})",
-       "plan request: \"activation_replication_pct\" must be 0..100"},
+       "plan request: \"activation_replication_pct\" must be >= 0"},
       {"plan", R"({)" JOB "," DEV R"(, "profile_iterations": 0})",
        "plan request: \"profile_iterations\" must be >= 1"},
       {"plan", R"({)" JOB "," DEV R"(, "max_candidates": -1})",
@@ -190,11 +201,11 @@ TEST(RejectionPins, Plan) {
       {"plan", R"({)" JOB "," DEV R"(, "refine_top_k": "most"})",
        "plan request: \"refine_top_k\" must be an integer >= 0 or the string \"all\" (refine every ranked decomposition)"},
       {"plan", R"({)" JOB "," DEV R"(, "comm_overlap": 1})",
-       "plan request: \"comm_overlap\" must be a boolean (true simulates collectives as schedule-tied overlap windows and re-ranks refined candidates by window-replayed peaks; omit it or pass false for resident staging buffers)"},
+       "plan request: \"comm_overlap\" must be a boolean"},
       {"plan", R"({)" JOB "," DEV R"(, "allocator": "warp"})",
        "plan: unknown allocator 'warp'"},
       {"plan", R"({)" JOB "," DEV R"(, "allocator_config": []})",
-       "plan request: \"allocator_config\" must be an object mapping backend name -> knob object"},
+       "plan request: \"allocator_config\" must be an object"},
       {"plan", R"({"job": {"model": "no-such-model", "batch": 5}, )" DEV R"(})",
        "plan: unknown model 'no-such-model'"},
   });
@@ -205,38 +216,38 @@ TEST(RejectionPins, Plan) {
 
 TEST(RejectionPins, Fleet) {
   expect_pins({
-      {"fleet", R"([])", "fleet request: top level must be an object"},
+      {"fleet", R"([])", "fleet request: must be an object"},
       {"fleet", R"({)" POOLS R"(})",
-       "fleet request: \"jobs\" must be a non-empty array"},
+       "fleet request: missing \"jobs\""},
       {"fleet", R"({"jobs": [], )" POOLS R"(})",
        "fleet request: \"jobs\" must be a non-empty array"},
       {"fleet", R"({"jobs": {}, )" POOLS R"(})",
        "fleet request: \"jobs\" must be a non-empty array"},
       {"fleet", R"({)" JOBS R"(})",
-       "fleet request: \"pools\" must be a non-empty array"},
+       "fleet request: missing \"pools\""},
       {"fleet", R"({)" JOBS R"(, "pools": []})",
        "fleet request: \"pools\" must be a non-empty array"},
       {"fleet", R"({"jobs": [5], )" POOLS R"(})",
-       "fleet request jobs[0]: entries must be objects"},
+       "fleet request jobs[0]: must be an object"},
       {"fleet", R"({"jobs": [{"id": "a"}], )" POOLS R"(})",
-       "fleet request jobs[0]: missing \"job\" object"},
+       "fleet request jobs[0]: missing \"job\""},
       {"fleet", R"({"jobs": [{"job": {"batch": 5}}], )" POOLS R"(})",
-       "request job: missing \"model\""},
+       "fleet request jobs[0] job: missing \"model\""},
       {"fleet",
        R"({"jobs": [{"job": {"model": "distilgpt2", "batch": 0}}], )" POOLS
        R"(})",
-       "request job: \"batch\" must be > 0"},
+       "fleet request jobs[0] job: \"batch\" must be >= 1"},
       {"fleet",
        R"({"jobs": [{"id": "a", "job": {"model": "distilgpt2", "batch": 5}},
                     {"id": "a", "job": {"model": "gpt2", "batch": 5}}], )" POOLS
        R"(})",
        "fleet request: duplicate job id 'a'"},
       {"fleet", R"({)" JOBS R"(, "pools": [5]})",
-       "fleet request pools[0]: pool entries must be objects"},
+       "fleet request: \"pools[0]\" must be an object"},
       {"fleet", R"({)" JOBS R"(, "pools": [{"count": 1}]})",
        "fleet request pools[0]: missing \"device\""},
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx3060"}]})",
-       "fleet request pools[0]: \"count\" must be > 0"},
+       "fleet request pools[0]: missing \"count\""},
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx9999", "count": 1}]})",
        "unknown device: rtx9999 (rtx3060 | rtx4060 | a100)"},
       {"fleet",
@@ -250,29 +261,29 @@ TEST(RejectionPins, Fleet) {
                    "count": 1}]})",
        "fleet request: device name 'GeForce RTX 3060' appears with conflicting geometry"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": 5})",
-       "fleet request: headroom rules must be objects"},
+       "fleet request: \"headroom\" must be an object"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"absolute_bytes": -1}})",
-       "fleet request: headroom \"absolute_bytes\" must be >= 0"},
+       "fleet request headroom: \"absolute_bytes\" must be >= 0"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"percent": -1}})",
-       "fleet request: headroom \"percent\" must be >= 0"},
+       "fleet request headroom: \"percent\" must be >= 0"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"per_device": 5}})",
-       "fleet request: headroom \"per_device\" must be an object keyed by device name"},
+       "fleet request headroom: \"per_device\" must be an object"},
       {"fleet",
        R"({)" JOBS "," POOLS R"(, "headroom": {"per_device": {"rtx3060": 5}}})",
-       "fleet request: headroom per_device.rtx3060: headroom rules must be objects"},
+       "fleet request headroom: \"per_device.rtx3060\" must be an object"},
       {"fleet",
        R"({)" JOBS "," POOLS
        R"(, "headroom": {"per_device": {"rtx3060": {"percent": -1}}}})",
-       "fleet request: headroom per_device.rtx3060: headroom \"percent\" must be >= 0"},
+       "fleet request headroom per_device.rtx3060: \"percent\" must be >= 0"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "what_if": 5})",
-       "fleet request: \"what_if\" must be an array of pools"},
+       "fleet request: \"what_if\" must be an array"},
       {"fleet",
        R"({)" JOBS "," POOLS R"(, "what_if": [{"device": "a100", "count": 0}]})",
-       "fleet request what_if[0]: \"count\" must be > 0"},
+       "fleet request what_if[0]: \"count\" must be >= 1"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "comm_overlap": "yes"})",
-       "fleet request: \"comm_overlap\" must be a boolean (true makes the multi-GPU plan fallback simulate collectives as overlap windows; omit it or pass false for resident staging buffers)"},
+       "fleet request: \"comm_overlap\" must be a boolean"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "refine_all": 1})",
-       "fleet request: \"refine_all\" must be a boolean (true makes the multi-GPU plan fallback replay every ranked decomposition instead of the top-K)"},
+       "fleet request: \"refine_all\" must be a boolean"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "estimator": "warp"})",
        "fleet request: unknown estimator 'warp' (known: DNNMem, LLMem, SchedTune, xMem, xMem-noOrch)"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "policy": "warp"})",
@@ -280,15 +291,176 @@ TEST(RejectionPins, Fleet) {
       {"fleet", R"({)" JOBS "," POOLS R"(, "allocator": "warp"})",
        "fleet request: unknown allocator 'warp'"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "allocator_config": 5})",
-       "fleet request: \"allocator_config\" must be an object mapping backend name -> knob object"},
+       "fleet request: \"allocator_config\" must be an object"},
       {"fleet",
        R"({)" JOBS "," POOLS R"(, "allocator_config": {"warp": {"x": 1}}})",
        "fleet request: allocator_config names unknown backend 'warp'"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "profile_iterations": 0})",
-       "fleet request: \"profile_iterations\" must be > 0"},
+       "fleet request: \"profile_iterations\" must be >= 1"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 0})",
        "fleet request: \"max_gpus_per_job\" must be >= 1"},
   });
+}
+
+// ---------- wrong types and wide integers ----------
+
+TEST(RequestTypes, WrongTypedValuesAreRejectedNotDefaulted) {
+  // One field per JSON type a request field can expect.
+  expect_pins({
+      {"sweep",
+       R"({"job": {"model": "distilgpt2", "batch": "5"}, )" DEV R"(})",
+       "request job: \"batch\" must be an integer"},
+      {"sweep", R"({"job": {"model": "distilgpt2", "batch": 5.0}, )" DEV R"(})",
+       "request job: \"batch\" must be an integer"},
+      {"sweep", R"({"job": {"model": 7, "batch": 5}, )" DEV R"(})",
+       "request job: \"model\" must be a string"},
+      {"sweep", R"({)" JOB "," DEV R"(, "curve": "true"})",
+       "request: \"curve\" must be a boolean"},
+      {"sweep", R"({)" JOB "," DEV R"(, "estimators": {"xMem": 1}})",
+       "request: \"estimators\" must be an array"},
+      {"sweep", R"({)" JOB "," DEV R"(, "allocators": ["pytorch", 5]})",
+       "request: \"allocators[1]\" must be a string"},
+      {"sweep", R"({"job": [], )" DEV R"(})",
+       "request: \"job\" must be an object"},
+      {"sweep", R"({)" JOB "," DEV R"(, "tenant": 3})",
+       "request: \"tenant\" must be a string"},
+      {"plan", R"({)" JOB "," DEV R"(, "max_gpus": "2"})",
+       "plan request: \"max_gpus\" must be an integer"},
+      {"plan", R"({)" JOB "," DEV R"(, "allocator": 5})",
+       "plan request: \"allocator\" must be a string"},
+      {"plan", R"({)" JOB "," DEV R"(, "schedule": 1})",
+       "plan request: \"schedule\" must be a string"},
+      {"fleet", R"({)" JOBS "," POOLS R"(, "policy": ["first-fit"]})",
+       "fleet request: \"policy\" must be a string"},
+      {"fleet",
+       R"({"jobs": [{"id": 7, "job": {"model": "distilgpt2", "batch": 5}}], )"
+       POOLS R"(})",
+       "fleet request jobs[0]: \"id\" must be a string"},
+      {"fleet",
+       R"({)" JOBS R"(, "pools": [{"device": "rtx3060", "count": "2"}]})",
+       "fleet request pools[0]: \"count\" must be an integer"},
+      {"fleet",
+       R"({)" JOBS R"(, "pools": [{"device": {"name": "rtx3060",
+                  "m_init_bytes": "1"}, "count": 2}]})",
+       "fleet request pools[0] device: \"m_init_bytes\" must be an integer"},
+  });
+}
+
+TEST(RequestTypes, IntegersAreRangeCheckedBeforeNarrowing) {
+  expect_pins({
+      {"sweep",
+       R"({"job": {"model": "distilgpt2", "batch": 4294967300}, )" DEV R"(})",
+       "request job: \"batch\" must be <= 2147483647"},
+      {"sweep", R"({)" JOB "," DEV R"(, "profile_iterations": 0})",
+       "request: \"profile_iterations\" must be >= 1"},
+      {"plan",
+       R"({)" JOB "," DEV R"(, "activation_replication_pct": 4294967346})",
+       "plan request: \"activation_replication_pct\" must be <= 100"},
+      {"plan", R"({)" JOB "," DEV R"(, "zero_stage": 4294967297})",
+       "plan request: \"zero_stage\" must be <= 3"},
+      {"fleet",
+       R"({"jobs": [{"priority": 4294967297,
+                     "job": {"model": "distilgpt2", "batch": 5}}], )" POOLS
+       R"(})",
+       "fleet request jobs[0]: \"priority\" must be <= 2147483647"},
+      {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 4294967297})",
+       "fleet request: \"max_gpus_per_job\" must be <= 2147483647"},
+      {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"percent": 4294967296}})",
+       "fleet request headroom: \"percent\" must be <= 2147483647"},
+  });
+}
+
+TEST(RequestTypes, SeedAcceptsAnyJsonInteger) {
+  // Derived uint64 seeds emit as negative int64 and must read back.
+  for (const std::int64_t seed : {std::int64_t{-1},
+                                  std::numeric_limits<std::int64_t>::min(),
+                                  std::numeric_limits<std::int64_t>::max()}) {
+    const std::string document =
+        R"({"job": {"model": "distilgpt2", "batch": 5, "seed": )" +
+        std::to_string(seed) + R"(}, "devices": ["rtx3060"]})";
+    const core::EstimateRequest request =
+        core::EstimateRequest::from_json(util::Json::parse(document));
+    EXPECT_EQ(request.job.seed, static_cast<std::uint64_t>(seed));
+    EXPECT_EQ(request.to_json().at("job").at("seed").as_int(), seed);
+  }
+}
+
+TEST(RequestTypes, CxxFleetRequestsGetTheDocumentMessages) {
+  // FleetPlanner::validate checks a C++-built request with the same field
+  // list as the JSON path, so both report a bad value the same way.
+  const auto pack_error = [](const sched::FleetRequest& request) {
+    core::ServiceOptions options;
+    options.threads = 1;
+    core::EstimationService service(options);
+    try {
+      service.fleet(request);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  sched::FleetRequest request;
+  request.jobs.resize(1);
+  request.jobs[0].id = "a";
+  request.jobs[0].job.model_name = "distilgpt2";
+  request.jobs[0].job.batch_size = 5;
+  request.pools = {{gpu::rtx3060(), 1}};
+  request.max_gpus_per_job = 0;
+  EXPECT_EQ(pack_error(request),
+            "fleet request: \"max_gpus_per_job\" must be >= 1");
+  request.max_gpus_per_job = 1;
+  request.headroom.per_device["GeForce RTX 3060"].percent = -5;
+  EXPECT_EQ(pack_error(request),
+            "fleet request headroom per_device.GeForce RTX 3060: \"percent\" "
+            "must be >= 0");
+  request.headroom.per_device.clear();
+  request.what_if = {{gpu::a100_40gb(), 0}};
+  EXPECT_EQ(pack_error(request),
+            "fleet request what_if[0]: \"count\" must be >= 1");
+}
+
+// ---------- CLI numeric flags ----------
+
+/// Run the CLI with `args`; returns its exit status, stderr in `err`.
+int run_cli(const std::string& args, std::string& err) {
+  const std::string command =
+      std::string(XMEM_CLI) + " " + args + " 2>&1 >/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  err.clear();
+  char buffer[256];
+  while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) err += buffer;
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(CliFlags, NumericFlagsAreParsedStrictly) {
+  // Each bad value fails in argument parsing, before any command runs:
+  // `serve` gets no --socket, so no daemon could start even if it passed.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"estimate --model gpt2 --batch 8x", "--batch"},
+      {"estimate --model gpt2 --batch 4294967300", "--batch"},
+      {"estimate --model gpt2 --batch 10 --iterations -3", "--iterations"},
+      {"serve --workers -1", "--workers"},
+      {"serve --service-threads -1", "--service-threads"},
+      {"serve --queue 99999999999999999999999", "--queue"},
+      {"serve --profile-cache ' 4'", "--profile-cache"},
+      {"serve --max-frame +16", "--max-frame"},
+      {"request --ping --timeout 1e3", "--timeout"},
+      {"plan req.json --refine-top-k -1", "--refine-top-k"},
+  };
+  for (const auto& [args, flag] : bad) {
+    std::string err;
+    EXPECT_EQ(run_cli(args, err), 1) << args;
+    EXPECT_NE(err.find(flag + ": expects an integer in 0.."),
+              std::string::npos)
+        << args << "\n" << err;
+  }
+  std::string err;
+  EXPECT_EQ(run_cli("estimate --model distilgpt2 --batch 2 --iterations 2",
+                    err),
+            0)
+      << err;
 }
 
 // ---------- pinned request bytes ----------
