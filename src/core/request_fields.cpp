@@ -5,14 +5,17 @@
 namespace xmem::core::fields {
 
 void At::fail(const std::string& what) const {
-  throw std::invalid_argument(context + ": \"" + key + "\" " + what);
+  throw std::invalid_argument(std::string(context) + ": \"" +
+                              std::string(key) + "\" " + what);
+}
+
+std::string read_text(const util::Json& value, const At& at) {
+  if (!value.is_string()) at.fail("must be a string");
+  return value.as_string();
 }
 
 Codec<std::string> text() {
-  return {[](const util::Json& value, const At& at) {
-            if (!value.is_string()) at.fail("must be a string");
-            return value.as_string();
-          },
+  return {read_text,
           [](const std::string& value) { return util::Json(value); }};
 }
 

@@ -26,6 +26,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "alloc/backend_registry.h"
@@ -36,15 +37,18 @@
 namespace xmem::core::fields {
 
 /// Where a value sits in its document, for error messages.
+/// Views into strings that outlive the read it is passed to.
 struct At {
-  std::string context;
-  std::string key;
+  std::string_view context;
+  std::string_view key;
   std::size_t index = 0;  ///< position of an array entry
 
   /// Throws std::invalid_argument: `<context>: "<key>" <what>`.
   [[noreturn]] void fail(const std::string& what) const;
   /// The context of a nested object.
-  std::string inside() const { return context + " " + key; }
+  std::string inside() const {
+    return std::string(context) + " " + std::string(key);
+  }
 };
 
 /// How one member type reads from, and writes to, a JSON value.
@@ -139,6 +143,7 @@ Field<T> required(Field<T> field) {
 
 // --- codecs ----------------------------------------------------------------
 
+std::string read_text(const util::Json& value, const At& at);
 Codec<std::string> text();
 Codec<bool> boolean();
 
@@ -172,7 +177,7 @@ Codec<M> integer(
 template <typename E>
 Codec<E> named(E (*parse_name)(const std::string&)) {
   return {[parse_name](const util::Json& value, const At& at) {
-            return parse_name(text().read(value, at));
+            return parse_name(read_text(value, at));
           },
           [](const E& value) { return util::Json(to_string(value)); }};
 }
@@ -196,9 +201,9 @@ Codec<std::vector<S>> array(Codec<S> entry, bool non_empty = false) {
             std::vector<S> entries;
             for (const util::Json& item : value.as_array()) {
               const std::size_t i = entries.size();
-              entries.push_back(entry.read(
-                  item,
-                  At{at.context, at.key + "[" + std::to_string(i) + "]", i}));
+              const std::string key =
+                  std::string(at.key) + "[" + std::to_string(i) + "]";
+              entries.push_back(entry.read(item, At{at.context, key, i}));
             }
             return entries;
           },
@@ -216,7 +221,8 @@ Codec<std::map<std::string, S>> map(Codec<S> entry) {
             if (!value.is_object()) at.fail("must be an object");
             std::map<std::string, S> entries;
             for (const auto& [name, item] : value.as_object()) {
-              entries[name] = entry.read(item, At{at.context, at.key + "." + name});
+              const std::string key = std::string(at.key) + "." + name;
+              entries[name] = entry.read(item, At{at.context, key});
             }
             return entries;
           },
