@@ -78,7 +78,9 @@ const List<gpu::DeviceModel>& device_fields() {
 
 Codec<gpu::DeviceModel> device() {
   return {[](const util::Json& value, const At& at) {
-            if (value.is_string()) return gpu::device_by_name(value.as_string());
+            if (value.is_string()) {
+              return gpu::device_by_name(value.as_string());
+            }
             if (!value.is_object()) {
               at.fail("must be an alias string or an object");
             }

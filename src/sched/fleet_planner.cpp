@@ -68,22 +68,6 @@ struct ScopedRequest : FleetRequest {
   std::string scope;
 };
 
-}  // namespace
-
-const char* to_string(Verdict verdict) {
-  switch (verdict) {
-    case Verdict::kAdmit:
-      return "admit";
-    case Verdict::kDefer:
-      return "defer";
-    case Verdict::kReject:
-      return "reject";
-  }
-  return "reject";
-}
-
-namespace {
-
 namespace fields = core::fields;
 using fields::field;
 using fields::integer;
@@ -136,6 +120,9 @@ const fields::List<FleetRequest>& fleet_fields() {
           "jobs", &R::jobs,
           fields::array(fields::Codec<FleetJob>{
                             [](const util::Json& value, const fields::At& at) {
+                              if (!value.is_object()) {
+                                at.fail("must be an object");
+                              }
                               return FleetJob::from_json(value, at.index);
                             },
                             [](const FleetJob& job) { return job.to_json(); }},
@@ -157,13 +144,25 @@ const fields::List<FleetRequest>& fleet_fields() {
       field("refine_all", &R::refine_all, fields::boolean(),
             Emit::kUnlessDefault),
       field("tenant", &R::tenant, fields::text(), Emit::kUnlessDefault),
-      field("what_if", &R::what_if, fields::array(fields::object(pool_fields())),
-            Emit::kUnlessDefault),
+      field("what_if", &R::what_if,
+            fields::array(fields::object(pool_fields())), Emit::kUnlessDefault),
   };
   return list;
 }
 
 }  // namespace
+
+const char* to_string(Verdict verdict) {
+  switch (verdict) {
+    case Verdict::kAdmit:
+      return "admit";
+    case Verdict::kDefer:
+      return "defer";
+    case Verdict::kReject:
+      return "reject";
+  }
+  return "reject";
+}
 
 FleetJob FleetJob::from_json(const util::Json& json, std::size_t index) {
   FleetJob fleet_job;
@@ -182,7 +181,9 @@ GpuPool GpuPool::from_json(const util::Json& json,
   return fields::parse(json, pool_fields(), context);
 }
 
-util::Json GpuPool::to_json() const { return fields::write(pool_fields(), *this); }
+util::Json GpuPool::to_json() const {
+  return fields::write(pool_fields(), *this);
+}
 
 std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
                                        std::int64_t predicted_peak) const {

@@ -228,7 +228,7 @@ TEST(RejectionPins, Fleet) {
       {"fleet", R"({)" JOBS R"(, "pools": []})",
        "fleet request: \"pools\" must be a non-empty array"},
       {"fleet", R"({"jobs": [5], )" POOLS R"(})",
-       "fleet request jobs[0]: must be an object"},
+       "fleet request: \"jobs[0]\" must be an object"},
       {"fleet", R"({"jobs": [{"id": "a"}], )" POOLS R"(})",
        "fleet request jobs[0]: missing \"job\""},
       {"fleet", R"({"jobs": [{"job": {"batch": 5}}], )" POOLS R"(})",
@@ -466,15 +466,21 @@ TEST(CliFlags, NumericFlagsAreParsedStrictly) {
 // ---------- pinned request bytes ----------
 
 TEST(RequestBytes, FixtureRequestsEmitPinnedBytes) {
-  const util::Json sweep = util::Json::parse(read_fixture("sweep_request.json"));
+  const util::Json sweep =
+      util::Json::parse(read_fixture("sweep_request.json"));
   const util::Json plan = util::Json::parse(read_fixture("plan_request.json"));
   const util::Json overlap =
       util::Json::parse(read_fixture("plan_request_overlap.json"));
-  const util::Json fleet = util::Json::parse(read_fixture("fleet_request.json"));
-  EXPECT_EQ(core::EstimateRequest::from_json(sweep).to_json().dump(), "{\"allocator_config\":{\"cub-binned\":{\"bin_growth\":4,\"max_bin\":12,\"max_cached_bytes\":200000000,\"min_bin\":3},\"pytorch-expandable\":{\"max_split_size_bytes\":8388608},\"stream-pool\":{\"chunk_bytes\":8388608,\"release_threshold_bytes\":0}},\"allocators\":[\"pytorch\",\"tf-bfc\",\"basic-bfc\",\"cub-binned\",\"stream-pool\",\"pytorch-expandable\"],\"curve\":false,\"devices\":[{\"capacity_bytes\":12884901888,\"m_fm_bytes\":612368384,\"m_init_bytes\":310378496,\"name\":\"GeForce RTX 3060\"},{\"capacity_bytes\":8589934592,\"m_fm_bytes\":612368384,\"m_init_bytes\":278921216,\"name\":\"GeForce RTX 4060\"},{\"capacity_bytes\":42949672960,\"m_fm_bytes\":692060160,\"m_init_bytes\":440401920,\"name\":\"NVIDIA A100 40GB\"},{\"capacity_bytes\":25769803776,\"m_fm_bytes\":629145600,\"m_init_bytes\":314572800,\"name\":\"Custom-24GB\"}],\"estimators\":[\"xMem\",\"DNNMem\",\"LLMem\"],\"job\":{\"batch\":5,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"profile_iterations\":3}");
-  EXPECT_EQ(core::PlanRequest::from_json(plan).to_json().dump(), "{\"activation_replication_pct\":25,\"allocator\":\"pytorch\",\"ddp_bucket_bytes\":26214400,\"ddp_bucket_count\":2,\"devices\":[{\"capacity_bytes\":12884901888,\"m_fm_bytes\":612368384,\"m_init_bytes\":310378496,\"name\":\"GeForce RTX 3060\"},{\"capacity_bytes\":8589934592,\"m_fm_bytes\":612368384,\"m_init_bytes\":278921216,\"name\":\"GeForce RTX 4060\"},{\"capacity_bytes\":42949672960,\"m_fm_bytes\":692060160,\"m_init_bytes\":440401920,\"name\":\"NVIDIA A100 40GB\"},{\"capacity_bytes\":2000000000,\"m_fm_bytes\":0,\"m_init_bytes\":0,\"name\":\"whatif-2g\"}],\"job\":{\"batch\":5,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"max_candidates\":6,\"max_gpus\":8,\"micro_batches\":4,\"profile_iterations\":3,\"refine_top_k\":3,\"schedule\":\"1f1b\",\"virtual_stages\":1,\"zero_stage\":1}");
-  EXPECT_EQ(core::PlanRequest::from_json(overlap).to_json().dump(), "{\"activation_replication_pct\":25,\"allocator\":\"pytorch\",\"comm_overlap\":true,\"ddp_bucket_bytes\":26214400,\"ddp_bucket_count\":2,\"devices\":[{\"capacity_bytes\":12884901888,\"m_fm_bytes\":612368384,\"m_init_bytes\":310378496,\"name\":\"GeForce RTX 3060\"},{\"capacity_bytes\":8589934592,\"m_fm_bytes\":612368384,\"m_init_bytes\":278921216,\"name\":\"GeForce RTX 4060\"},{\"capacity_bytes\":42949672960,\"m_fm_bytes\":692060160,\"m_init_bytes\":440401920,\"name\":\"NVIDIA A100 40GB\"},{\"capacity_bytes\":2000000000,\"m_fm_bytes\":0,\"m_init_bytes\":0,\"name\":\"whatif-2g\"}],\"job\":{\"batch\":5,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"max_candidates\":6,\"max_gpus\":8,\"micro_batches\":4,\"profile_iterations\":3,\"refine_top_k\":3,\"schedule\":\"1f1b\",\"virtual_stages\":1,\"zero_stage\":1}");
-  EXPECT_EQ(sched::FleetRequest::from_json(fleet).to_json().dump(), "{\"allocator\":\"pytorch\",\"estimator\":\"xMem\",\"headroom\":{\"absolute_bytes\":0,\"percent\":5},\"jobs\":[{\"id\":\"llm-a\",\"job\":{\"batch\":10,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"priority\":1},{\"id\":\"llm-b\",\"job\":{\"batch\":10,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"priority\":0},{\"id\":\"llm-c\",\"job\":{\"batch\":10,\"model\":\"distilgpt2\",\"optimizer\":\"AdamW\",\"placement\":\"POS1\",\"seed\":7},\"priority\":0},{\"id\":\"cnn-a\",\"job\":{\"batch\":300,\"model\":\"MobileNetV2\",\"optimizer\":\"SGD\",\"placement\":\"POS1\",\"seed\":7},\"priority\":0},{\"id\":\"cnn-b\",\"job\":{\"batch\":300,\"model\":\"MobileNetV2\",\"optimizer\":\"SGD\",\"placement\":\"POS1\",\"seed\":7},\"priority\":0},{\"id\":\"cnn-c\",\"job\":{\"batch\":300,\"model\":\"MobileNetV2\",\"optimizer\":\"SGD\",\"placement\":\"POS1\",\"seed\":7},\"priority\":0}],\"max_gpus_per_job\":1,\"policy\":\"best-fit-decreasing\",\"pools\":[{\"count\":1,\"device\":{\"capacity_bytes\":12884901888,\"m_fm_bytes\":612368384,\"m_init_bytes\":310378496,\"name\":\"GeForce RTX 3060\"}}],\"profile_iterations\":3,\"what_if\":[{\"count\":2,\"device\":{\"capacity_bytes\":8589934592,\"m_fm_bytes\":612368384,\"m_init_bytes\":278921216,\"name\":\"GeForce RTX 4060\"}}]}");
+  const util::Json fleet =
+      util::Json::parse(read_fixture("fleet_request.json"));
+  EXPECT_EQ(core::EstimateRequest::from_json(sweep).to_json().dump(),
+            R"({"allocator_config":{"cub-binned":{"bin_growth":4,"max_bin":12,"max_cached_bytes":200000000,"min_bin":3},"pytorch-expandable":{"max_split_size_bytes":8388608},"stream-pool":{"chunk_bytes":8388608,"release_threshold_bytes":0}},"allocators":["pytorch","tf-bfc","basic-bfc","cub-binned","stream-pool","pytorch-expandable"],"curve":false,"devices":[{"capacity_bytes":12884901888,"m_fm_bytes":612368384,"m_init_bytes":310378496,"name":"GeForce RTX 3060"},{"capacity_bytes":8589934592,"m_fm_bytes":612368384,"m_init_bytes":278921216,"name":"GeForce RTX 4060"},{"capacity_bytes":42949672960,"m_fm_bytes":692060160,"m_init_bytes":440401920,"name":"NVIDIA A100 40GB"},{"capacity_bytes":25769803776,"m_fm_bytes":629145600,"m_init_bytes":314572800,"name":"Custom-24GB"}],"estimators":["xMem","DNNMem","LLMem"],"job":{"batch":5,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"profile_iterations":3})");
+  EXPECT_EQ(core::PlanRequest::from_json(plan).to_json().dump(),
+            R"({"activation_replication_pct":25,"allocator":"pytorch","ddp_bucket_bytes":26214400,"ddp_bucket_count":2,"devices":[{"capacity_bytes":12884901888,"m_fm_bytes":612368384,"m_init_bytes":310378496,"name":"GeForce RTX 3060"},{"capacity_bytes":8589934592,"m_fm_bytes":612368384,"m_init_bytes":278921216,"name":"GeForce RTX 4060"},{"capacity_bytes":42949672960,"m_fm_bytes":692060160,"m_init_bytes":440401920,"name":"NVIDIA A100 40GB"},{"capacity_bytes":2000000000,"m_fm_bytes":0,"m_init_bytes":0,"name":"whatif-2g"}],"job":{"batch":5,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"max_candidates":6,"max_gpus":8,"micro_batches":4,"profile_iterations":3,"refine_top_k":3,"schedule":"1f1b","virtual_stages":1,"zero_stage":1})");
+  EXPECT_EQ(core::PlanRequest::from_json(overlap).to_json().dump(),
+            R"({"activation_replication_pct":25,"allocator":"pytorch","comm_overlap":true,"ddp_bucket_bytes":26214400,"ddp_bucket_count":2,"devices":[{"capacity_bytes":12884901888,"m_fm_bytes":612368384,"m_init_bytes":310378496,"name":"GeForce RTX 3060"},{"capacity_bytes":8589934592,"m_fm_bytes":612368384,"m_init_bytes":278921216,"name":"GeForce RTX 4060"},{"capacity_bytes":42949672960,"m_fm_bytes":692060160,"m_init_bytes":440401920,"name":"NVIDIA A100 40GB"},{"capacity_bytes":2000000000,"m_fm_bytes":0,"m_init_bytes":0,"name":"whatif-2g"}],"job":{"batch":5,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"max_candidates":6,"max_gpus":8,"micro_batches":4,"profile_iterations":3,"refine_top_k":3,"schedule":"1f1b","virtual_stages":1,"zero_stage":1})");
+  EXPECT_EQ(sched::FleetRequest::from_json(fleet).to_json().dump(),
+            R"({"allocator":"pytorch","estimator":"xMem","headroom":{"absolute_bytes":0,"percent":5},"jobs":[{"id":"llm-a","job":{"batch":10,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"priority":1},{"id":"llm-b","job":{"batch":10,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"priority":0},{"id":"llm-c","job":{"batch":10,"model":"distilgpt2","optimizer":"AdamW","placement":"POS1","seed":7},"priority":0},{"id":"cnn-a","job":{"batch":300,"model":"MobileNetV2","optimizer":"SGD","placement":"POS1","seed":7},"priority":0},{"id":"cnn-b","job":{"batch":300,"model":"MobileNetV2","optimizer":"SGD","placement":"POS1","seed":7},"priority":0},{"id":"cnn-c","job":{"batch":300,"model":"MobileNetV2","optimizer":"SGD","placement":"POS1","seed":7},"priority":0}],"max_gpus_per_job":1,"policy":"best-fit-decreasing","pools":[{"count":1,"device":{"capacity_bytes":12884901888,"m_fm_bytes":612368384,"m_init_bytes":310378496,"name":"GeForce RTX 3060"}}],"profile_iterations":3,"what_if":[{"count":2,"device":{"capacity_bytes":8589934592,"m_fm_bytes":612368384,"m_init_bytes":278921216,"name":"GeForce RTX 4060"}}]})");
 }
 
 // Seeded random requests of every type, spanning every field (full-range
@@ -488,13 +494,15 @@ const T& pick(util::Rng& rng, const std::vector<T>& values) {
 
 core::TrainJob random_job(util::Rng& rng) {
   core::TrainJob job;
-  job.model_name = pick<std::string>(rng, {"distilgpt2", "gpt2", "MobileNetV2"});
+  job.model_name =
+      pick<std::string>(rng, {"distilgpt2", "gpt2", "MobileNetV2"});
   job.batch_size = static_cast<int>(rng.next_in_range(1, 512));
   job.optimizer = pick<fw::OptimizerKind>(
       rng, {fw::OptimizerKind::kSgd, fw::OptimizerKind::kAdam,
             fw::OptimizerKind::kAdamW, fw::OptimizerKind::kAdafactor});
-  job.placement = rng.next_bool(0.5) ? fw::ZeroGradPlacement::kPos0BeforeBackward
-                                     : fw::ZeroGradPlacement::kPos1IterStart;
+  job.placement = rng.next_bool(0.5)
+                      ? fw::ZeroGradPlacement::kPos0BeforeBackward
+                      : fw::ZeroGradPlacement::kPos1IterStart;
   job.seed = rng.next_u64();
   return job;
 }
@@ -629,9 +637,12 @@ std::uint64_t emitted_digest(std::uint64_t seed, Make make) {
 }
 
 TEST(RequestBytes, SeededRequestsRoundTripToPinnedBytes) {
-  EXPECT_EQ(emitted_digest<core::EstimateRequest>(11, random_sweep), 187400112473775831uLL);
-  EXPECT_EQ(emitted_digest<core::PlanRequest>(12, random_plan), 14158459150824673643uLL);
-  EXPECT_EQ(emitted_digest<sched::FleetRequest>(13, random_fleet), 13010776703086428752uLL);
+  EXPECT_EQ(emitted_digest<core::EstimateRequest>(11, random_sweep),
+            187400112473775831ULL);
+  EXPECT_EQ(emitted_digest<core::PlanRequest>(12, random_plan),
+            14158459150824673643ULL);
+  EXPECT_EQ(emitted_digest<sched::FleetRequest>(13, random_fleet),
+            13010776703086428752ULL);
 }
 
 }  // namespace
