@@ -710,7 +710,6 @@ ProfileKey EstimationService::profile_key_for(const TrainJob& job,
   key.placement = job.placement;
   key.seed = job.seed;
   key.profile_iterations = profile_iterations;
-  key.json_round_trip = options_.json_round_trip;
   if (orchestrate) {
     key.orchestrator_config = options_.orchestrator_config;
   } else {
@@ -855,6 +854,8 @@ void EstimationService::run_group(const EstimateRequest& request,
 EstimateReport EstimationService::sweep(const EstimateRequest& request) {
   const auto sweep_start = std::chrono::steady_clock::now();
 
+  // Checked before any profile runs, as the document path checks it.
+  fields::check(sweep_fields(), request, "profile_iterations", "request");
   const std::vector<std::string> allocators =
       request.allocators.empty()
           ? std::vector<std::string>{alloc::kDefaultBackendName}
@@ -918,6 +919,7 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
 PlanReport EstimationService::plan(const PlanRequest& request) {
   const auto plan_start = std::chrono::steady_clock::now();
 
+  fields::check(plan_fields(), request, "profile_iterations", "plan request");
   validate_question("plan", request.job, request.devices, {request.allocator},
                     request.allocator_config);
 

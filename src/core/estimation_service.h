@@ -308,7 +308,6 @@ struct ServiceOptions {
   /// Orchestrator configuration for the "xMem" engine ("xMem-noOrch"
   /// always runs with every rule off).
   OrchestratorConfig orchestrator_config;
-  bool json_round_trip = true;
   /// Share a ProfileSession across services/estimators; null = own one.
   std::shared_ptr<ProfileSession> session;
 };

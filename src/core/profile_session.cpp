@@ -25,8 +25,6 @@ std::string ProfileKey::cache_string() const {
   key += orchestrator_config.rule_batch ? '1' : '0';
   key += orchestrator_config.rule_gradients ? '1' : '0';
   key += orchestrator_config.rule_optimizer_state ? '1' : '0';
-  key += "/rt";
-  key += json_round_trip ? '1' : '0';
   return key;
 }
 
@@ -41,12 +39,10 @@ ProfileArtifacts run_profile_pipeline(const ProfileKey& key) {
   profile_options.iterations = key.profile_iterations;
   profile_options.placement = key.placement;
   profile_options.seed = key.seed;
-  artifacts.trace = profile_on_cpu(model, key.optimizer, profile_options);
-
-  if (key.json_round_trip) {
-    const std::string json = artifacts.trace.to_json_string();
-    artifacts.trace = trace::Trace::from_json_string(json);
-  }
+  // The file-based handoff the paper's tool uses: the analyzer reads what
+  // a profiler output file would hold.
+  artifacts.trace = trace::Trace::from_json_string(
+      profile_on_cpu(model, key.optimizer, profile_options).to_json_string());
   const auto analyze_start = std::chrono::steady_clock::now();
 
   Analyzer analyzer;

@@ -48,11 +48,9 @@ struct ProfileKey {
   int profile_iterations = 3;
   /// Orchestrator rule set actually applied (all-false = the §3.3 ablation).
   OrchestratorConfig orchestrator_config;
-  /// Serialize + reparse the profiler output (the authentic file-based path).
-  bool json_round_trip = true;
 
   /// Canonical cache-key string, e.g.
-  /// "gpt2/AdamW/b8/POS1/s1/it3/rules1111/rt1".
+  /// "gpt2/AdamW/b8/POS1/s1/it3/rules1111".
   std::string cache_string() const;
 };
 

@@ -99,6 +99,21 @@ T parse(const util::Json& json, const List<T>& list,
   return object;
 }
 
+/// Check the member `key` of a C++-built `object` by writing it and
+/// reading it back, so a bad value gets the document's message.
+template <typename T>
+void check(const List<T>& list, const T& object, std::string_view key,
+           const std::string& context) {
+  for (const Field<T>& field : list) {
+    if (field.key != key) continue;
+    util::JsonObject written;
+    field.write(object, written);
+    T scratch;
+    const auto it = written.find(field.key);
+    if (it != written.end()) field.read(it->second, scratch, context);
+  }
+}
+
 template <typename T>
 util::Json write(const List<T>& list, const T& object) {
   util::Json json = util::Json::object();

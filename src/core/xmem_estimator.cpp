@@ -10,7 +10,6 @@ ProfileKey XMemEstimator::profile_key(const TrainJob& job) const {
   key.placement = job.placement;
   key.seed = job.seed;
   key.profile_iterations = options_.profile_iterations;
-  key.json_round_trip = options_.json_round_trip;
   key.orchestrator_config = options_.orchestrator_config;
   if (!options_.orchestrate) {
     key.orchestrator_config.rule_params = false;

@@ -35,9 +35,6 @@ struct XMemOptions {
   /// simulator) — the "Orchestrator off" rows of the ablation bench.
   bool orchestrate = true;
   OrchestratorConfig orchestrator_config;
-  /// Serialize + reparse the profiler output (the authentic file-based
-  /// path). Disable only in microbenches that time the stages separately.
-  bool json_round_trip = true;
 };
 
 class XMemEstimator final : public Estimator {

@@ -15,13 +15,19 @@
 // JSON ({"schemaVersion":1, "traceEvents":[...]}); the xMem Analyzer
 // consumes the JSON form, exactly as the paper's tool consumes profiler
 // output files.
+//
+// The codec is direct: the writer appends each event's bytes to one
+// string, and the reader fills TraceEvents in one pass over the document,
+// with no JSON DOM in between. The reader walks util::JsonCursor, the
+// lexer util::Json::parse is built on, so a malformed file fails with the
+// same JsonParseError either way.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "util/json.h"
 #include "util/sim_clock.h"
 
 namespace xmem::trace {
@@ -84,31 +90,30 @@ struct Trace {
   int batch_size = 0;
   int iterations = 0;
   std::string backend;  ///< "cpu" or "cuda"
-  /// Schema version read back by from_json(): kSchemaVersion for current
-  /// files, 0 for legacy files written before the field existed.
+  /// Schema version read back by from_json_string(): kSchemaVersion for
+  /// current files, 0 for legacy files written before the field existed.
   int schema_version = kSchemaVersion;
   std::vector<TraceEvent> events;
 
   void add(TraceEvent event) { events.push_back(std::move(event)); }
   std::size_t size() const { return events.size(); }
 
-  /// Serialize to PyTorch-Profiler-style Chrome-trace JSON.
-  util::Json to_json() const;
-  /// Parse a trace back from JSON; throws util::JsonParseError /
-  /// std::runtime_error on malformed documents.
-  static Trace from_json(const util::Json& doc);
-
-  std::string to_json_string(int indent = -1) const {
-    return to_json().dump(indent);
-  }
-  static Trace from_json_string(std::string_view text) {
-    return from_json(util::Json::parse(text));
-  }
+  /// Serialize to compact PyTorch-Profiler-style Chrome-trace JSON: object
+  /// keys in byte order, integers in decimal, strings escaped as
+  /// util::Json::dump writes them.
+  std::string to_json_string() const;
+  /// Parse a trace back from JSON. Accepts any key order, whitespace,
+  /// escapes and unknown keys; a repeated key's last value wins, and a
+  /// field of the wrong type reads as its default. Throws
+  /// util::JsonParseError on malformed JSON and std::runtime_error on a
+  /// document that is not a trace (no traceEvents array, an unknown
+  /// event category, a newer schema version, a number outside int64).
+  static Trace from_json_string(std::string_view text);
 
   /// Write/read the JSON form to disk — the file-based handoff between the
   /// profiling host and the estimator the paper's deployment uses. save()
   /// throws std::runtime_error on I/O failure; load() also on parse errors.
-  void save(const std::string& path, int indent = -1) const;
+  void save(const std::string& path) const;
   static Trace load(const std::string& path);
 };
 

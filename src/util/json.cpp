@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -62,30 +63,6 @@ std::size_t Json::size() const {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_double(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument("Json: NaN/Inf are not representable in JSON");
@@ -115,7 +92,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
     case Json::Type::Bool: out += v.as_bool() ? "true" : "false"; break;
     case Json::Type::Int: out += std::to_string(v.as_int()); break;
     case Json::Type::Double: append_double(out, v.as_double()); break;
-    case Json::Type::String: append_escaped(out, v.as_string()); break;
+    case Json::Type::String: append_json_string(out, v.as_string()); break;
     case Json::Type::Array: {
       const auto& arr = v.as_array();
       if (arr.empty()) {
@@ -155,7 +132,7 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
           out.push_back('\n');
           out += pad;
         }
-        append_escaped(out, key);
+        append_json_string(out, key);
         out.push_back(':');
         if (pretty) out.push_back(' ');
         dump_impl(value, out, indent, depth + 1);
@@ -170,242 +147,59 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json v = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) {
-      throw JsonParseError("trailing characters after JSON document", pos_);
-    }
-    return v;
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out.push_back(static_cast<char>(code));
+  } else if (code < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (code >> 6)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else if (code < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (code >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (code >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
   }
+}
 
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw JsonParseError(message, pos_);
-  }
-
-  char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char advance() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-
-  bool consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char expected, const char* what) {
-    if (!consume(expected)) fail(std::string("expected ") + what);
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
+Json parse_value(JsonCursor& cursor) {
+  switch (cursor.peek_value()) {
+    case '{': {
+      JsonObject obj;
+      if (cursor.enter_object()) {
+        std::string scratch;
+        do {
+          std::string key(cursor.read_key(scratch));
+          obj[std::move(key)] = parse_value(cursor);
+        } while (cursor.next_member());
       }
+      return Json(std::move(obj));
     }
-  }
-
-  Json parse_value() {
-    skip_whitespace();
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't': return parse_literal("true", Json(true));
-      case 'f': return parse_literal("false", Json(false));
-      case 'n': return parse_literal("null", Json(nullptr));
-      default: return parse_number();
-    }
-  }
-
-  Json parse_literal(std::string_view literal, Json value) {
-    if (text_.substr(pos_, literal.size()) != literal) {
-      fail("invalid literal");
-    }
-    pos_ += literal.size();
-    return value;
-  }
-
-  Json parse_object() {
-    expect('{', "'{'");
-    JsonObject obj;
-    skip_whitespace();
-    if (consume('}')) return Json(std::move(obj));
-    while (true) {
-      skip_whitespace();
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':', "':'");
-      obj[std::move(key)] = parse_value();
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect('}', "'}' or ','");
-      break;
-    }
-    return Json(std::move(obj));
-  }
-
-  Json parse_array() {
-    expect('[', "'['");
-    JsonArray arr;
-    skip_whitespace();
-    if (consume(']')) return Json(std::move(arr));
-    while (true) {
-      arr.push_back(parse_value());
-      skip_whitespace();
-      if (consume(',')) continue;
-      expect(']', "']' or ','");
-      break;
-    }
-    return Json(std::move(arr));
-  }
-
-  std::string parse_string() {
-    expect('"', "'\"'");
-    std::string out;
-    while (true) {
-      const char c = advance();
-      if (c == '"') break;
-      if (c == '\\') {
-        const char esc = advance();
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u': {
-            unsigned code = parse_hex4();
-            if (code >= 0xD800 && code <= 0xDBFF) {
-              // Surrogate pair.
-              if (!consume('\\') || !consume('u')) {
-                fail("unpaired UTF-16 surrogate");
-              }
-              const unsigned low = parse_hex4();
-              if (low < 0xDC00 || low > 0xDFFF) {
-                fail("invalid low surrogate");
-              }
-              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-            }
-            append_utf8(out, code);
-            break;
-          }
-          default: fail("invalid escape sequence");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-      } else {
-        out.push_back(c);
+    case '[': {
+      JsonArray arr;
+      if (cursor.enter_array()) {
+        do {
+          arr.push_back(parse_value(cursor));
+        } while (cursor.next_element());
       }
+      return Json(std::move(arr));
     }
-    return out;
-  }
-
-  unsigned parse_hex4() {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = advance();
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("invalid \\u escape");
-      }
+    case '"': {
+      std::string scratch;
+      return Json(std::string(cursor.read_string(scratch)));
     }
-    return value;
-  }
-
-  static void append_utf8(std::string& out, unsigned code) {
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+    case 't': cursor.read_literal("true"); return Json(true);
+    case 'f': cursor.read_literal("false"); return Json(false);
+    case 'n': cursor.read_literal("null"); return Json(nullptr);
+    default: {
+      const JsonCursor::Number number = cursor.read_number();
+      return number.is_int ? Json(number.int_value) : Json(number.double_value);
     }
   }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-      // sign consumed
-    }
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      ++pos_;
-    }
-    bool is_floating = false;
-    if (consume('.')) {
-      is_floating = true;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_floating = true;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
-    }
-    if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
-      fail("invalid number");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    if (!is_floating) {
-      errno = 0;
-      char* end = nullptr;
-      const long long v = std::strtoll(token.c_str(), &end, 10);
-      if (errno == 0 && end == token.c_str() + token.size()) {
-        return Json(static_cast<std::int64_t>(v));
-      }
-      // Falls through to double for out-of-range integers.
-    }
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("invalid number");
-    return Json(d);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+}
 
 }  // namespace
 
@@ -415,6 +209,183 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+Json Json::parse(std::string_view text) {
+  JsonCursor cursor(text);
+  Json value = parse_value(cursor);
+  cursor.finish();
+  return value;
+}
+
+// ---------------------------------------------------------------------------
+
+void append_json_string(std::string& out, std::string_view s) {
+  out.push_back('"');
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (!json_needs_escape(s[i])) continue;
+    const auto c = static_cast<unsigned char>(s[i]);
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out += buf;
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+  out.push_back('"');
+}
+
+void JsonCursor::fail(const std::string& message) const {
+  throw JsonParseError(message, pos_);
+}
+
+char JsonCursor::advance() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_++];
+}
+
+std::string_view JsonCursor::read_escaped(std::size_t start,
+                                          std::string& scratch) {
+  scratch.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    const char c = advance();
+    if (c == '"') break;
+    if (c == '\\') {
+      const char esc = advance();
+      switch (esc) {
+        case '"': scratch.push_back('"'); break;
+        case '\\': scratch.push_back('\\'); break;
+        case '/': scratch.push_back('/'); break;
+        case 'b': scratch.push_back('\b'); break;
+        case 'f': scratch.push_back('\f'); break;
+        case 'n': scratch.push_back('\n'); break;
+        case 'r': scratch.push_back('\r'); break;
+        case 't': scratch.push_back('\t'); break;
+        case 'u': {
+          unsigned code = read_hex4();
+          if (code >= 0xD800 && code <= 0xDBFF) {
+            // Surrogate pair.
+            if (!consume('\\') || !consume('u')) {
+              fail("unpaired UTF-16 surrogate");
+            }
+            const unsigned low = read_hex4();
+            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+          }
+          append_utf8(scratch, code);
+          break;
+        }
+        default: fail("invalid escape sequence");
+      }
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      fail("unescaped control character in string");
+    } else {
+      scratch.push_back(c);
+    }
+  }
+  return scratch;
+}
+
+unsigned JsonCursor::read_hex4() {
+  unsigned value = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = advance();
+    value <<= 4;
+    if (c >= '0' && c <= '9') {
+      value |= static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      value |= static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      value |= static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      fail("invalid \\u escape");
+    }
+  }
+  return value;
+}
+
+JsonCursor::Number JsonCursor::read_number_slow(std::size_t start) {
+  pos_ = start;
+  consume('-');
+  while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+  bool is_floating = false;
+  if (consume('.')) {
+    is_floating = true;
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    is_floating = true;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+      ++pos_;
+    }
+    while (pos_ < text_.size() && is_digit(text_[pos_])) ++pos_;
+  }
+  if (pos_ == start || (pos_ == start + 1 && text_[start] == '-')) {
+    fail("invalid number");
+  }
+  Number number;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  if (!is_floating &&
+      std::from_chars(first, last, number.int_value).ec == std::errc()) {
+    return number;
+  }
+  // Fractions, exponents and integers past int64 read as doubles.
+  const std::string token(first, last);
+  char* end = nullptr;
+  number.is_int = false;
+  number.double_value = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size()) fail("invalid number");
+  return number;
+}
+
+void JsonCursor::read_literal(std::string_view literal) {
+  skip_whitespace();
+  if (text_.substr(pos_, literal.size()) != literal) fail("invalid literal");
+  pos_ += literal.size();
+}
+
+void JsonCursor::skip_value() {
+  switch (peek_value()) {
+    case '{':
+      if (enter_object()) {
+        do {
+          read_key(skip_scratch_);
+          skip_value();
+        } while (next_member());
+      }
+      return;
+    case '[':
+      if (enter_array()) {
+        do {
+          skip_value();
+        } while (next_element());
+      }
+      return;
+    case '"': read_string(skip_scratch_); return;
+    case 't': read_literal("true"); return;
+    case 'f': read_literal("false"); return;
+    case 'n': read_literal("null"); return;
+    default: read_number(); return;
+  }
+}
+
+void JsonCursor::finish() {
+  skip_whitespace();
+  if (pos_ != text_.size()) {
+    fail("trailing characters after JSON document");
+  }
+}
 
 }  // namespace xmem::util

@@ -1,13 +1,21 @@
 // Minimal, dependency-free JSON value / parser / writer.
 //
-// The profiler emits PyTorch-Profiler-style JSON traces and the Analyzer
-// consumes them, so this module is on the critical path of the xMem
-// pipeline (and is exercised heavily by tests). It supports the full JSON
-// grammar except for exotic numbers (NaN/Inf are not valid JSON and are
-// rejected on write); integers that fit in int64 are preserved exactly.
+// Two layers share one grammar. JsonCursor is a pull lexer over a document
+// (whitespace, strings, numbers, literals, object and array structure);
+// Json::parse builds a DOM on it, and streaming readers such as the
+// Chrome-trace codec (trace/trace.cpp) walk it directly, so every reader
+// rejects a malformed document with the same JsonParseError message and
+// offset. append_json_string is the one string escaper, used by
+// Json::dump and by direct writers.
+//
+// The full JSON grammar is supported except for exotic numbers (NaN/Inf
+// are not valid JSON and are rejected on write); integers that fit in
+// int64 are preserved exactly.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -33,6 +41,219 @@ class JsonParseError : public std::runtime_error {
  private:
   std::size_t offset_;
 };
+
+/// The bytes a JSON string cannot hold unescaped: '"', '\\' and controls.
+inline bool json_needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// Append `s` as a quoted, escaped JSON string: the bytes Json::dump
+/// writes for a string value or an object key.
+void append_json_string(std::string& out, std::string_view s);
+
+/// A pull lexer over one JSON document. Every method skips the whitespace
+/// before its token and throws JsonParseError on malformed input. Walk
+/// objects and arrays with the enter/next pairs:
+///
+///   if (cursor.enter_object()) {
+///     do {
+///       const std::string_view key = cursor.read_key(scratch);
+///       ...read or skip one value...
+///     } while (cursor.next_member());
+///   }
+///   if (cursor.enter_array()) {
+///     do { ...read or skip one value... } while (cursor.next_element());
+///   }
+class JsonCursor {
+ public:
+  struct Number {
+    bool is_int = true;  ///< an integer token that fits int64
+    std::int64_t int_value = 0;
+    double double_value = 0.0;  ///< set when !is_int
+  };
+
+  explicit JsonCursor(std::string_view text) : text_(text) {}
+
+  /// The first byte of the next value, not consumed: '{', '[', '"', 't',
+  /// 'f', 'n', or anything else for a number (read_number rejects what is
+  /// not one).
+  char peek_value();
+  /// Consume '{'; false when the object is empty (its '}' consumed too).
+  bool enter_object();
+  /// A member's key and its ':'. The view points into the document, or
+  /// into `scratch` when the key holds escapes.
+  std::string_view read_key(std::string& scratch);
+  /// After a member's value: true on ',', false on the closing '}'.
+  bool next_member();
+  /// Consume '['; false when the array is empty (its ']' consumed too).
+  bool enter_array();
+  /// After an element: true on ',', false on the closing ']'.
+  bool next_element();
+  /// A string value, decoded; a view as in read_key.
+  std::string_view read_string(std::string& scratch);
+  Number read_number();
+  /// Consume `literal` ("true", "false" or "null").
+  void read_literal(std::string_view literal);
+  /// Consume one value of any type, checking its syntax.
+  void skip_value();
+  /// Only whitespace may follow the document.
+  void finish();
+
+  /// Bytes not yet consumed.
+  std::size_t remaining() const { return text_.size() - pos_; }
+
+ private:
+  [[noreturn]] void fail(const std::string& message) const;
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  void skip_whitespace();
+  bool consume(char expected);
+  void expect(char expected, const char* what);
+  char advance();
+  unsigned read_hex4();
+  /// read_string with pos_ at the opening quote.
+  std::string_view read_quoted(std::string& scratch);
+  /// read_string past its plain prefix [start, pos_).
+  std::string_view read_escaped(std::size_t start, std::string& scratch);
+  /// read_number for fractions, exponents, long integers and bad tokens.
+  Number read_number_slow(std::size_t start);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string skip_scratch_;
+};
+
+// The per-token paths are inline, so a streaming reader pays no call per
+// token; escapes, long numbers and errors go out of line.
+
+inline void JsonCursor::skip_whitespace() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (static_cast<unsigned char>(c) > ' ' ||
+        (c != ' ' && c != '\t' && c != '\n' && c != '\r')) {
+      return;
+    }
+    ++pos_;
+  }
+}
+
+inline bool JsonCursor::consume(char expected) {
+  if (pos_ < text_.size() && text_[pos_] == expected) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+inline void JsonCursor::expect(char expected, const char* what) {
+  if (!consume(expected)) fail(std::string("expected ") + what);
+}
+
+inline char JsonCursor::peek_value() {
+  skip_whitespace();
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+inline bool JsonCursor::enter_object() {
+  skip_whitespace();
+  expect('{', "'{'");
+  skip_whitespace();
+  return !consume('}');
+}
+
+inline std::string_view JsonCursor::read_key(std::string& scratch) {
+  skip_whitespace();
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  if (text_[pos_] != '"') fail("expected object key");
+  const std::string_view key = read_quoted(scratch);
+  skip_whitespace();
+  expect(':', "':'");
+  return key;
+}
+
+inline bool JsonCursor::next_member() {
+  skip_whitespace();
+  if (consume(',')) return true;
+  expect('}', "'}' or ','");
+  return false;
+}
+
+inline bool JsonCursor::enter_array() {
+  skip_whitespace();
+  expect('[', "'['");
+  skip_whitespace();
+  return !consume(']');
+}
+
+inline bool JsonCursor::next_element() {
+  skip_whitespace();
+  if (consume(',')) return true;
+  expect(']', "']' or ','");
+  return false;
+}
+
+inline std::string_view JsonCursor::read_string(std::string& scratch) {
+  skip_whitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected '\"'");
+  return read_quoted(scratch);
+}
+
+inline std::string_view JsonCursor::read_quoted(std::string& scratch) {
+  const char* const data = text_.data();
+  const std::size_t start = ++pos_;
+  std::size_t end = start;
+  if constexpr (std::endian::native == std::endian::little) {
+    // Eight bytes a step: flag each byte that is '"', '\\' or below 0x20
+    // (the high bit of its lane), then stop at the first flagged lane.
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+    const auto below = [](std::uint64_t w, std::uint64_t n) {
+      return (w - n) & ~w & kHigh;
+    };
+    while (end + 8 <= text_.size()) {
+      std::uint64_t w;
+      std::memcpy(&w, data + end, 8);
+      const std::uint64_t flags = below(w ^ (kOnes * '"'), kOnes) |
+                                  below(w ^ (kOnes * '\\'), kOnes) |
+                                  below(w, kOnes * 0x20);
+      if (flags != 0) {
+        end += static_cast<std::size_t>(std::countr_zero(flags)) / 8;
+        break;
+      }
+      end += 8;
+    }
+  }
+  while (end < text_.size() && !json_needs_escape(data[end])) ++end;
+  pos_ = end;
+  if (end < text_.size() && data[end] == '"') {
+    ++pos_;
+    return std::string_view(data + start, end - start);
+  }
+  return read_escaped(start, scratch);
+}
+
+inline JsonCursor::Number JsonCursor::read_number() {
+  skip_whitespace();
+  const std::size_t start = pos_;
+  const bool negative = consume('-');
+  std::uint64_t magnitude = 0;
+  std::size_t digits = 0;
+  while (pos_ < text_.size() && is_digit(text_[pos_])) {
+    magnitude = magnitude * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
+    ++pos_;
+    ++digits;
+  }
+  // Up to 18 digits always fit int64.
+  const bool more = pos_ < text_.size() &&
+                    (text_[pos_] == '.' || text_[pos_] == 'e' ||
+                     text_[pos_] == 'E');
+  if (digits == 0 || digits > 18 || more) return read_number_slow(start);
+  Number number;
+  number.int_value = negative ? -static_cast<std::int64_t>(magnitude)
+                              : static_cast<std::int64_t>(magnitude);
+  return number;
+}
 
 class Json {
  public:

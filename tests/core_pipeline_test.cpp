@@ -3,6 +3,8 @@
 // and pipeline internals (filtering, address reuse on real traces).
 #include <gtest/gtest.h>
 
+#include "core/profile_runner.h"
+#include "core/sequence_transform.h"
 #include "core/xmem_estimator.h"
 #include "gpu/ground_truth.h"
 #include "models/zoo.h"
@@ -143,15 +145,27 @@ TEST(Pipeline, DeterministicEstimates) {
   EXPECT_EQ(a.estimated_peak, b.estimated_peak);
 }
 
-TEST(Pipeline, JsonRoundTripDoesNotChangeEstimate) {
+TEST(Pipeline, FileHandoffDoesNotChangeTheSequence) {
+  // The pipeline writes the profile as a trace file's bytes and analyzes
+  // what it reads back; analyzing the profile in memory instead must give
+  // the same orchestrated sequence, so the same estimate.
   const TrainJob job = make_job({"distilgpt2", 8, fw::OptimizerKind::kAdam});
-  XMemOptions with_json;
-  with_json.json_round_trip = true;
-  XMemOptions without_json;
-  without_json.json_round_trip = false;
-  const auto a = XMemEstimator(with_json).estimate(job, gpu::rtx3060());
-  const auto b = XMemEstimator(without_json).estimate(job, gpu::rtx3060());
-  EXPECT_EQ(a.estimated_peak, b.estimated_peak);
+  const XMemEstimator estimator;
+  const ProfileKey key = estimator.profile_key(job);
+  ProfileOptions options;
+  options.iterations = key.profile_iterations;
+  options.placement = key.placement;
+  options.seed = key.seed;
+  const trace::Trace profiled = profile_on_cpu(
+      models::build_model(key.model_name, key.batch_size), key.optimizer,
+      options);
+  const Orchestrator::Output in_memory = Orchestrator().orchestrate(
+      Analyzer().analyze(profiled).timeline, key.orchestrator_config);
+  const OrchestratedSequence& handed_off =
+      run_profile_pipeline(key).orchestration.sequence;
+  ASSERT_EQ(handed_off.events.size(), in_memory.sequence.events.size());
+  EXPECT_EQ(sequence_fingerprint(handed_off),
+            sequence_fingerprint(in_memory.sequence));
 }
 
 TEST(Pipeline, OrchestratorAblationUnderestimates) {

@@ -823,7 +823,7 @@ TEST(PlanRefine, ReplayedPeaksMatchAnIndependentPerRankReplay) {
         core::PlanRequest::from_json(util::Json::parse(buffer.str()));
 
     // The profile the service refines from, looked up under the key the
-    // "xMem" engine uses (default orchestrator rules, JSON round trip).
+    // "xMem" engine uses (default orchestrator rules).
     const auto session = std::make_shared<core::ProfileSession>();
     core::ProfileKey key;
     key.model_name = request.job.model_name;

@@ -13,6 +13,7 @@
 #include "fw/memory_env.h"
 #include "gpu/ground_truth.h"
 #include "models/zoo.h"
+#include "trace_dom_reference.h"
 #include "util/bytes.h"
 #include "util/rng.h"
 
@@ -81,11 +82,34 @@ TEST(FailureInjection, AnalyzerSurvivesShuffledMemoryEvents) {
   EXPECT_FALSE(out.timeline.blocks.empty());
 }
 
+/// The exception `read` throws on `text` as "<type>: <message>".
+std::string rejection(const std::string& text,
+                      trace::Trace (*read)(std::string_view)) {
+  try {
+    read(text);
+  } catch (const util::JsonParseError& error) {
+    return std::string("JsonParseError: ") + error.what();
+  } catch (const std::runtime_error& error) {
+    return std::string("runtime_error: ") + error.what();
+  }
+  return "accepted";
+}
+
 TEST(FailureInjection, TruncatedJsonThrows) {
-  const std::string json = healthy_trace().to_json_string();
-  const std::string truncated = json.substr(0, json.size() / 2);
-  EXPECT_THROW(trace::Trace::from_json_string(truncated),
-               util::JsonParseError);
+  // Cut a small trace at every byte: each prefix is rejected, with the
+  // DOM reader's exception type and message.
+  trace::Trace t = healthy_trace();
+  t.events.resize(24);
+  t.events[0].name = "esc \"\\\t\u00e9";
+  const std::string json = t.to_json_string();
+  for (std::size_t cut = 0; cut < json.size(); ++cut) {
+    const std::string truncated = json.substr(0, cut);
+    const std::string direct =
+        rejection(truncated, &trace::Trace::from_json_string);
+    ASSERT_NE(direct, "accepted") << cut;
+    ASSERT_EQ(direct, rejection(truncated, &trace::dom::from_json_string))
+        << cut;
+  }
 }
 
 TEST(FailureInjection, EmptyTraceRejected) {

@@ -147,11 +147,7 @@ TEST(ProfileSessionCacheKeys, DistinguishEveryPipelineInput) {
   variant.orchestrator_config.rule_gradients = false;
   cache_strings.insert(variant.cache_string());
 
-  variant = base;
-  variant.json_round_trip = false;
-  cache_strings.insert(variant.cache_string());
-
-  EXPECT_EQ(cache_strings.size(), 8u);
+  EXPECT_EQ(cache_strings.size(), 7u);
 }
 
 TEST(ProfileSessionLru, ZeroCapacityIsClampedToOne) {

@@ -419,6 +419,42 @@ TEST(RequestTypes, CxxFleetRequestsGetTheDocumentMessages) {
             "fleet request what_if[0]: \"count\" must be >= 1");
 }
 
+TEST(RequestTypes, CxxSweepsCheckProfileIterationsBeforeProfiling) {
+  // sweep, estimate (the `xmem estimate` path) and plan reject a C++-built
+  // request's profile_iterations with the document's message, before the
+  // Analyzer could fail on a profile with no iterations.
+  core::ServiceOptions options;
+  options.threads = 1;
+  core::EstimationService service(options);
+  const auto error_of = [](const auto& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  core::EstimateRequest request;
+  request.job.model_name = "distilgpt2";
+  request.job.batch_size = 2;
+  request.devices = {gpu::rtx3060()};
+  request.profile_iterations = 0;
+  EXPECT_EQ(error_of([&] { service.sweep(request); }),
+            "request: \"profile_iterations\" must be >= 1");
+  EXPECT_EQ(error_of([&] {
+              service.estimate("xMem", request.job, gpu::rtx3060(),
+                               alloc::kDefaultBackendName, -1);
+            }),
+            "request: \"profile_iterations\" must be >= 1");
+  core::PlanRequest plan;
+  plan.job = request.job;
+  plan.devices = request.devices;
+  plan.profile_iterations = 0;
+  EXPECT_EQ(error_of([&] { service.plan(plan); }),
+            "plan request: \"profile_iterations\" must be >= 1");
+  EXPECT_EQ(service.session().misses(), 0u);
+}
+
 // ---------- CLI numeric flags ----------
 
 /// Run the CLI with `args`; returns its exit status, stderr in `err`.
@@ -461,6 +497,12 @@ TEST(CliFlags, NumericFlagsAreParsedStrictly) {
                     err),
             0)
       << err;
+}
+
+TEST(CliFlags, ZeroIterationsAreRejectedBeforeProfiling) {
+  std::string err;
+  EXPECT_EQ(run_cli("estimate --model gpt2 --batch 2 --iterations 0", err), 1);
+  EXPECT_EQ(err, "error: request: \"profile_iterations\" must be >= 1\n");
 }
 
 // ---------- pinned request bytes ----------

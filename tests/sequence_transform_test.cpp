@@ -535,7 +535,6 @@ TEST(SequenceTransform, RealProfileSlicesReplayToBoundedNonzeroPeaks) {
   key.batch_size = 2;
   key.optimizer = fw::OptimizerKind::kAdamW;
   key.profile_iterations = 2;
-  key.json_round_trip = false;  // keep the fixture cheap; replay unaffected
   const core::ProfileArtifacts artifacts = core::run_profile_pipeline(key);
   const OrchestratedSequence& sequence = artifacts.orchestration.sequence;
   const std::vector<ComponentProfile> profiles =

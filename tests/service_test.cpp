@@ -331,7 +331,7 @@ TEST(EstimationServiceSweep, EveryEntryMatchesAnIndependentPerDeviceReplay) {
   request.record_curve = true;
 
   // The profile the service replays, under the key the "xMem" engine uses
-  // (default orchestrator rules, JSON round trip).
+  // (default orchestrator rules).
   const auto session = std::make_shared<core::ProfileSession>();
   core::ProfileKey key;
   key.model_name = request.job.model_name;

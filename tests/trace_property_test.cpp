@@ -1,10 +1,14 @@
 // Whole-zoo trace properties: for every model in the zoo, a profiling run
 // must produce a structurally sound trace (balanced spans, valid parents,
 // coherent timestamps) that survives JSON round-tripping and analysis.
-// These are the invariants the downstream pipeline relies on.
+// These are the invariants the downstream pipeline relies on. The direct
+// JSON codec is held to the DOM reference (trace_dom_reference.h) on every
+// zoo trace and on seeded reformattings of one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,6 +16,8 @@
 #include "core/profile_runner.h"
 #include "models/workload.h"
 #include "models/zoo.h"
+#include "trace_dom_reference.h"
+#include "util/rng.h"
 
 namespace xmem {
 namespace {
@@ -72,6 +78,34 @@ TEST_P(ZooTraceProperty, JsonRoundTripIsLossless) {
     EXPECT_EQ(parsed.events[i].bytes, t.events[i].bytes);
     EXPECT_EQ(parsed.events[i].addr, t.events[i].addr);
     EXPECT_EQ(parsed.events[i].seq, t.events[i].seq);
+  }
+}
+
+TEST_P(ZooTraceProperty, DirectCodecMatchesTheDomReference) {
+  // Every optimizer x zero_grad placement: the writer's bytes are the DOM
+  // writer's, and the reader returns the DOM reader's trace.
+  const std::string& name = GetParam();
+  const fw::ModelDescriptor model =
+      models::build_model(name, small_batch_for(name));
+  for (const fw::OptimizerKind optimizer :
+       {fw::OptimizerKind::kSgd, fw::OptimizerKind::kAdam,
+        fw::OptimizerKind::kAdamW, fw::OptimizerKind::kRmsprop,
+        fw::OptimizerKind::kAdagrad, fw::OptimizerKind::kAdafactor}) {
+    for (const fw::ZeroGradPlacement placement :
+         {fw::ZeroGradPlacement::kPos0BeforeBackward,
+          fw::ZeroGradPlacement::kPos1IterStart}) {
+      core::ProfileOptions options;
+      options.iterations = 1;
+      options.placement = placement;
+      const trace::Trace t = core::profile_on_cpu(model, optimizer, options);
+      const std::string text = t.to_json_string();
+      SCOPED_TRACE(std::string(fw::to_string(optimizer)) + " " +
+                   fw::to_string(placement));
+      ASSERT_EQ(text, trace::dom::to_json(t).dump());
+      EXPECT_EQ(trace::dom::difference(trace::Trace::from_json_string(text),
+                                       trace::dom::from_json_string(text)),
+                "");
+    }
   }
 }
 
@@ -138,6 +172,193 @@ INSTANTIATE_TEST_SUITE_P(Zoo, ZooTraceProperty,
                            }
                            return name;
                          });
+
+// ---------- seeded reformattings ----------
+
+/// Writes a parsed trace document back out with a random layout the DOM
+/// reader accepts: shuffled keys, whitespace, \uXXXX escapes, unknown
+/// nested keys, dropped args, repeated keys, wrong-typed fields and
+/// fractional numbers. The category and the document's own keys are left
+/// alone, so most documents still load.
+class Reformatter {
+ public:
+  explicit Reformatter(std::uint64_t seed) : rng_(seed) {}
+
+  std::string write(const util::Json& doc) {
+    out_.clear();
+    value(doc, /*key=*/"", 0);
+    space();
+    return out_;
+  }
+
+ private:
+  void space() {
+    const std::uint64_t n = rng_.next_below(4) == 0 ? rng_.next_below(3) : 0;
+    for (std::uint64_t i = 0; i < n; ++i) out_ += " \t\n\r"[rng_.next_below(4)];
+  }
+
+  void string(const std::string& s) {
+    out_ += '"';
+    for (const char c : s) {
+      const auto byte = static_cast<unsigned char>(c);
+      if (byte == '"' || byte == '\\' || byte < 0x20 ||
+          (byte < 0x80 && rng_.next_bool(0.1))) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04X", byte);
+        out_ += buf;
+      } else {
+        out_ += c;
+      }
+    }
+    out_ += '"';
+  }
+
+  /// A value no trace field uses: unknown keys and wrong-typed fields.
+  void junk(int depth) {
+    switch (rng_.next_below(depth > 1 ? 4 : 6)) {
+      case 0: out_ += "null"; break;
+      case 1: out_ += rng_.next_bool(0.5) ? "true" : "false"; break;
+      case 2: string("junk"); break;
+      case 3: out_ += "-1.5e2"; break;
+      case 4: {
+        out_ += '[';
+        const std::uint64_t n = rng_.next_below(3);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          if (i > 0) out_ += ',';
+          space();
+          junk(depth + 1);
+        }
+        out_ += ']';
+        break;
+      }
+      default: {
+        out_ += '{';
+        const std::uint64_t n = rng_.next_below(3);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          if (i > 0) out_ += ',';
+          string("k" + std::to_string(i));
+          out_ += ':';
+          junk(depth + 1);
+        }
+        out_ += '}';
+      }
+    }
+  }
+
+  void value(const util::Json& v, const std::string& key, int depth) {
+    space();
+    if (v.is_object()) {
+      object(v, depth);
+    } else if (v.is_array()) {
+      out_ += '[';
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i > 0) out_ += ',';
+        value(v[i], "", depth + 1);
+      }
+      space();
+      out_ += ']';
+    } else if (v.is_string()) {
+      string(v.as_string());
+    } else if (v.is_int() && key != "xmem_schema_version" &&
+               rng_.next_bool(0.1)) {
+      // A fraction, truncated toward zero on the way back in.
+      out_ += std::to_string(v.as_int()) + ".75";
+    } else {
+      out_ += v.dump();
+    }
+    space();
+  }
+
+  void object(const util::Json& v, int depth) {
+    std::vector<std::pair<std::string, const util::Json*>> members;
+    for (const auto& [key, member] : v.as_object()) {
+      if (key == "args" && rng_.next_bool(0.1)) continue;  // dropped args
+      members.emplace_back(key, &member);
+    }
+    for (std::size_t i = members.size(); i > 1; --i) {
+      std::swap(members[i - 1], members[rng_.next_below(i)]);
+    }
+    out_ += '{';
+    bool first = true;
+    const auto open_member = [&](const std::string& key) {
+      if (!first) out_ += ',';
+      first = false;
+      space();
+      string(key);
+      space();
+      out_ += ':';
+    };
+    for (const auto& [key, member] : members) {
+      // The document's structure stays readable: its top-level keys and
+      // an event's category are never mangled.
+      const bool keep = depth == 0 || key == "cat";
+      if (!keep && rng_.next_bool(0.05)) {
+        open_member("x-" + key);  // an unknown key
+        junk(0);
+      }
+      if (!keep && rng_.next_bool(0.05)) {
+        open_member(key);  // repeated: the real value after it wins
+        junk(0);
+      }
+      open_member(key);
+      if (!keep && rng_.next_bool(0.05)) {
+        junk(0);  // wrong-typed: the field reads as its default
+      } else {
+        value(*member, key, depth + 1);
+      }
+    }
+    space();
+    out_ += '}';
+  }
+
+  util::Rng rng_;
+  std::string out_;
+};
+
+std::string outcome(const std::string& text,
+                    trace::Trace (*read)(std::string_view), trace::Trace& t) {
+  try {
+    t = read(text);
+    return "ok";
+  } catch (const util::JsonParseError& error) {
+    return std::string("JsonParseError: ") + error.what();
+  } catch (const std::runtime_error& error) {
+    return std::string("runtime_error: ") + error.what();
+  }
+}
+
+class ReformattedTraceProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReformattedTraceProperty, DirectReaderReturnsTheDomReadersEvents) {
+  static const trace::Trace source = [] {
+    core::ProfileOptions options;
+    options.iterations = 1;
+    trace::Trace t = core::profile_on_cpu(
+        models::build_model("distilgpt2", 2), fw::OptimizerKind::kAdamW,
+        options);
+    t.events.resize(std::min<std::size_t>(t.events.size(), 120));
+    t.events[1].name = "named \"quote\" \\ tab\t \xC3\xA9";
+    return t;
+  }();
+  const util::Json doc = util::Json::parse(source.to_json_string());
+  Reformatter reformatter(GetParam());
+  for (int i = 0; i < 20; ++i) {
+    const std::string text = reformatter.write(doc);
+    trace::Trace direct;
+    trace::Trace reference;
+    const std::string result =
+        outcome(text, &trace::Trace::from_json_string, direct);
+    ASSERT_EQ(result, outcome(text, &trace::dom::from_json_string, reference))
+        << text;
+    if (result == "ok") {
+      ASSERT_EQ(trace::dom::difference(direct, reference), "") << text;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReformattedTraceProperty,
+                         ::testing::Range<std::uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace xmem

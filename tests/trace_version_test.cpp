@@ -9,6 +9,7 @@
 #include <string>
 
 #include "trace/trace.h"
+#include "util/json.h"
 
 namespace xmem::trace {
 namespace {
@@ -32,8 +33,12 @@ Trace make_sample_trace() {
   return t;
 }
 
+util::Json sample_document() {
+  return util::Json::parse(make_sample_trace().to_json_string());
+}
+
 TEST(TraceVersion, WriterStampsCurrentVersion) {
-  const util::Json doc = make_sample_trace().to_json();
+  const util::Json doc = sample_document();
   EXPECT_EQ(doc.at("traceMeta").at("xmem_schema_version").as_int(),
             Trace::kSchemaVersion);
 }
@@ -57,11 +62,11 @@ TEST(TraceVersion, FileRoundTripThroughSaveAndLoad) {
 }
 
 TEST(TraceVersion, LegacyFileWithoutFieldLoadsAsVersionZero) {
-  util::Json doc = make_sample_trace().to_json();
+  util::Json doc = sample_document();
   util::JsonObject meta = doc.at("traceMeta").as_object();
   meta.erase("xmem_schema_version");
   doc["traceMeta"] = util::Json(std::move(meta));
-  const Trace reloaded = Trace::from_json(doc);
+  const Trace reloaded = Trace::from_json_string(doc.dump());
   EXPECT_EQ(reloaded.schema_version, 0);
   EXPECT_EQ(reloaded.model_name, "resnet50");
 }
@@ -74,12 +79,12 @@ TEST(TraceVersion, BareEventsDocumentWithoutMetaIsAlsoLegacy) {
 }
 
 TEST(TraceVersion, NewerWriterIsRefusedAtLoadTime) {
-  util::Json doc = make_sample_trace().to_json();
+  util::Json doc = sample_document();
   doc["traceMeta"]["xmem_schema_version"] =
       util::Json(Trace::kSchemaVersion + 1);
-  EXPECT_THROW(Trace::from_json(doc), std::runtime_error);
+  EXPECT_THROW(Trace::from_json_string(doc.dump()), std::runtime_error);
   doc["traceMeta"]["xmem_schema_version"] = util::Json(-1);
-  EXPECT_THROW(Trace::from_json(doc), std::runtime_error);
+  EXPECT_THROW(Trace::from_json_string(doc.dump()), std::runtime_error);
 }
 
 }  // namespace
