@@ -40,9 +40,11 @@
 # than be narrowed or defaulted. request_schema_test pins each fixture's
 # exact message; this loop checks the CLI exit codes.
 #
-# bad_fleet_model.json (a queue naming an unknown model) also goes through
-# the serve smoke: the daemon must answer it with an error reply and keep
-# serving.
+# Every bad_*.json fixture also goes through the serve smoke, with the same
+# subcommand: the daemon must answer it with a bad_request error reply
+# (exit 2) carrying the offline message, and keep serving. The one fixture
+# that is not JSON (bad_malformed.json) never reaches the daemon: the
+# client fails to parse it with the offline message (exit 1).
 #
 # The sanitizer passes (end of the file) build two more trees next to the
 # main one and run the full ctest set in each: `<build-dir>-asan` with
@@ -281,19 +283,26 @@ rm -f "${fleet_actual}"
 
 # --- negative smoke: malformed requests must exit nonzero ------------------
 
-for bad in "${FIXTURE_DIR}"/bad_*.json; do
-  # Plan-shaped fixtures (refine knobs) only fail through the plan parser;
-  # fleet-shaped ones (jobs/pools) only through the fleet parser.
-  subcommand=sweep
-  case "$(basename "${bad}")" in
-    bad_overlap*) subcommand=plan ;;
-    bad_refine*) subcommand=plan ;;
-    bad_fleet*) subcommand=fleet ;;
+# Plan-shaped fixtures (refine knobs) only fail through the plan parser;
+# fleet-shaped ones (jobs/pools) only through the fleet parser.
+subcommand_for() {
+  case "$(basename "$1")" in
+    bad_overlap*|bad_refine*) echo plan ;;
+    bad_fleet*) echo fleet ;;
+    *) echo sweep ;;
   esac
-  if "${BUILD_DIR}/src/xmem_cli" "${subcommand}" "${bad}" > /dev/null 2>&1; then
+}
+
+# Each fixture's offline message ("error: " stripped), for the serve smoke.
+declare -A OFFLINE_MESSAGE
+for bad in "${FIXTURE_DIR}"/bad_*.json; do
+  subcommand="$(subcommand_for "${bad}")"
+  if offline_err="$("${BUILD_DIR}/src/xmem_cli" "${subcommand}" "${bad}" \
+                    2>&1 > /dev/null)"; then
     echo "NEGATIVE SMOKE: xmem ${subcommand} accepted $(basename "${bad}")" >&2
     GOLDEN_FAILED=1
   else
+    OFFLINE_MESSAGE["${bad}"]="${offline_err#error: }"
     echo "negative smoke ok: $(basename "${bad}")"
   fi
 done
@@ -427,26 +436,40 @@ else
 fi
 rm -f "${serve_fleet_actual}"
 
-# Negative: a fleet naming an unknown model must come back as an error
-# reply (exit 2) naming the model — and the daemon must still answer.
-bad_fleet_err="$(mktemp)"
-bad_fleet_status=0
-"${XMEM}" request --socket "${SERVE_SOCK}" \
-  --fleet "${FIXTURE_DIR}/bad_fleet_model.json" > /dev/null \
-  2> "${bad_fleet_err}" || bad_fleet_status=$?
-if [[ "${bad_fleet_status}" != "2" ]] ||
-   ! grep -q "no-such-model" "${bad_fleet_err}"; then
-  echo "SERVE SMOKE: bad_fleet_model.json must get an error reply naming" \
-       "the model (exit ${bad_fleet_status})" >&2
-  cat "${bad_fleet_err}" >&2
+# Negative: every bad_*.json fixture must come back as a bad_request error
+# reply (exit 2) with the offline message — and the daemon must still
+# answer. A fixture that is not JSON fails in the client instead (exit 1,
+# the offline message) and never reaches the daemon.
+for bad in "${FIXTURE_DIR}"/bad_*.json; do
+  subcommand="$(subcommand_for "${bad}")"
+  name="$(basename "${bad}")"
+  bad_status=0
+  bad_err="$("${XMEM}" request --socket "${SERVE_SOCK}" "--${subcommand}" \
+             "${bad}" 2>&1 > /dev/null)" || bad_status=$?
+  expected="${OFFLINE_MESSAGE[${bad}]-}"
+  if [[ "${bad_status}" == "2" ]]; then
+    message="${bad_err#server error: bad_request: }"
+  elif [[ "${bad_status}" == "1" && "${name}" == "bad_malformed.json" ]]; then
+    message="${bad_err#error: }"
+  else
+    message="(exit ${bad_status}) ${bad_err}"
+  fi
+  if [[ -z "${expected}" || "${message}" != "${expected}" ]]; then
+    echo "SERVE SMOKE: ${name} through the daemon: got '${message}'," \
+         "offline '${expected}'" >&2
+    GOLDEN_FAILED=1
+  elif ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
+    echo "SERVE SMOKE: daemon died after ${name}" >&2
+    GOLDEN_FAILED=1
+  else
+    echo "serve smoke ok: ${name} rejected with the offline message"
+  fi
+done
+if [[ "${OFFLINE_MESSAGE[${FIXTURE_DIR}/bad_fleet_model.json]-}" != \
+      *no-such-model* ]]; then
+  echo "SERVE SMOKE: bad_fleet_model.json's message must name the model" >&2
   GOLDEN_FAILED=1
-elif ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
-  echo "SERVE SMOKE: daemon died after bad_fleet_model.json" >&2
-  GOLDEN_FAILED=1
-else
-  echo "serve smoke ok: bad_fleet_model.json rejected, daemon alive"
 fi
-rm -f "${bad_fleet_err}"
 "${XMEM}" request --socket "${SERVE_SOCK}" --shutdown > /dev/null
 if ! wait "${SERVE_PID}"; then
   echo "SERVE SMOKE: fleet daemon exited nonzero on shutdown request" >&2

@@ -13,7 +13,7 @@
 #include "core/request_fields.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
-#include "models/zoo.h"
+#include "core/xmem_estimator.h"
 #include "util/thread_pool.h"
 
 namespace xmem::core {
@@ -38,24 +38,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 }  // namespace
-
-/// Fail a request up front when its allocator_config is malformed: unknown
-/// backend names, and — by constructing a throwaway backend — unknown knob
-/// names or out-of-range values, surfacing the backend's own actionable
-/// message instead of a mid-sweep failure.
-void validate_allocator_config(
-    const std::map<std::string, alloc::BackendKnobs>& config,
-    const std::string& context) {
-  for (const auto& [name, knobs] : config) {
-    if (!alloc::is_known_backend(name)) {
-      throw std::invalid_argument(context +
-                                  ": allocator_config names unknown backend '" +
-                                  name + "'");
-    }
-    alloc::SimulatedCudaDriver probe(SimulationOptions::kUnboundedCapacity);
-    alloc::make_backend(name, probe, knobs);
-  }
-}
 
 namespace {
 
@@ -109,8 +91,8 @@ const fields::List<EstimateRequest>& sweep_fields() {
   static const fields::List<R> list = {
       fields::job(&R::job),
       fields::devices(&R::devices),
-      field("allocators", &R::allocators, fields::array(fields::text())),
-      field("estimators", &R::estimators, fields::array(fields::text())),
+      field("allocators", &R::allocators, fields::array(fields::allocator())),
+      field("estimators", &R::estimators, fields::array(fields::estimator())),
       fields::allocator_config(&R::allocator_config),
       field("profile_iterations", &R::profile_iterations,
             fields::integer<int>(1)),
@@ -268,7 +250,9 @@ const fields::List<PlanRequest>& plan_fields() {
       field("max_gpus", &R::max_gpus, integer<int>(1)),
       field("micro_batches", &R::micro_batches, integer<int>(1)),
       field("schedule", &R::schedule,
-            fields::named(pipeline_schedule_from_string)),
+            fields::named("pipeline schedule", pipeline_schedule_from_string,
+                          {PipelineSchedule::kOneFOneB,
+                           PipelineSchedule::kInterleaved})),
       field("virtual_stages", &R::virtual_stages, integer<int>(1)),
       field("zero_stage", &R::zero, integer<ZeroStage>(0, 3)),
       field("ddp_bucket_bytes", &R::ddp_bucket_bytes,
@@ -276,7 +260,7 @@ const fields::List<PlanRequest>& plan_fields() {
       field("ddp_bucket_count", &R::ddp_bucket_count, integer<int>(0)),
       field("activation_replication_pct", &R::activation_replication_pct,
             integer<int>(0, 100)),
-      field("allocator", &R::allocator, fields::text()),
+      field("allocator", &R::allocator, fields::allocator()),
       fields::allocator_config(&R::allocator_config),
       field("profile_iterations", &R::profile_iterations, integer<int>(1)),
       field("max_candidates", &R::max_candidates, integer<std::size_t>()),
@@ -389,28 +373,6 @@ util::Json PlanReport::to_json(bool include_timings) const {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Fail fast, naming the surface, on a question the pipeline cannot answer.
-void validate_question(
-    const std::string& surface, const TrainJob& job,
-    const std::vector<gpu::DeviceModel>& devices,
-    const std::vector<std::string>& allocators,
-    const std::map<std::string, alloc::BackendKnobs>& allocator_config) {
-  if (devices.empty()) {
-    throw std::invalid_argument(surface + ": request has no devices");
-  }
-  if (!models::is_known_model(job.model_name)) {
-    throw std::invalid_argument(surface + ": unknown model '" +
-                                job.model_name + "'");
-  }
-  for (const std::string& allocator : allocators) {
-    if (!alloc::is_known_backend(allocator)) {
-      throw std::invalid_argument(surface + ": unknown allocator '" +
-                                  allocator + "'");
-    }
-  }
-  validate_allocator_config(allocator_config, surface);
-}
 
 /// 100 * (value - base) / base, integer-truncated; 0 when base is 0.
 int pct_change(std::int64_t value, std::int64_t base) {
@@ -703,22 +665,11 @@ EstimationService::~EstimationService() = default;
 ProfileKey EstimationService::profile_key_for(const TrainJob& job,
                                               bool orchestrate,
                                               int profile_iterations) const {
-  ProfileKey key;
-  key.model_name = job.model_name;
-  key.batch_size = job.batch_size;
-  key.optimizer = job.optimizer;
-  key.placement = job.placement;
-  key.seed = job.seed;
-  key.profile_iterations = profile_iterations;
-  if (orchestrate) {
-    key.orchestrator_config = options_.orchestrator_config;
-  } else {
-    key.orchestrator_config.rule_params = false;
-    key.orchestrator_config.rule_batch = false;
-    key.orchestrator_config.rule_gradients = false;
-    key.orchestrator_config.rule_optimizer_state = false;
-  }
-  return key;
+  XMemOptions options;
+  options.profile_iterations = profile_iterations;
+  options.orchestrate = orchestrate;
+  options.orchestrator_config = options_.orchestrator_config;
+  return XMemEstimator::profile_key(job, options);
 }
 
 Estimator& EstimationService::estimator_instance(const std::string& name) {
@@ -854,14 +805,13 @@ void EstimationService::run_group(const EstimateRequest& request,
 EstimateReport EstimationService::sweep(const EstimateRequest& request) {
   const auto sweep_start = std::chrono::steady_clock::now();
 
-  // Checked before any profile runs, as the document path checks it.
-  fields::check(sweep_fields(), request, "profile_iterations", "request");
+  // The document's checks, so a C++ caller gets the document's messages
+  // and a bad question fails before any profile runs.
+  EstimateRequest::from_json(request.to_json());
   const std::vector<std::string> allocators =
       request.allocators.empty()
           ? std::vector<std::string>{alloc::kDefaultBackendName}
           : request.allocators;
-  validate_question("sweep", request.job, request.devices, allocators,
-                    request.allocator_config);
   const std::vector<std::string> estimators =
       request.estimators.empty() ? std::vector<std::string>{"xMem"}
                                  : request.estimators;
@@ -872,10 +822,6 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
   std::map<std::pair<std::string, std::string>, std::size_t> replay_groups;
   std::size_t slot = 0;
   for (const std::string& estimator : estimators) {
-    if (!is_known_estimator(estimator)) {
-      throw std::invalid_argument("sweep: unknown estimator '" + estimator +
-                                  "'");
-    }
     const bool session_backed = estimator_uses_session(estimator);
     for (std::size_t d = 0; d < request.devices.size(); ++d) {
       if (!session_backed) {
@@ -919,9 +865,7 @@ EstimateReport EstimationService::sweep(const EstimateRequest& request) {
 PlanReport EstimationService::plan(const PlanRequest& request) {
   const auto plan_start = std::chrono::steady_clock::now();
 
-  fields::check(plan_fields(), request, "profile_iterations", "plan request");
-  validate_question("plan", request.job, request.devices, {request.allocator},
-                    request.allocator_config);
+  PlanRequest::from_json(request.to_json());  // as in sweep()
 
   PlanReport report;
   report.job = request.job;
@@ -949,14 +893,12 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
   rank_analytic(request, profiles, pool_.get(), report);
 
   // Phase 2 covers the top-K survivors, or every ranked decomposition
-  // under refine_all. Clamp before the size_t cast: a negative
-  // refine_top_k reaching here through the C++ API (the JSON path rejects
-  // it) means "disabled", not "refine everything" via wraparound.
+  // under refine_all.
   const std::size_t refine_count =
       request.refine_all
           ? report.candidates.size()
           : std::min<std::size_t>(
-                static_cast<std::size_t>(std::max(request.refine_top_k, 0)),
+                static_cast<std::size_t>(request.refine_top_k),
                 report.candidates.size());
   if (refine_count > 0) {
     count_refine_replays(

@@ -45,12 +45,6 @@ struct FleetReport;
 
 namespace xmem::core {
 
-/// Fail fast on unknown backend names / knob names / out-of-range values,
-/// surfacing the backend's own actionable message.
-void validate_allocator_config(
-    const std::map<std::string, alloc::BackendKnobs>& config,
-    const std::string& context);
-
 /// One structured what-if question: a job crossed with candidate devices,
 /// allocator backends, and estimators. JSON round-trips through
 /// from_json/to_json — the schema `xmem sweep` consumes (docs/API.md).

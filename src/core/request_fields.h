@@ -9,10 +9,13 @@
 // ignored). Irregular fields — alias device strings, `"refine_top_k":
 // "all"` — are entries with a custom codec in the same list.
 //
-// A wrong-typed value is an error, never the default, and an integer is
-// range-checked in int64 before it is narrowed to the member type:
+// A wrong-typed value is an error, never the default, an integer is
+// range-checked in int64 before it is narrowed to the member type, and a
+// name is checked against its registry (models, allocators, estimators,
+// devices, enum spellings):
 //   <context>: "<key>" must be an integer | a string | a boolean | ...
 //   <context>: "<key>" must be >= <min> | <= <max>
+//   <context>: "<key>" names unknown <kind> '<name>' (known: <names>)
 //   <context>: missing "<key>"
 // Array entries are keyed "<key>[<i>]" and map entries "<key>.<name>"; a
 // nested object's context is "<context> <key>" ("request job", "fleet
@@ -25,6 +28,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +49,9 @@ struct At {
 
   /// Throws std::invalid_argument: `<context>: "<key>" <what>`.
   [[noreturn]] void fail(const std::string& what) const;
+  /// fail() with `names unknown <kind> '<name>' (known: <known...>)`.
+  [[noreturn]] void fail_unknown(std::string_view kind, const std::string& name,
+                                 const std::vector<std::string>& known) const;
   /// The context of a nested object.
   std::string inside() const {
     return std::string(context) + " " + std::string(key);
@@ -97,21 +104,6 @@ T parse(const util::Json& json, const List<T>& list,
   T object;
   read(json, list, object, context);
   return object;
-}
-
-/// Check the member `key` of a C++-built `object` by writing it and
-/// reading it back, so a bad value gets the document's message.
-template <typename T>
-void check(const List<T>& list, const T& object, std::string_view key,
-           const std::string& context) {
-  for (const Field<T>& field : list) {
-    if (field.key != key) continue;
-    util::JsonObject written;
-    field.write(object, written);
-    T scratch;
-    const auto it = written.find(field.key);
-    if (it != written.end()) field.read(it->second, scratch, context);
-  }
 }
 
 template <typename T>
@@ -188,14 +180,31 @@ Codec<M> integer(
           }};
 }
 
-/// An enum spelled as a string: `parse_name` reads it, `to_string` writes.
+/// An enum spelled as a string: `parse_name` reads it, `to_string` writes,
+/// and a name it rejects fails listing the spellings of `values`.
 template <typename E>
-Codec<E> named(E (*parse_name)(const std::string&)) {
-  return {[parse_name](const util::Json& value, const At& at) {
-            return parse_name(read_text(value, at));
+Codec<E> named(std::string kind, E (*parse_name)(const std::string&),
+               std::vector<E> values) {
+  return {[kind, parse_name, values](const util::Json& value, const At& at) {
+            const std::string name = read_text(value, at);
+            try {
+              return parse_name(name);
+            } catch (const std::invalid_argument&) {
+              std::vector<std::string> known;
+              for (const E option : values) known.push_back(to_string(option));
+              at.fail_unknown(kind, name, known);
+            }
           },
           [](const E& value) { return util::Json(to_string(value)); }};
 }
+
+/// A string naming an entry of the registry whose names are `names()`;
+/// `known`, when given, answers membership without building the list.
+Codec<std::string> registered(std::string kind,
+                              std::vector<std::string> (*names)(),
+                              bool (*known)(const std::string&) = nullptr);
+Codec<std::string> allocator();
+Codec<std::string> estimator();
 
 template <typename S>
 Codec<S> object(const List<S>& list) {
@@ -279,9 +288,10 @@ const List<TrainJob>& job_fields();
 /// device otherwise.
 Codec<gpu::DeviceModel> device();
 
-/// Backend name -> integer knob object. The names and values are checked
-/// against the backends later (validate_allocator_config), with the
-/// backend's own message.
+/// Backend name -> integer knob object. Each name must be a registered
+/// backend, and a throwaway backend built from the knobs checks their
+/// names and values with the backend's own message, prefixed by
+/// "<context> allocator_config.<backend>: ".
 Codec<std::map<std::string, alloc::BackendKnobs>> allocator_configs();
 
 template <typename T>

@@ -2,16 +2,17 @@
 
 namespace xmem::core {
 
-ProfileKey XMemEstimator::profile_key(const TrainJob& job) const {
+ProfileKey XMemEstimator::profile_key(const TrainJob& job,
+                                      const XMemOptions& options) {
   ProfileKey key;
   key.model_name = job.model_name;
   key.batch_size = job.batch_size;
   key.optimizer = job.optimizer;
   key.placement = job.placement;
   key.seed = job.seed;
-  key.profile_iterations = options_.profile_iterations;
-  key.orchestrator_config = options_.orchestrator_config;
-  if (!options_.orchestrate) {
+  key.profile_iterations = options.profile_iterations;
+  key.orchestrator_config = options.orchestrator_config;
+  if (!options.orchestrate) {
     key.orchestrator_config.rule_params = false;
     key.orchestrator_config.rule_batch = false;
     key.orchestrator_config.rule_gradients = false;

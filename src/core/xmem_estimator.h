@@ -50,7 +50,13 @@ class XMemEstimator final : public Estimator {
   }
 
   /// The session cache key for this estimator's view of `job`.
-  ProfileKey profile_key(const TrainJob& job) const;
+  ProfileKey profile_key(const TrainJob& job) const {
+    return profile_key(job, options_);
+  }
+  /// The key an estimator built with `options` uses: every orchestrator
+  /// rule off when `options.orchestrate` is false.
+  static ProfileKey profile_key(const TrainJob& job,
+                                const XMemOptions& options);
 
   ProfileSession& session() const { return *session_; }
 

@@ -13,7 +13,11 @@ std::int64_t Profiler::open_span(trace::EventKind kind, std::string name,
   e.dur = 0;
   e.id = next_id_++;
   e.seq = seq;
-  e.parent_id = stack_.empty() ? -1 : out_.events[stack_.back()].id;
+  // A trace file carries a parent only on python_function and cpu_op
+  // events, so annotations keep none and read back unchanged.
+  if (kind != trace::EventKind::kUserAnnotation && !stack_.empty()) {
+    e.parent_id = out_.events[stack_.back()].id;
+  }
   out_.events.push_back(std::move(e));
   stack_.push_back(out_.events.size() - 1);
   return static_cast<std::int64_t>(out_.events.size() - 1);
@@ -36,7 +40,6 @@ void Profiler::memory_event(std::uint64_t addr, std::int64_t bytes,
   e.name = "[memory]";
   e.ts = clock_.now();
   e.id = next_id_++;
-  e.parent_id = stack_.empty() ? -1 : out_.events[stack_.back()].id;
   e.addr = addr;
   e.bytes = bytes;
   e.total_allocated = total_allocated;

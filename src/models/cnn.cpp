@@ -4,6 +4,7 @@
 // resolution (32x32) and classifier width (100 classes) are CIFAR-scale.
 // Parameter counts are therefore the published ones for every model whose
 // parameters are input-independent (everything except the VGG classifier).
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -369,10 +370,8 @@ ModelDescriptor build_convnext(const std::string& name, int batch, bool base) {
 }  // namespace
 
 bool is_cnn_name(const std::string& name) {
-  for (const auto& known : cnn_model_names()) {
-    if (known == name) return true;
-  }
-  return false;
+  static const std::vector<std::string> known = cnn_model_names();
+  return std::find(known.begin(), known.end(), name) != known.end();
 }
 
 ModelDescriptor build_cnn(const std::string& name, int batch_size) {

@@ -2,6 +2,7 @@
 // Table 2). Hyper-parameters follow the published HuggingFace configs;
 // parameter counts land within a few percent of the advertised sizes
 // (verified by tests/models_test.cpp).
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -355,13 +356,12 @@ TransformerCfg config_for(const std::string& name) {
 }  // namespace
 
 bool is_transformer_name(const std::string& name) {
-  for (const auto& known : transformer_model_names()) {
-    if (known == name) return true;
-  }
-  for (const auto& known : rq5_model_names()) {
-    if (known == name) return true;
-  }
-  return false;
+  static const std::vector<std::string> known = [] {
+    std::vector<std::string> names = transformer_model_names();
+    for (std::string& rq5 : rq5_model_names()) names.push_back(std::move(rq5));
+    return names;
+  }();
+  return std::find(known.begin(), known.end(), name) != known.end();
 }
 
 ModelDescriptor build_transformer(const std::string& name, int batch_size) {

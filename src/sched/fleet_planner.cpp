@@ -7,9 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/estimator_registry.h"
 #include "core/request_fields.h"
-#include "models/zoo.h"
 #include "util/thread_pool.h"
 
 namespace xmem::sched {
@@ -26,14 +24,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// share one CPU profile (and one planner cache entry).
 std::string job_key(const core::TrainJob& job) {
   return job.label() + "|seed" + std::to_string(job.seed);
-}
-
-/// Reject a job whose model the zoo cannot build before any profile runs.
-void check_model(const core::TrainJob& job, const std::string& context) {
-  if (!models::is_known_model(job.model_name)) {
-    throw std::invalid_argument(context + ": unknown model '" +
-                                job.model_name + "'");
-  }
 }
 
 /// The multi-GPU fallback question for every archetype of `request`: the
@@ -130,10 +120,11 @@ const fields::List<FleetRequest>& fleet_fields() {
       fields::required(field(
           "pools", &R::pools,
           fields::array(fields::object(pool_fields()), /*non_empty=*/true))),
-      field("policy", &R::policy, fields::text()),
+      field("policy", &R::policy,
+            fields::registered("packing policy", packing_policy_names)),
       field("headroom", &R::headroom, fields::object(headroom_fields())),
-      field("estimator", &R::estimator, fields::text()),
-      field("allocator", &R::allocator, fields::text()),
+      field("estimator", &R::estimator, fields::estimator()),
+      field("allocator", &R::allocator, fields::allocator()),
       fields::allocator_config(&R::allocator_config),
       field("profile_iterations", &R::profile_iterations, integer<int>(1)),
       field("max_gpus_per_job", &R::max_gpus_per_job, integer<int>(1)),
@@ -176,11 +167,6 @@ util::Json FleetJob::to_json() const {
   return fields::write(fleet_job_fields(), *this);
 }
 
-GpuPool GpuPool::from_json(const util::Json& json,
-                           const std::string& context) {
-  return fields::parse(json, pool_fields(), context);
-}
-
 util::Json GpuPool::to_json() const {
   return fields::write(pool_fields(), *this);
 }
@@ -190,14 +176,6 @@ std::int64_t HeadroomPolicy::bytes_for(const std::string& device_name,
   const auto it = per_device.find(device_name);
   const HeadroomRule& rule = it == per_device.end() ? base : it->second;
   return rule.absolute_bytes + predicted_peak * rule.percent / 100;
-}
-
-HeadroomPolicy HeadroomPolicy::from_json(const util::Json& json) {
-  return fields::parse(json, headroom_fields(), "fleet request headroom");
-}
-
-util::Json HeadroomPolicy::to_json() const {
-  return fields::write(headroom_fields(), *this);
 }
 
 FleetRequest FleetRequest::from_json(const util::Json& json) {
@@ -382,19 +360,17 @@ struct FleetPlanner::Impl {
     }
   }
 
+  /// The field lists' checks, so C++ callers get the document's messages,
+  /// plus what a list cannot express: unique job ids, a positive budget
+  /// per pool, and one geometry per device name.
   static void validate(const FleetRequest& request) {
-    // Types and ranges: the JSON path's own field-list checks, so C++
-    // callers get the same messages as documents.
     FleetRequest::from_json(request.to_json());
     std::set<std::string> ids;
-    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-      const FleetJob& fleet_job = request.jobs[i];
+    for (const FleetJob& fleet_job : request.jobs) {
       if (!ids.insert(fleet_job.id).second) {
         throw std::invalid_argument("fleet request: duplicate job id '" +
                                     fleet_job.id + "'");
       }
-      check_model(fleet_job.job,
-                  "fleet request jobs[" + std::to_string(i) + "]");
     }
     auto check_pool = [](const GpuPool& gpu_pool) {
       if (gpu_pool.device.job_budget() <= 0) {
@@ -420,22 +396,6 @@ struct FleetPlanner::Impl {
     };
     for (const GpuPool& gpu_pool : request.pools) check_geometry(gpu_pool.device);
     for (const GpuPool& gpu_pool : request.what_if) check_geometry(gpu_pool.device);
-    if (!core::is_known_estimator(request.estimator)) {
-      std::string names;
-      for (const std::string& name : core::estimator_names()) {
-        if (!names.empty()) names += ", ";
-        names += name;
-      }
-      throw std::invalid_argument("fleet request: unknown estimator '" +
-                                  request.estimator + "' (known: " + names +
-                                  ")");
-    }
-    make_packing_policy(request.policy);  // throws listing known policies
-    if (!alloc::is_known_backend(request.allocator)) {
-      throw std::invalid_argument("fleet request: unknown allocator '" +
-                                  request.allocator + "'");
-    }
-    core::validate_allocator_config(request.allocator_config, "fleet request");
   }
 
   /// Distinct device models across the given pool lists, sorted by name.
@@ -453,10 +413,11 @@ struct FleetPlanner::Impl {
     return devices;
   }
 
-  /// Compute per-device peaks for every archetype in the queue that the
+  /// Compute per-device peaks for every archetype among `jobs` that the
   /// cache does not already cover, fanning the sweeps on the pool. One
   /// sweep (== one CPU profile, cold) per fresh archetype.
   void ensure_archetypes(const ScopedRequest& request,
+                         const std::vector<FleetJob>& jobs,
                          const std::vector<gpu::DeviceModel>& devices,
                          FleetCounters& counters) {
     core::EstimateRequest sweep;  // the part every archetype sweep shares
@@ -468,7 +429,7 @@ struct FleetPlanner::Impl {
     // (archetype key, sweep over the devices its cache entry lacks)
     std::vector<std::pair<std::string, core::EstimateRequest>> needs;
     std::set<std::string> seen;
-    for (const FleetJob& fleet_job : request.jobs) {
+    for (const FleetJob& fleet_job : jobs) {
       const std::string key = archetype_key(request, fleet_job.job);
       if (!seen.insert(key).second) continue;
       const auto it = cache.find(key);
@@ -482,7 +443,7 @@ struct FleetPlanner::Impl {
       }
       if (!sweep.devices.empty()) needs.emplace_back(key, sweep);
     }
-    counters.estimates_reused += request.jobs.size() - needs.size();
+    counters.estimates_reused += jobs.size() - needs.size();
 
     std::vector<core::EstimateReport> reports(needs.size());
     util::fan_out(pool.get(), needs.size(), [&](std::size_t i) {
@@ -874,7 +835,7 @@ struct FleetPlanner::Impl {
     FleetCounters counters;
     const std::vector<gpu::DeviceModel> devices =
         distinct_devices({&request.pools, &request.what_if});
-    ensure_archetypes(request, devices, counters);
+    ensure_archetypes(request, request.jobs, devices, counters);
     base = run_pack(request, request.pools, devices, *policy, counters);
     counters.pools_repacked = request.pools.size();
     FleetReport report = make_report(request, request.pools, base, counters);
@@ -946,16 +907,24 @@ FleetReport FleetPlanner::apply(const JobArrival& event) {
     }
     return false;
   };
+  std::size_t next_auto_id = impl.next_auto_id;
   if (job.id.empty()) {
     do {
-      job.id = "job-" + std::to_string(impl.next_auto_id);
-      impl.next_auto_id += 1;
+      job.id = "job-" + std::to_string(next_auto_id);
+      next_auto_id += 1;
     } while (id_taken(job.id));
   } else if (id_taken(job.id)) {
     throw std::invalid_argument("fleet apply: duplicate job id '" + job.id +
                                 "'");
   }
-  check_model(job.job, "fleet apply");
+  // Check the arrival and estimate its archetype before the state changes,
+  // so a bad arrival leaves the planner as it was.
+  fields::parse(job.to_json(), fleet_job_fields(), "fleet apply");
+  FleetCounters counters;
+  counters.estimates_reused = impl.state_request.jobs.size();
+  const std::vector<gpu::DeviceModel> devices =
+      Impl::distinct_devices({&impl.state_request.pools});
+  impl.ensure_archetypes(impl.state_request, {job}, devices, counters);
 
   const std::unique_ptr<PackingPolicy> policy =
       make_packing_policy(impl.state_request.policy);
@@ -971,28 +940,31 @@ FleetReport FleetPlanner::apply(const JobArrival& event) {
   }
   const bool fast = policy->order_preserving() && sorts_last;
 
+  // Placing can still reach a plan search; pack into a copy and commit
+  // only once it succeeds.
   impl.state_request.jobs.push_back(job);
-  FleetCounters counters;
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&impl.state_request.pools});
-  impl.ensure_archetypes(impl.state_request, devices, counters);
-
-  if (fast) {
-    const std::vector<std::size_t> starts =
-        Impl::pool_starts(impl.state_request.pools);
-    impl.state_result.verdicts.emplace_back();
-    impl.place_job(impl.state_request, impl.state_request.pools, starts,
-                   devices, job, *policy, impl.state_result, counters,
-                   impl.state_result.verdicts.back());
-    Impl::compute_stats(impl.state_request, impl.state_result);
-    counters.pools_repacked =
-        impl.state_result.verdicts.back().verdict == Verdict::kAdmit ? 1 : 0;
-  } else {
-    impl.state_result = impl.run_pack(
-        impl.state_request, impl.state_request.pools, devices, *policy,
-        counters);
-    counters.pools_repacked = impl.state_request.pools.size();
+  PackResult result;
+  try {
+    if (fast) {
+      result = impl.state_result;
+      result.verdicts.emplace_back();
+      impl.place_job(impl.state_request, impl.state_request.pools,
+                     Impl::pool_starts(impl.state_request.pools), devices, job,
+                     *policy, result, counters, result.verdicts.back());
+      Impl::compute_stats(impl.state_request, result);
+      counters.pools_repacked =
+          result.verdicts.back().verdict == Verdict::kAdmit ? 1 : 0;
+    } else {
+      result = impl.run_pack(impl.state_request, impl.state_request.pools,
+                             devices, *policy, counters);
+      counters.pools_repacked = impl.state_request.pools.size();
+    }
+  } catch (...) {
+    impl.state_request.jobs.pop_back();
+    throw;
   }
+  impl.state_result = std::move(result);
+  impl.next_auto_id = next_auto_id;
   FleetReport report = impl.make_report(
       impl.state_request, impl.state_request.pools, impl.state_result,
       counters);

@@ -58,7 +58,6 @@ struct GpuPool {
   gpu::DeviceModel device;
   int count = 0;
 
-  static GpuPool from_json(const util::Json& json, const std::string& context);
   util::Json to_json() const;
 };
 
@@ -76,9 +75,6 @@ struct HeadroomPolicy {
 
   std::int64_t bytes_for(const std::string& device_name,
                          std::int64_t predicted_peak) const;
-
-  static HeadroomPolicy from_json(const util::Json& json);
-  util::Json to_json() const;
 };
 
 /// The full packing question: queue + fleet + policy knobs. JSON

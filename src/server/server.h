@@ -72,7 +72,7 @@ struct ServerConfig {
 struct ServerStats {
   std::uint64_t frames_received = 0;    ///< well-framed payloads read
   std::uint64_t requests_total = 0;     ///< parsed envelopes, any type
-  std::uint64_t data_requests = 0;      ///< sweep + plan arrivals
+  std::uint64_t data_requests = 0;      ///< sweep + plan + fleet arrivals
   std::uint64_t executed = 0;           ///< sweep/plan/fleet actually run
   std::uint64_t coalesced_inflight = 0; ///< collapsed onto an in-flight twin
   std::uint64_t reply_cache_hits = 0;   ///< served a completed twin's reply

@@ -312,40 +312,35 @@ int list_policies() {
   return 0;
 }
 
-int run_estimate(const Cli& cli, bool verify) {
-  if (cli.model.empty() || cli.batch <= 0) {
-    std::fprintf(stderr, "estimate requires --model and --batch > 0\n");
-    return 1;
-  }
-  if (!models::is_known_model(cli.model)) {
-    std::fprintf(stderr, "unknown model '%s' (see `xmem models`)\n",
-                 cli.model.c_str());
-    return 1;
-  }
-  if (!alloc::is_known_backend(cli.allocator)) {
-    std::fprintf(stderr, "unknown allocator '%s' (see `xmem backends`)\n",
-                 cli.allocator.c_str());
-    return 1;
-  }
-  if (!core::is_known_estimator(cli.estimator)) {
-    std::fprintf(stderr, "unknown estimator '%s' (see `xmem estimators`)\n",
-                 cli.estimator.c_str());
-    return 1;
-  }
-  const gpu::DeviceModel device = gpu::device_by_name(cli.device);
+/// `estimate`/`verify` flags spelled as a one-entry sweep document, so they
+/// are checked by the request field lists with the document's messages.
+util::Json estimate_document(const Cli& cli) {
+  util::Json job = util::Json::object();
+  if (!cli.model.empty()) job["model"] = util::Json(cli.model);
+  job["batch"] = util::Json(cli.batch);
+  job["optimizer"] = util::Json(cli.optimizer);
+  job["placement"] = util::Json(cli.pos0 ? "POS0" : "POS1");
+  util::Json document = util::Json::object();
+  document["job"] = std::move(job);
+  document["devices"] = util::JsonArray{util::Json(cli.device)};
+  document["allocators"] = util::JsonArray{util::Json(cli.allocator)};
+  document["estimators"] = util::JsonArray{util::Json(cli.estimator)};
+  document["profile_iterations"] = util::Json(cli.iterations);
+  document["curve"] = util::Json(cli.curve);
+  return document;
+}
 
-  core::TrainJob job;
-  job.model_name = cli.model;
-  job.batch_size = cli.batch;
-  job.optimizer = fw::optimizer_from_string(cli.optimizer);
-  job.placement = cli.pos0 ? fw::ZeroGradPlacement::kPos0BeforeBackward
-                           : fw::ZeroGradPlacement::kPos1IterStart;
+int run_estimate(const Cli& cli, bool verify) {
+  const core::EstimateRequest request =
+      core::EstimateRequest::from_json(estimate_document(cli));
+  const core::TrainJob& job = request.job;
+  const gpu::DeviceModel& device = request.devices.front();
 
   core::ServiceOptions service_options;
   service_options.threads = 1;  // one question, no fan-out
   core::EstimationService service(service_options);
-  const core::EstimateEntry entry = service.estimate(
-      cli.estimator, job, device, cli.allocator, cli.iterations, cli.curve);
+  const core::EstimateEntry entry =
+      std::move(service.sweep(request).entries.front());
 
   if (!entry.supported) {
     std::fprintf(stderr, "estimator %s does not support this job class\n",
@@ -356,7 +351,8 @@ int run_estimate(const Cli& cli, bool verify) {
   std::int64_t truth_peak = -1;
   bool truth_oom = false;
   if (verify) {
-    const fw::ModelDescriptor model = models::build_model(cli.model, cli.batch);
+    const fw::ModelDescriptor model =
+        models::build_model(job.model_name, job.batch_size);
     gpu::GroundTruthRunner runner;
     gpu::GroundTruthOptions gt;
     gt.placement = job.placement;

@@ -147,8 +147,9 @@ TEST(Pipeline, DeterministicEstimates) {
 
 TEST(Pipeline, FileHandoffDoesNotChangeTheSequence) {
   // The pipeline writes the profile as a trace file's bytes and analyzes
-  // what it reads back; analyzing the profile in memory instead must give
-  // the same orchestrated sequence, so the same estimate.
+  // what it reads back; the trace it reads back is the profile, field for
+  // field (so a cached profile can be regenerated from its key), and
+  // analyzing the profile in memory gives the same orchestrated sequence.
   const TrainJob job = make_job({"distilgpt2", 8, fw::OptimizerKind::kAdam});
   const XMemEstimator estimator;
   const ProfileKey key = estimator.profile_key(job);
@@ -161,8 +162,27 @@ TEST(Pipeline, FileHandoffDoesNotChangeTheSequence) {
       options);
   const Orchestrator::Output in_memory = Orchestrator().orchestrate(
       Analyzer().analyze(profiled).timeline, key.orchestrator_config);
-  const OrchestratedSequence& handed_off =
-      run_profile_pipeline(key).orchestration.sequence;
+  const ProfileArtifacts artifacts = run_profile_pipeline(key);
+  const trace::Trace& read_back = artifacts.trace;
+  EXPECT_EQ(read_back.model_name, profiled.model_name);
+  EXPECT_EQ(read_back.optimizer_name, profiled.optimizer_name);
+  EXPECT_EQ(read_back.batch_size, profiled.batch_size);
+  EXPECT_EQ(read_back.iterations, profiled.iterations);
+  EXPECT_EQ(read_back.backend, profiled.backend);
+  EXPECT_EQ(read_back.schema_version, profiled.schema_version);
+  ASSERT_EQ(read_back.events.size(), profiled.events.size());
+  for (std::size_t i = 0; i < profiled.events.size(); ++i) {
+    const trace::TraceEvent& a = read_back.events[i];
+    const trace::TraceEvent& b = profiled.events[i];
+    ASSERT_TRUE(a.kind == b.kind && a.name == b.name && a.ts == b.ts &&
+                a.dur == b.dur && a.id == b.id && a.parent_id == b.parent_id &&
+                a.seq == b.seq && a.addr == b.addr && a.bytes == b.bytes &&
+                a.total_allocated == b.total_allocated &&
+                a.device_id == b.device_id)
+        << "event " << i << " (" << trace::to_string(b.kind) << " "
+        << b.name << ") differs after the file handoff";
+  }
+  const OrchestratedSequence& handed_off = artifacts.orchestration.sequence;
   ASSERT_EQ(handed_off.events.size(), in_memory.sequence.events.size());
   EXPECT_EQ(sequence_fingerprint(handed_off),
             sequence_fingerprint(in_memory.sequence));

@@ -374,6 +374,34 @@ TEST(FleetApply, RejectsDuplicateAndUnknownIdsAndPackless) {
                std::invalid_argument);
 }
 
+TEST(FleetApply, FailedArrivalLeavesThePlannerUnchanged) {
+  // A bad arrival throws before the planner's state changes: a later good
+  // arrival and its finish still equal a fresh pack of the final queue.
+  const sched::FleetRequest base = small_request();
+  core::EstimationService incremental_service;
+  sched::FleetPlanner planner(incremental_service);
+  planner.pack(base);
+
+  sched::JobArrival bad;
+  bad.job.job = make_job("distilgpt2", 0, fw::OptimizerKind::kSgd);
+  EXPECT_THROW(planner.apply(bad), std::invalid_argument);
+  bad.job.job = make_job("no-such-model", 5, fw::OptimizerKind::kSgd);
+  EXPECT_THROW(planner.apply(bad), std::invalid_argument);
+
+  sched::JobArrival good;
+  good.job.job = make_job("gpt2", 8, fw::OptimizerKind::kAdamW);
+  const sched::FleetReport arrived = planner.apply(good);
+  ASSERT_EQ(arrived.verdicts.size(), base.jobs.size() + 1);
+  // Auto ids continue from the pack: the failed arrivals consumed none.
+  EXPECT_EQ(arrived.verdicts.back().id, "job-4");
+  const sched::FleetReport finished =
+      planner.apply(sched::JobFinish{arrived.verdicts.back().id});
+
+  core::EstimationService fresh_service;
+  EXPECT_EQ(packing_fingerprint(finished),
+            packing_fingerprint(fresh_service.fleet(base)));
+}
+
 // ---------- what-if ----------
 
 TEST(FleetWhatIf, DeltaMatchesTwoIndependentPacks) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <fstream>
 #include <sstream>
@@ -76,6 +77,15 @@ void expect_pins(const std::vector<Pin>& pins) {
 
 // ---------- pinned rejection messages ----------
 
+#define KNOWN_MODELS                                                         \
+  "(known: ConvNeXtBase, ConvNeXtTiny, MnasNet, MobileNetV3Large, "         \
+  "MobileNetV3Small, MobileNetV2, RegNetX400MF, RegNetY400MF, ResNet101, "  \
+  "ResNet152, VGG16, VGG19, Cerebras-GPT-111M, Qwen3-0.6B, T5-small, "      \
+  "distilgpt2, gpt-neo-125M, gpt2, opt-125m, opt-350m, pythia-1b, t5-base, " \
+  "DeepSeek-R1-Distill-Qwen-1.5B, Llama-3.2-3B-Instruct, Qwen3-4B)"
+#define KNOWN_ALLOCATORS                                                    \
+  "(known: basic-bfc, cub-binned, pytorch, pytorch-expandable, stream-pool, tf-bfc)"
+
 TEST(RejectionPins, BadFixtures) {
   const std::vector<std::pair<const char*, const char*>> fixtures = {
       {"bad_backend_config.json", "sweep"},
@@ -91,15 +101,15 @@ TEST(RejectionPins, BadFixtures) {
       {"bad_typed_field.json", "sweep"},
   };
   const std::vector<const char*> messages = {
-      "cub-binned: malformed bin config: max_bin (5) must be >= min_bin (20)",
+      "request allocator_config.cub-binned: cub-binned: malformed bin config: max_bin (5) must be >= min_bin (20)",
       "fleet request pools[0]: \"count\" must be >= 1",
-      "fleet request jobs[0]: unknown model 'no-such-model'",
+      "fleet request jobs[0] job: \"model\" names unknown model 'no-such-model' " KNOWN_MODELS,
       "unexpected end of input at offset 47",
       "request: missing \"devices\"",
       "plan request: \"comm_overlap\" must be a boolean",
       "plan request: \"refine_top_k\" must be >= 0",
       "plan request: \"refine_top_k\" must be an integer >= 0 or the string \"all\" (refine every ranked decomposition)",
-      "sweep: unknown estimator 'warp-drive'",
+      "request: \"estimators[0]\" names unknown estimator 'warp-drive' (known: DNNMem, LLMem, SchedTune, xMem, xMem-noOrch)",
       "request job: \"batch\" must be <= 2147483647",
       "request: \"profile_iterations\" must be an integer",
   };
@@ -128,25 +138,26 @@ TEST(RejectionPins, Sweep) {
       {"sweep",
        R"({"job": {"model": "distilgpt2", "batch": 5, "optimizer": "Lion"}, )" DEV
        R"(})",
-       "unknown optimizer: Lion"},
+       "request job: \"optimizer\" names unknown optimizer 'Lion' (known: SGD, Adam, AdamW, RMSprop, Adagrad, Adafactor)"},
       {"sweep",
        R"({"job": {"model": "distilgpt2", "batch": 5, "placement": "POS9"}, )" DEV
        R"(})",
-       "unknown zero_grad placement: POS9"},
+       "request job: \"placement\" names unknown zero_grad placement 'POS9' (known: POS0, POS1)"},
       {"sweep", R"({"job": {"model": "no-such-model", "batch": 5}, )" DEV R"(})",
-       "sweep: unknown model 'no-such-model'"},
+       "request job: \"model\" names unknown model 'no-such-model' " KNOWN_MODELS},
       {"sweep", R"({)" JOB R"(, "devices": []})",
        "request: \"devices\" must be a non-empty array"},
       {"sweep", R"({)" JOB R"(, "devices": [5]})",
        "request: \"devices[0]\" must be an alias string or an object"},
       {"sweep", R"({)" JOB R"(, "devices": ["rtx9999"]})",
-       "unknown device: rtx9999 (rtx3060 | rtx4060 | a100)"},
+       "request: \"devices[0]\" names unknown device 'rtx9999' (known: rtx3060, rtx4060, a100)"},
       {"sweep", R"({)" JOB R"(, "devices": [{"capacity_bytes": 100}]})",
        "request devices[0]: missing \"name\""},
       {"sweep", R"({)" JOB R"(, "devices": [{"name": "mystery"}]})",
        "request devices[0]: unknown device 'mystery' needs an explicit \"capacity_bytes\""},
       {"sweep", R"({)" JOB "," DEV R"(, "allocators": ["warp"]})",
-       "sweep: unknown allocator 'warp'"},
+       "request: \"allocators[0]\" names unknown allocator 'warp' "
+       KNOWN_ALLOCATORS},
       {"sweep", R"({)" JOB "," DEV R"(, "allocators": "pytorch"})",
        "request: \"allocators\" must be an array"},
       {"sweep", R"({)" JOB "," DEV R"(, "estimators": "xMem"})",
@@ -163,7 +174,8 @@ TEST(RejectionPins, Sweep) {
        "request allocator_config.cub-binned: knob 'min_bin' must be an integer (byte/count knobs only \xE2\x80\x94 no strings or fractions)"},
       {"sweep",
        R"({)" JOB "," DEV R"(, "allocator_config": {"warp": {"x": 1}}})",
-       "sweep: allocator_config names unknown backend 'warp'"},
+       "request: \"allocator_config\" names unknown allocator 'warp' "
+       KNOWN_ALLOCATORS},
   });
 }
 
@@ -181,7 +193,7 @@ TEST(RejectionPins, Plan) {
       {"plan", R"({)" JOB "," DEV R"(, "virtual_stages": 0})",
        "plan request: \"virtual_stages\" must be >= 1"},
       {"plan", R"({)" JOB "," DEV R"(, "schedule": "zigzag"})",
-       "unknown pipeline schedule 'zigzag' (1f1b | interleaved)"},
+       "plan request: \"schedule\" names unknown pipeline schedule 'zigzag' (known: 1f1b, interleaved)"},
       {"plan", R"({)" JOB "," DEV R"(, "zero_stage": 5})",
        "plan request: \"zero_stage\" must be <= 3"},
       {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_bytes": -1})",
@@ -203,11 +215,12 @@ TEST(RejectionPins, Plan) {
       {"plan", R"({)" JOB "," DEV R"(, "comm_overlap": 1})",
        "plan request: \"comm_overlap\" must be a boolean"},
       {"plan", R"({)" JOB "," DEV R"(, "allocator": "warp"})",
-       "plan: unknown allocator 'warp'"},
+       "plan request: \"allocator\" names unknown allocator 'warp' "
+       KNOWN_ALLOCATORS},
       {"plan", R"({)" JOB "," DEV R"(, "allocator_config": []})",
        "plan request: \"allocator_config\" must be an object"},
       {"plan", R"({"job": {"model": "no-such-model", "batch": 5}, )" DEV R"(})",
-       "plan: unknown model 'no-such-model'"},
+       "plan request job: \"model\" names unknown model 'no-such-model' " KNOWN_MODELS},
   });
 }
 
@@ -249,7 +262,7 @@ TEST(RejectionPins, Fleet) {
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx3060"}]})",
        "fleet request pools[0]: missing \"count\""},
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx9999", "count": 1}]})",
-       "unknown device: rtx9999 (rtx3060 | rtx4060 | a100)"},
+       "fleet request pools[0]: \"device\" names unknown device 'rtx9999' (known: rtx3060, rtx4060, a100)"},
       {"fleet",
        R"({)" JOBS R"(, "pools": [{"device": {"name": "tiny",
                   "capacity_bytes": 100, "m_init_bytes": 200}, "count": 1}]})",
@@ -285,16 +298,18 @@ TEST(RejectionPins, Fleet) {
       {"fleet", R"({)" JOBS "," POOLS R"(, "refine_all": 1})",
        "fleet request: \"refine_all\" must be a boolean"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "estimator": "warp"})",
-       "fleet request: unknown estimator 'warp' (known: DNNMem, LLMem, SchedTune, xMem, xMem-noOrch)"},
+       "fleet request: \"estimator\" names unknown estimator 'warp' (known: DNNMem, LLMem, SchedTune, xMem, xMem-noOrch)"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "policy": "warp"})",
-       "unknown packing policy 'warp' (known: best-fit-decreasing, first-fit, whole-gpu)"},
+       "fleet request: \"policy\" names unknown packing policy 'warp' (known: best-fit-decreasing, first-fit, whole-gpu)"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "allocator": "warp"})",
-       "fleet request: unknown allocator 'warp'"},
+       "fleet request: \"allocator\" names unknown allocator 'warp' "
+       KNOWN_ALLOCATORS},
       {"fleet", R"({)" JOBS "," POOLS R"(, "allocator_config": 5})",
        "fleet request: \"allocator_config\" must be an object"},
       {"fleet",
        R"({)" JOBS "," POOLS R"(, "allocator_config": {"warp": {"x": 1}}})",
-       "fleet request: allocator_config names unknown backend 'warp'"},
+       "fleet request: \"allocator_config\" names unknown allocator 'warp' "
+       KNOWN_ALLOCATORS},
       {"fleet", R"({)" JOBS "," POOLS R"(, "profile_iterations": 0})",
        "fleet request: \"profile_iterations\" must be >= 1"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 0})",
@@ -452,6 +467,47 @@ TEST(RequestTypes, CxxSweepsCheckProfileIterationsBeforeProfiling) {
   plan.profile_iterations = 0;
   EXPECT_EQ(error_of([&] { service.plan(plan); }),
             "plan request: \"profile_iterations\" must be >= 1");
+  EXPECT_EQ(service.session().misses(), 0u);
+}
+
+TEST(RequestTypes, CxxPlansGetTheDocumentMessages) {
+  // plan() checks a C++-built request with the document's field list, so
+  // values the document path rejects never reach the search (max_gpus = 0
+  // used to answer with zero candidates, the others with thirteen).
+  core::ServiceOptions options;
+  options.threads = 1;
+  core::EstimationService service(options);
+  const auto plan_error = [&service](const core::PlanRequest& request) {
+    try {
+      service.plan(request);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  core::PlanRequest base;
+  base.job.model_name = "distilgpt2";
+  base.job.batch_size = 5;
+  base.devices = {gpu::rtx3060()};
+  const std::vector<std::pair<std::function<void(core::PlanRequest&)>,
+                              std::string>>
+      cases = {
+          {[](core::PlanRequest& r) { r.max_gpus = 0; },
+           R"({)" JOB "," DEV R"(, "max_gpus": 0})"},
+          {[](core::PlanRequest& r) { r.micro_batches = 0; },
+           R"({)" JOB "," DEV R"(, "micro_batches": 0})"},
+          {[](core::PlanRequest& r) { r.activation_replication_pct = 500; },
+           R"({)" JOB "," DEV R"(, "activation_replication_pct": 500})"},
+          {[](core::PlanRequest& r) { r.refine_top_k = -1; },
+           R"({)" JOB "," DEV R"(, "refine_top_k": -1})"},
+      };
+  for (const auto& [mutate, document] : cases) {
+    core::PlanRequest request = base;
+    mutate(request);
+    const std::string message = rejection("plan", document);
+    EXPECT_NE(message, "(accepted)") << document;
+    EXPECT_EQ(plan_error(request), message) << document;
+  }
   EXPECT_EQ(service.session().misses(), 0u);
 }
 

@@ -152,39 +152,52 @@ TEST(EstimateRequestJson, BadFixtureMissingDevicesNamesTheField) {
   }
 }
 
-TEST(EstimateRequestJson, BadFixtureUnknownEstimatorNamesTheEstimator) {
-  // Unknown estimator names pass parsing (the registry is a service
-  // concern) but the sweep rejects them, naming the offender.
-  const std::string text = read_fixture("bad_unknown_estimator.json");
-  const core::EstimateRequest request =
-      core::EstimateRequest::from_json(util::Json::parse(text));
-  core::EstimationService service;
+/// The message `call` throws std::invalid_argument with.
+template <typename Call>
+std::string rejection_of(Call call) {
   try {
-    service.sweep(request);
-    FAIL() << "sweep accepted an unknown estimator";
+    call();
   } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("warp-drive"), std::string::npos)
-        << "error must name the unknown estimator: " << error.what();
+    return error.what();
   }
+  return "(accepted)";
+}
+
+TEST(EstimateRequestJson, BadFixtureUnknownEstimatorNamesTheEstimator) {
+  // The estimators field checks names against the registry: the document
+  // fails to parse, and the same request built in C++ fails the sweep
+  // with the same message, before any profile runs.
+  util::Json document =
+      util::Json::parse(read_fixture("bad_unknown_estimator.json"));
+  const std::string message = rejection_of(
+      [&] { core::EstimateRequest::from_json(document); });
+  EXPECT_NE(message.find("'warp-drive'"), std::string::npos)
+      << "error must name the unknown estimator: " << message;
+  document.as_object().erase("estimators");
+  core::EstimateRequest request = core::EstimateRequest::from_json(document);
+  request.estimators = {"warp-drive"};
+  core::EstimationService service;
+  EXPECT_EQ(rejection_of([&] { service.sweep(request); }), message);
+  EXPECT_EQ(service.session().misses(), 0u);
 }
 
 TEST(EstimateRequestJson, BadFixtureBackendConfigFailsWithActionableMessage) {
-  // Malformed backend knobs parse fine (knob semantics are a backend
-  // concern) but the sweep validates them up front by constructing a
-  // throwaway backend, surfacing the backend's own diagnostic.
-  const std::string text = read_fixture("bad_backend_config.json");
-  const core::EstimateRequest request =
-      core::EstimateRequest::from_json(util::Json::parse(text));
+  // The allocator_config field builds a throwaway backend from the knobs,
+  // surfacing the backend's own diagnostic, on both paths.
+  util::Json document =
+      util::Json::parse(read_fixture("bad_backend_config.json"));
+  const std::string message = rejection_of(
+      [&] { core::EstimateRequest::from_json(document); });
+  EXPECT_NE(message.find("malformed bin config"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("min_bin"), std::string::npos)
+      << "error must name the offending knob: " << message;
+  document.as_object().erase("allocator_config");
+  core::EstimateRequest request = core::EstimateRequest::from_json(document);
+  request.allocator_config["cub-binned"] = {{"min_bin", 20}, {"max_bin", 5}};
   core::EstimationService service;
-  try {
-    service.sweep(request);
-    FAIL() << "sweep accepted min_bin > max_bin";
-  } catch (const std::invalid_argument& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("malformed bin config"), std::string::npos) << what;
-    EXPECT_NE(what.find("min_bin"), std::string::npos)
-        << "error must name the offending knob: " << what;
-  }
+  EXPECT_EQ(rejection_of([&] { service.sweep(request); }), message);
+  EXPECT_EQ(service.session().misses(), 0u);
 }
 
 TEST(EstimationServiceSweep, AllocatorConfigKnobsSeparateResultCacheEntries) {
