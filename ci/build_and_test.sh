@@ -53,9 +53,14 @@
 # per-thread replay scratch, the profile session's in-flight dedup and the
 # server fail CI too.
 #
+# After the goldens, `bench/perf/run.sh --smoke` builds the benchmark and
+# runs each workload at 1/20 size with its correctness checks.
+#
 # The serve smoke boots the `xmem serve` daemon and
 # proves the process boundary is invisible: `xmem request` replies diff
-# byte-identical against the same offline goldens, twin requests coalesce,
+# byte-identical against the same offline goldens, the same sweep on new
+# cards (sweep_request_new_cards.json) runs no replay and no profile,
+# twin requests coalesce,
 # the bad_frame.bin raw fixture is rejected without killing the daemon, and
 # both shutdown paths (SIGTERM, `xmem request --shutdown`) drain cleanly.
 # bench_server (in the golden loop above) pins the load-generator counters;
@@ -115,6 +120,17 @@ for bench in table03_mcp table04_runtime \
   fi
   rm -f "${actual}"
 done
+
+# --- benchmark smoke -------------------------------------------------------
+# bench/perf builds against the library (result_cache_capacity, the
+# result_cache_hit timing, replay_peak_memoized), so a library change that
+# breaks xmem_perf or its correctness gate fails here: every workload runs
+# at 1/20 size and checks its answers against an independent replay.
+
+if ! bash "${REPO_ROOT}/bench/perf/run.sh" --smoke; then
+  echo "BENCHMARK SMOKE: xmem_perf failed to build or a workload failed" >&2
+  GOLDEN_FAILED=1
+fi
 
 # --- xmem sweep smoke ------------------------------------------------------
 
@@ -345,6 +361,23 @@ else
   echo "serve smoke ok: sweep reply byte-identical to offline golden"
 fi
 rm -f "${serve_actual}"
+
+# The same job, allocators and knobs on cards the daemon has never seen:
+# a replay's peak names no device, so the result cache answers every card
+# with no replay and no profile.
+new_cards_actual="$(mktemp)"
+"${XMEM}" request --socket "${SERVE_SOCK}" \
+  --sweep "${FIXTURE_DIR}/sweep_request_new_cards.json" \
+  --out "${new_cards_actual}"
+if ! grep -q '"replays_run": 0,' "${new_cards_actual}" ||
+   ! grep -q '"profiles_run": 0,' "${new_cards_actual}"; then
+  echo "SERVE SMOKE: new cards for a known job must run no replay or profile" >&2
+  grep -E '"(replays|profiles)_run"' "${new_cards_actual}" >&2 || true
+  GOLDEN_FAILED=1
+else
+  echo "serve smoke ok: new cards answered from the result cache"
+fi
+rm -f "${new_cards_actual}"
 
 # Two concurrent identical requests: one executes, the twin coalesces
 # (in-flight collapse or reply-cache hit — either increments `coalesced`).

@@ -49,11 +49,13 @@ const alloc::BackendKnobs& knobs_for(
   return it == config.end() ? empty : it->second;
 }
 
-/// The result-cache key of one (estimator, device, allocator) entry.
+/// The result-cache key of one entry group: everything its answer depends
+/// on. A session-backed replay runs without a capacity limit (§3.4), so its
+/// key names no device; `device` is set only for per-device estimators.
 std::string result_key(const EstimateRequest& request,
                        const std::string& estimator,
-                       const gpu::DeviceModel& device,
-                       const std::string& allocator) {
+                       const std::string& allocator,
+                       const gpu::DeviceModel* device) {
   std::string key = estimator;
   key += '|';
   key += request.job.label();
@@ -61,16 +63,18 @@ std::string result_key(const EstimateRequest& request,
   key += std::to_string(request.job.seed);
   key += "|it";
   key += std::to_string(request.profile_iterations);
-  key += '|';
-  key += device.name;
-  // A name alone does not identify a device: custom what-if entries may
-  // reuse a name with different geometry, and the verdict depends on it.
-  key += '#';
-  key += std::to_string(device.capacity);
-  key += '/';
-  key += std::to_string(device.m_init);
-  key += '/';
-  key += std::to_string(device.m_fm);
+  if (device != nullptr) {
+    key += '|';
+    key += device->name;
+    // A name alone does not identify a device: custom what-if entries may
+    // reuse a name with different geometry, and the verdict depends on it.
+    key += '#';
+    key += std::to_string(device->capacity);
+    key += '/';
+    key += std::to_string(device->m_init);
+    key += '/';
+    key += std::to_string(device->m_fm);
+  }
   key += '|';
   key += allocator;
   const alloc::BackendKnobs& knobs =
@@ -247,7 +251,7 @@ const fields::List<PlanRequest>& plan_fields() {
   static const fields::List<R> list = {
       fields::job(&R::job),
       fields::devices(&R::devices),
-      field("max_gpus", &R::max_gpus, integer<int>(1)),
+      field("max_gpus", &R::max_gpus, fields::gpu_budget()),
       field("micro_batches", &R::micro_batches, integer<int>(1)),
       field("schedule", &R::schedule,
             fields::named("pipeline schedule", pipeline_schedule_from_string,
@@ -711,32 +715,15 @@ void EstimationService::run_group(const EstimateRequest& request,
                                   EntryGroup& group,
                                   std::vector<EstimateEntry>& entries) {
   const auto group_start = std::chrono::steady_clock::now();
-  std::vector<std::size_t> missing;  // positions in group.slots
-  std::vector<std::string> keys;     // parallel to missing
-  for (std::size_t k = 0; k < group.slots.size(); ++k) {
-    std::string key =
-        result_key(request, group.estimator,
-                   request.devices[group.devices[k]], group.allocator);
-    EstimateEntry& entry = entries[group.slots[k]];
-    if (result_cache_get(key, entry)) {
-      entry.timings.result_cache_hit = true;
-    } else {
-      missing.push_back(k);
-      keys.push_back(std::move(key));
-    }
-  }
-  if (missing.empty()) return;
-
-  for (const std::size_t k : missing) {
-    const gpu::DeviceModel& device = request.devices[group.devices[k]];
-    EstimateEntry& entry = entries[group.slots[k]];
-    entry.estimator = group.estimator;
-    entry.device = device.name;
-    entry.allocator = group.allocator;
-    entry.device_job_budget = device.job_budget();
-  }
-
-  if (group.session_backed) {
+  const gpu::DeviceModel& first_device = request.devices[group.devices.front()];
+  const std::string key =
+      result_key(request, group.estimator, group.allocator,
+                 group.session_backed ? nullptr : &first_device);
+  // A session-backed answer carries the replay's peak, stats, curve and the
+  // first entry's timings; any other answer is its one device's entry.
+  EstimateEntry answer;
+  const bool hit = result_cache_get(key, answer);
+  if (!hit && group.session_backed) {
     const ProfileSession::Lookup lookup = session_->get(
         profile_key_for(request.job, estimator_orchestrates(group.estimator),
                         request.profile_iterations),
@@ -754,51 +741,54 @@ void EstimationService::run_group(const EstimateRequest& request,
     // results per the backend_reset() contract, so the report stays
     // independent of how groups land on threads).
     thread_local ReplayScratch replay_scratch;
-    const SimulationResult simulation = simulator.replay(
+    SimulationResult simulation = simulator.replay(
         lookup.artifacts->orchestration.sequence, sim_options,
         &replay_scratch);
-    const double simulate_seconds = seconds_since(replay_start);
     group.replayed = true;
     group.profile_cache_hit = lookup.cache_hit;
 
-    for (const std::size_t k : missing) {
-      EstimateEntry& entry = entries[group.slots[k]];
-      entry.estimated_peak = simulation.peak_device;
-      entry.oom_predicted = entry.estimated_peak > entry.device_job_budget;
-      entry.has_orchestrator_stats = true;
-      entry.orchestrator_stats = lookup.artifacts->orchestration.stats;
-      if (request.record_curve) {
-        entry.reserved_curve = simulation.reserved_series;
-      }
-      // The lookup and the replay are charged once, to the first entry.
-      entry.timings.profile_cache_hit = true;
-      entry.timings.total_seconds = seconds_since(group_start);
-    }
-    StageTimings& first = entries[group.slots[missing.front()]].timings;
-    first.profile_cache_hit = lookup.cache_hit;
+    answer.estimated_peak = simulation.peak_device;
+    answer.has_orchestrator_stats = true;
+    answer.orchestrator_stats = lookup.artifacts->orchestration.stats;
+    answer.reserved_curve = std::move(simulation.reserved_series);
+    answer.timings.simulate_seconds = seconds_since(replay_start);
+    answer.timings.profile_cache_hit = lookup.cache_hit;
     if (!lookup.cache_hit) {
-      first.profile_seconds = lookup.artifacts->profile_seconds;
-      first.analyze_seconds = lookup.artifacts->analyze_seconds;
+      answer.timings.profile_seconds = lookup.artifacts->profile_seconds;
+      answer.timings.analyze_seconds = lookup.artifacts->analyze_seconds;
     }
-    first.simulate_seconds = simulate_seconds;
-  } else {
-    Estimator& estimator = estimator_instance(group.estimator);
-    for (const std::size_t k : missing) {
-      EstimateEntry& entry = entries[group.slots[k]];
-      const EstimateResult result =
-          estimator.estimate(request.job, request.devices[group.devices[k]]);
-      entry.supported = result.supported;
-      entry.estimated_peak = result.supported ? result.estimated_peak : 0;
-      entry.oom_predicted = result.supported && result.oom_predicted;
-      // The uniform wrapper clock (estimator_api.h), so lazy estimator
-      // construction (SchedTune's one-time GBM training) is not charged to
-      // the entry that happened to trigger it.
-      entry.timings.total_seconds = result.runtime_seconds;
-    }
+    answer.timings.total_seconds = seconds_since(group_start);
+  } else if (!hit) {
+    const EstimateResult result =
+        estimator_instance(group.estimator).estimate(request.job, first_device);
+    answer.supported = result.supported;
+    answer.estimated_peak = result.supported ? result.estimated_peak : 0;
+    answer.oom_predicted = result.supported && result.oom_predicted;
+    // The uniform wrapper clock (estimator_api.h), so lazy estimator
+    // construction (SchedTune's one-time GBM training) is not charged to
+    // the entry that happened to trigger it.
+    answer.timings.total_seconds = result.runtime_seconds;
   }
+  if (!hit) result_cache_put(key, answer);
 
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    result_cache_put(keys[i], entries[group.slots[missing[i]]]);
+  for (std::size_t k = 0; k < group.slots.size(); ++k) {
+    const gpu::DeviceModel& device = request.devices[group.devices[k]];
+    EstimateEntry& entry = entries[group.slots[k]];
+    entry = answer;
+    entry.estimator = group.estimator;
+    entry.device = device.name;
+    entry.allocator = group.allocator;
+    entry.device_job_budget = device.job_budget();
+    if (group.session_backed) {
+      entry.oom_predicted = entry.estimated_peak > entry.device_job_budget;
+      if (k > 0) {
+        // The lookup and the replay are charged once, to the first entry.
+        entry.timings = StageTimings{};
+        entry.timings.profile_cache_hit = true;
+        entry.timings.total_seconds = answer.timings.total_seconds;
+      }
+    }
+    entry.timings.result_cache_hit = hit;
   }
 }
 

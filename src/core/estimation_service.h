@@ -8,9 +8,10 @@
 // options) and answers all combinations in one sweep: the profile prefix is
 // captured once in a ProfileSession, and one cheap simulator replay per
 // allocator — read by every device's verdict — fans out concurrently on a
-// util::ThreadPool. A bounded LRU of finished entries
-// (the old EvalHarness estimate cache, collapsed into the service) makes
-// repeated questions free.
+// util::ThreadPool. A bounded LRU of answers (the old EvalHarness estimate
+// cache, collapsed into the service) makes repeated questions free: one
+// answer per replay, keyed without a device, so the same job on new cards
+// is free too.
 //
 // Every estimator goes through the same supports() gate and the same
 // steady-clock wrapper (core/estimator_api.h), so per-entry timings are
@@ -124,10 +125,10 @@ struct StageCounters {
   /// of session lookups: one per replayed group.
   std::size_t profiles_run = 0;
   std::size_t profile_cache_hits = 0;  ///< lookups the session served
-  /// Simulator replays executed: one per (estimator, allocator) group with
-  /// at least one entry missing the result cache — not one per device.
+  /// Simulator replays executed: one per (estimator, allocator) group whose
+  /// answer missed the result cache — not one per device.
   std::size_t replays_run = 0;
-  std::size_t result_cache_hits = 0;  ///< entries served fully from cache
+  std::size_t result_cache_hits = 0;  ///< entries filled from a cached answer
 
   StageCounters& operator+=(const StageCounters& other);
   /// Set the four counts on `json` (an object) under their field names.
@@ -298,6 +299,8 @@ struct ServiceOptions {
   /// Per-tenant bound on the profile LRU (only used when this service owns
   /// its session — a shared `session` arrives with its own quota).
   SessionQuota session_quota;
+  /// Bounded LRU of answers: one per session-backed replay, one per entry
+  /// of a per-device estimator.
   std::size_t result_cache_capacity = 256;
   /// Orchestrator configuration for the "xMem" engine ("xMem-noOrch"
   /// always runs with every rule off).
@@ -365,9 +368,10 @@ class EstimationService {
     bool profile_cache_hit = false;
   };
 
-  /// Serve the group's entries from the result cache; if any miss, look up
-  /// the profile and replay once (session-backed) or run the estimator per
-  /// missing device (otherwise), then cache every entry it computed.
+  /// One result-cache lookup for the group's answer. On a miss, look up
+  /// the profile and replay once (session-backed) or run the estimator on
+  /// the group's one device, and cache the answer. Every entry is then
+  /// filled from it, each device with its own verdict.
   void run_group(const EstimateRequest& request, EntryGroup& group,
                  std::vector<EstimateEntry>& entries);
   ProfileKey profile_key_for(const TrainJob& job, bool orchestrate,

@@ -294,6 +294,11 @@ Codec<gpu::DeviceModel> device();
 /// "<context> allocator_config.<backend>: ".
 Codec<std::map<std::string, alloc::BackendKnobs>> allocator_configs();
 
+/// A multi-GPU budget ("max_gpus", "max_gpus_per_job"). The plan search
+/// enumerates every (d, t, p) split of every GPU count up to it, so the
+/// cap keeps one valid question to about half a second of top-4 search.
+inline Codec<int> gpu_budget() { return integer<int>(1, 1024); }
+
 template <typename T>
 Field<T> job(TrainJob T::*ptr) {
   return required(field("job", ptr, object(job_fields())));

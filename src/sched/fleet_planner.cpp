@@ -81,9 +81,11 @@ const fields::List<GpuPool>& pool_fields() {
 
 const fields::List<HeadroomRule>& rule_fields() {
   static const fields::List<HeadroomRule> list = {
+      // Bounded so a job's demand, peak + absolute + peak * percent / 100,
+      // stays inside int64 for any peak under 8 PiB.
       field("absolute_bytes", &HeadroomRule::absolute_bytes,
-            integer<std::int64_t>(0)),
-      field("percent", &HeadroomRule::percent, integer<int>(0)),
+            integer<std::int64_t>(0, std::int64_t{1} << 50)),
+      field("percent", &HeadroomRule::percent, integer<int>(0, 1000)),
   };
   return list;
 }
@@ -127,7 +129,8 @@ const fields::List<FleetRequest>& fleet_fields() {
       field("allocator", &R::allocator, fields::allocator()),
       fields::allocator_config(&R::allocator_config),
       field("profile_iterations", &R::profile_iterations, integer<int>(1)),
-      field("max_gpus_per_job", &R::max_gpus_per_job, integer<int>(1)),
+      field("max_gpus_per_job", &R::max_gpus_per_job,
+            fields::gpu_budget()),
       // Plan-fallback flags (forwarded by fallback_plan()), left out when
       // off so resident-mode documents round-trip unchanged.
       field("comm_overlap", &R::comm_overlap, fields::boolean(),

@@ -165,6 +165,40 @@ TEST(FleetPack, RejectNamesTheReasonWhenNothingFits) {
   EXPECT_EQ(report.stats.rejected, 1);
 }
 
+TEST(FleetPack, LimitsAtTheirCapsKeepEveryDemandInRange) {
+  // The largest headroom the schema accepts (1 PiB plus 10x the peak) and
+  // the largest GPU budget. On the reference cards nothing fits, even split
+  // 1024 ways; on a 4 PiB what-if card every job does. Every demand stays
+  // a positive int64 (the ASan/UBSan tree aborts on signed overflow).
+  const sched::HeadroomRule cap{std::int64_t{1} << 50, 1000};
+  sched::FleetRequest request = small_request();
+  request.headroom.base = cap;
+  request.headroom.per_device[gpu::rtx3060().name] = cap;
+  request.max_gpus_per_job = 1024;
+
+  core::EstimationService service;
+  const auto expect_demands_in_range = [](const sched::FleetReport& report) {
+    for (const sched::JobVerdict& verdict : report.verdicts) {
+      ASSERT_TRUE(verdict.supported) << verdict.id;
+      EXPECT_GT(verdict.predicted_peak, 0) << verdict.id;
+      EXPECT_GE(verdict.headroom_bytes, std::int64_t{1} << 50) << verdict.id;
+      EXPECT_GT(verdict.demand_bytes, verdict.predicted_peak) << verdict.id;
+    }
+  };
+  const sched::FleetReport rejected = service.fleet(request);
+  expect_demands_in_range(rejected);
+  EXPECT_EQ(rejected.stats.admitted, 0);
+
+  request.pools.push_back(
+      {gpu::DeviceModel{"Vast-4PiB", std::int64_t{1} << 52, 0, 0}, 2});
+  const sched::FleetReport admitted = service.fleet(request);
+  expect_demands_in_range(admitted);
+  EXPECT_EQ(admitted.stats.admitted, 4);
+  for (const sched::GpuState& gpu : admitted.gpus) {
+    EXPECT_LE(gpu.committed_bytes, gpu.budget_bytes);
+  }
+}
+
 TEST(FleetPack, PriorityOutranksQueuePosition) {
   // Two gpt2/b8 jobs contend for one 3060; the later, higher-priority job
   // must win the slot.

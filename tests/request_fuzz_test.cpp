@@ -43,21 +43,24 @@ constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
 constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kMaxGpus = 1024;
 
 struct IntRange {
   std::int64_t min;
   std::int64_t max;
   /// Whether a question at `max` is cheap to answer. When it is not (a
-  /// batch or a GPU count of INT_MAX), the on-bound document is only
-  /// parsed, and the C++ request only checked the way the service's entry
-  /// check does, by its own round trip.
+  /// batch of INT_MAX), the on-bound document is only parsed, and the C++
+  /// request only checked the way the service's entry check does, by its
+  /// own round trip. A GPU budget at its cap is answered with the drawn
+  /// top-K refinement: refining every decomposition of 1024 GPUs would
+  /// replay tens of thousands of candidates.
   bool answer_max;
 };
 
 /// Every integer key of the three request types, by key.
 const std::map<std::string, IntRange>& int_keys() {
   static const std::map<std::string, IntRange> keys = {
-      {"absolute_bytes", {0, kInt64Max, false}},
+      {"absolute_bytes", {0, std::int64_t{1} << 50, true}},
       {"activation_replication_pct", {0, 100, true}},
       {"batch", {1, kInt32Max, false}},
       {"capacity_bytes", {1, kInt64Max, false}},
@@ -67,10 +70,10 @@ const std::map<std::string, IntRange>& int_keys() {
       {"m_fm_bytes", {0, kInt64Max, false}},
       {"m_init_bytes", {0, kInt64Max, false}},
       {"max_candidates", {0, kInt64Max, true}},
-      {"max_gpus", {1, kInt32Max, false}},
-      {"max_gpus_per_job", {1, kInt32Max, false}},
+      {"max_gpus", {1, kMaxGpus, true}},
+      {"max_gpus_per_job", {1, kMaxGpus, true}},
       {"micro_batches", {1, kInt32Max, false}},
-      {"percent", {0, kInt32Max, false}},
+      {"percent", {0, 1000, true}},
       {"priority", {kInt32Min, kInt32Max, true}},
       {"profile_iterations", {1, kInt32Max, false}},
       {"refine_top_k", {0, kInt32Max, true}},
@@ -519,8 +522,7 @@ class Campaign {
         session_(std::make_shared<core::ProfileSession>(4096)) {}
 
   void run(const R& base) {
-    const util::Json document = with_aliases(base.to_json());
-    for (const Mutation<R>& mutation : mutations(document)) {
+    for (const Mutation<R>& mutation : mutations(base)) {
       check(base, mutation);
     }
   }
@@ -537,7 +539,8 @@ class Campaign {
   const Tally& tally() const { return tally_; }
 
  private:
-  std::vector<Mutation<R>> mutations(const util::Json& document) const {
+  std::vector<Mutation<R>> mutations(const R& base) const {
+    const util::Json document = with_aliases(base.to_json());
     std::vector<Mutation<R>> out;
     Path root;
     std::vector<Path> values;
@@ -582,7 +585,7 @@ class Campaign {
                         << "' is not described in int_keys()";
           continue;
         }
-        add_edges(out, document, path, where, key, range->second);
+        add_edges(out, base, document, path, where, key, range->second);
       }
       if (value.is_string()) {
         const auto text = text_keys().find(key);
@@ -621,15 +624,27 @@ class Campaign {
     return out;
   }
 
-  void add_edges(std::vector<Mutation<R>>& out, const util::Json& document,
-                 const Path& path, const std::string& where,
-                 const std::string& key, const IntRange& range) const {
+  void add_edges(std::vector<Mutation<R>>& out, const R& base,
+                 const util::Json& document, const Path& path,
+                 const std::string& where, const std::string& key,
+                 const IntRange& range) const {
     std::vector<std::int64_t> edges = {range.min, range.max};
     if (range.min > kInt64Min) edges.push_back(range.min - 1);
     if (range.max < kInt64Max) edges.push_back(range.max + 1);
     const auto setter = surface_.setters.ints.find(where);
     for (const std::int64_t edge : edges) {
       Mutation<R> mutation{where + " = " + std::to_string(edge), document};
+      bool top_k = false;
+      if constexpr (requires { base.refine_all; }) {
+        top_k = edge == kMaxGpus && base.refine_all &&
+                (key == "max_gpus" || key == "max_gpus_per_job");
+        if (top_k) {
+          R drawn = base;
+          drawn.refine_all = false;
+          mutation.label += " top-K";
+          mutation.document = with_aliases(drawn.to_json());
+        }
+      }
       at_path(mutation.document, path) = util::Json(edge);
       const bool inside = edge >= range.min && edge <= range.max;
       mutation.parses = inside ? 1 : 0;
@@ -643,7 +658,10 @@ class Campaign {
       mutation.answer = edge != range.max || range.answer_max;
       if (setter != surface_.setters.ints.end()) {
         const std::size_t index = last_index(path);
-        mutation.cxx = [set = setter->second, index, edge](R& request) {
+        mutation.cxx = [set = setter->second, index, edge, top_k](R& request) {
+          if constexpr (requires { request.refine_all; }) {
+            if (top_k) request.refine_all = false;
+          }
           return set(request, index, edge);
         };
       }

@@ -186,8 +186,10 @@ TEST(RejectionPins, Plan) {
        "plan request: \"devices\" must be a non-empty array"},
       {"plan", R"({)" JOB "," DEV R"(, "max_gpus": 0})",
        "plan request: \"max_gpus\" must be >= 1"},
+      {"plan", R"({)" JOB "," DEV R"(, "max_gpus": 1025})",
+       "plan request: \"max_gpus\" must be <= 1024"},
       {"plan", R"({)" JOB "," DEV R"(, "max_gpus": 4294967297})",
-       "plan request: \"max_gpus\" must be <= 2147483647"},
+       "plan request: \"max_gpus\" must be <= 1024"},
       {"plan", R"({)" JOB "," DEV R"(, "micro_batches": 0})",
        "plan request: \"micro_batches\" must be >= 1"},
       {"plan", R"({)" JOB "," DEV R"(, "virtual_stages": 0})",
@@ -277,8 +279,15 @@ TEST(RejectionPins, Fleet) {
        "fleet request: \"headroom\" must be an object"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"absolute_bytes": -1}})",
        "fleet request headroom: \"absolute_bytes\" must be >= 0"},
+      {"fleet",
+       R"({)" JOBS "," POOLS
+       R"(, "headroom": {"absolute_bytes": 1125899906842625}})",
+       "fleet request headroom: \"absolute_bytes\" must be <= "
+       "1125899906842624"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"percent": -1}})",
        "fleet request headroom: \"percent\" must be >= 0"},
+      {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"percent": 1001}})",
+       "fleet request headroom: \"percent\" must be <= 1000"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"per_device": 5}})",
        "fleet request headroom: \"per_device\" must be an object"},
       {"fleet",
@@ -288,6 +297,11 @@ TEST(RejectionPins, Fleet) {
        R"({)" JOBS "," POOLS
        R"(, "headroom": {"per_device": {"rtx3060": {"percent": -1}}}})",
        "fleet request headroom per_device.rtx3060: \"percent\" must be >= 0"},
+      {"fleet",
+       R"({)" JOBS "," POOLS
+       R"(, "headroom": {"per_device": {"rtx3060": {"percent": 1001}}}})",
+       "fleet request headroom per_device.rtx3060: \"percent\" must be <= "
+       "1000"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "what_if": 5})",
        "fleet request: \"what_if\" must be an array"},
       {"fleet",
@@ -314,6 +328,8 @@ TEST(RejectionPins, Fleet) {
        "fleet request: \"profile_iterations\" must be >= 1"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 0})",
        "fleet request: \"max_gpus_per_job\" must be >= 1"},
+      {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 1025})",
+       "fleet request: \"max_gpus_per_job\" must be <= 1024"},
   });
 }
 
@@ -379,9 +395,9 @@ TEST(RequestTypes, IntegersAreRangeCheckedBeforeNarrowing) {
        R"(})",
        "fleet request jobs[0]: \"priority\" must be <= 2147483647"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "max_gpus_per_job": 4294967297})",
-       "fleet request: \"max_gpus_per_job\" must be <= 2147483647"},
+       "fleet request: \"max_gpus_per_job\" must be <= 1024"},
       {"fleet", R"({)" JOBS "," POOLS R"(, "headroom": {"percent": 4294967296}})",
-       "fleet request headroom: \"percent\" must be <= 2147483647"},
+       "fleet request headroom: \"percent\" must be <= 1000"},
   });
 }
 

@@ -399,61 +399,122 @@ TEST(EstimationServiceSweep, EveryEntryMatchesAnIndependentPerDeviceReplay) {
             threaded.sweep(request).to_json(/*include_timings=*/false).dump(2));
 }
 
-TEST(EstimationServiceSweep, PartlyWarmSweepReplaysOnceAndFillsTheGaps) {
-  // A group replays iff one of its entries misses the result cache, and
-  // then computes only the missing entries; a fully cached group neither
-  // replays nor looks the profile up.
-  const auto session = std::make_shared<core::ProfileSession>();
-  core::ServiceOptions options;
-  options.threads = 4;
-  options.session = session;
-  core::EstimationService service(options);
-
-  core::EstimateRequest full;
-  full.job = small_job();
-  full.devices = mixed_budget_devices();
-  full.allocators = alloc::backend_names();
-  core::EstimateRequest warm = full;
-  warm.devices.resize(2);
+/// distilgpt2 b5 under every backend but the last, on one card none of the
+/// other requests name.
+core::EstimateRequest warm_request() {
+  core::EstimateRequest warm;
+  warm.job = small_job();
+  warm.devices = {gpu::DeviceModel{"Warmup-8GB", std::int64_t{8} << 30,
+                                   std::int64_t{300} << 20,
+                                   std::int64_t{300} << 20}};
+  warm.allocators = alloc::backend_names();
   warm.allocators.pop_back();  // the last backend stays wholly cold
-  service.sweep(warm);
+  return warm;
+}
 
-  const std::uint64_t lookups_before = session->hits() + session->misses();
-  const core::EstimateReport report = service.sweep(full);
-  EXPECT_EQ(report.replays_run, full.allocators.size());
-  EXPECT_EQ(report.profiles_run, 0u);
-  EXPECT_EQ(report.profile_cache_hits, full.allocators.size());
-  EXPECT_EQ(session->hits() + session->misses() - lookups_before,
-            full.allocators.size());
-  EXPECT_EQ(report.result_cache_hits,
-            warm.devices.size() * warm.allocators.size());
-  std::size_t i = 0;
-  for (std::size_t d = 0; d < full.devices.size(); ++d) {
-    for (std::size_t a = 0; a < full.allocators.size(); ++a) {
-      const bool was_warm = d < warm.devices.size() &&
-                            a < warm.allocators.size();
-      EXPECT_EQ(report.entries[i++].timings.result_cache_hit, was_warm)
-          << full.devices[d].name << "/" << full.allocators[a];
-    }
+/// A service whose result cache holds the answers to warm_request().
+struct WarmService {
+  std::shared_ptr<core::ProfileSession> session =
+      std::make_shared<core::ProfileSession>();
+  std::unique_ptr<core::EstimationService> service;
+
+  explicit WarmService(std::size_t threads) {
+    core::ServiceOptions options;
+    options.threads = threads;
+    options.session = session;
+    service = std::make_unique<core::EstimationService>(options);
+    service->sweep(warm_request());
   }
 
-  // The filled-in entries equal a cold service's answers.
+  std::uint64_t lookups() const { return session->hits() + session->misses(); }
+};
+
+TEST(EstimationServiceSweep, KnownReplayAnswersNewCardsFromTheCache) {
+  // A session-backed answer names no device (the replay is unbounded,
+  // §3.4): a job and allocator replayed once answer never-seen cards from
+  // the result cache with no replay and no session lookup, and each card
+  // still gets its own verdict.
+  core::EstimateRequest new_cards = warm_request();
+  new_cards.devices = mixed_budget_devices();
   core::EstimationService cold;
-  const core::EstimateReport fresh = cold.sweep(full);
-  ASSERT_EQ(fresh.entries.size(), report.entries.size());
-  for (std::size_t e = 0; e < fresh.entries.size(); ++e) {
-    EXPECT_EQ(report.entries[e].to_json(/*include_timings=*/false).dump(),
-              fresh.entries[e].to_json(/*include_timings=*/false).dump());
+  const core::EstimateReport fresh = cold.sweep(new_cards);
+
+  std::string serial_json;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    WarmService warm(threads);
+    const std::uint64_t lookups_before = warm.lookups();
+    const core::EstimateReport report = warm.service->sweep(new_cards);
+    EXPECT_EQ(report.replays_run, 0u) << threads << " threads";
+    EXPECT_EQ(report.profiles_run + report.profile_cache_hits, 0u);
+    EXPECT_EQ(warm.lookups(), lookups_before);
+    ASSERT_EQ(report.entries.size(), fresh.entries.size());
+    EXPECT_EQ(report.result_cache_hits, report.entries.size());
+    std::size_t ooms = 0;
+    for (std::size_t e = 0; e < fresh.entries.size(); ++e) {
+      EXPECT_EQ(report.entries[e].to_json(/*include_timings=*/false).dump(),
+                fresh.entries[e].to_json(/*include_timings=*/false).dump());
+      if (report.entries[e].oom_predicted) ++ooms;
+    }
+    EXPECT_EQ(ooms, new_cards.allocators.size()) << "the 3 GiB card must OOM";
+    const std::string json = report.to_json(/*include_timings=*/false).dump();
+    if (threads == 1) serial_json = json;
+    EXPECT_EQ(json, serial_json);
   }
 
-  // Now every group is cached: no replay, no session lookup.
-  const std::uint64_t lookups_warm = session->hits() + session->misses();
-  const core::EstimateReport repeat = service.sweep(full);
+  // The cold allocator replays once for every card; a fully cached sweep
+  // then runs nothing and looks nothing up.
+  WarmService warm(4);
+  core::EstimateRequest full = new_cards;
+  full.allocators = alloc::backend_names();
+  std::uint64_t lookups_before = warm.lookups();
+  const core::EstimateReport partly = warm.service->sweep(full);
+  EXPECT_EQ(partly.replays_run, 1u);
+  EXPECT_EQ(partly.profiles_run, 0u);
+  EXPECT_EQ(partly.profile_cache_hits, 1u);
+  EXPECT_EQ(warm.lookups() - lookups_before, 1u);
+  EXPECT_EQ(partly.result_cache_hits,
+            full.devices.size() * new_cards.allocators.size());
+  lookups_before = warm.lookups();
+  const core::EstimateReport repeat = warm.service->sweep(full);
   EXPECT_EQ(repeat.replays_run, 0u);
   EXPECT_EQ(repeat.profiles_run + repeat.profile_cache_hits, 0u);
-  EXPECT_EQ(repeat.result_cache_hits, full.devices.size() *
-                                          full.allocators.size());
-  EXPECT_EQ(session->hits() + session->misses(), lookups_warm);
+  EXPECT_EQ(repeat.result_cache_hits, repeat.entries.size());
+  EXPECT_EQ(warm.lookups(), lookups_before);
+
+  // Whatever the answer does depend on still misses.
+  const auto expect_miss = [&warm](const core::EstimateRequest& request,
+                                   const std::string& what) {
+    const core::EstimateReport report = warm.service->sweep(request);
+    EXPECT_EQ(report.result_cache_hits, 0u) << what;
+    EXPECT_GT(report.replays_run, 0u) << what;
+  };
+  core::EstimateRequest other = new_cards;
+  other.allocators = {"cub-binned"};
+  other.allocator_config["cub-binned"] = {{"min_bin", 3}, {"max_bin", 12}};
+  expect_miss(other, "other knobs");
+  other = new_cards;
+  other.record_curve = true;
+  expect_miss(other, "curve on");
+  other = new_cards;
+  other.profile_iterations = 2;
+  expect_miss(other, "other profile_iterations");
+  other = new_cards;
+  other.estimators = {"xMem-noOrch"};
+  expect_miss(other, "xMem-noOrch");
+
+  // A per-device estimator keeps the card's name and geometry in its key.
+  gpu::DeviceModel roomy = gpu::rtx3060();
+  roomy.name = "what-if";
+  roomy.capacity = std::int64_t{40} << 30;
+  gpu::DeviceModel tight = roomy;
+  tight.capacity = std::int64_t{4} << 30;
+  const core::TrainJob job = small_job();
+  EXPECT_FALSE(
+      warm.service->estimate("DNNMem", job, roomy).timings.result_cache_hit);
+  EXPECT_FALSE(
+      warm.service->estimate("DNNMem", job, tight).timings.result_cache_hit);
+  EXPECT_TRUE(
+      warm.service->estimate("DNNMem", job, roomy).timings.result_cache_hit);
 }
 
 TEST(EstimationServiceSweep, ResultCacheServesRepeats) {
@@ -472,8 +533,8 @@ TEST(EstimationServiceSweep, ResultCacheServesRepeats) {
 }
 
 TEST(EstimationServiceSweep, ResultCacheDistinguishesDeviceGeometry) {
-  // Two custom devices can share a name with different geometry; the
-  // cached verdict of one must never be served for the other.
+  // Two custom devices can share a name with different geometry. They
+  // share one cached replay, but each gets the verdict of its own budget.
   core::EstimationService service;
   const core::TrainJob job = small_job();
   gpu::DeviceModel roomy = gpu::rtx3060();
@@ -485,7 +546,7 @@ TEST(EstimationServiceSweep, ResultCacheDistinguishesDeviceGeometry) {
   const core::EstimateEntry first = service.estimate("xMem", job, roomy);
   const core::EstimateEntry second = service.estimate("xMem", job, tight);
   EXPECT_FALSE(first.oom_predicted);
-  EXPECT_FALSE(second.timings.result_cache_hit);
+  EXPECT_TRUE(second.timings.result_cache_hit);
   EXPECT_TRUE(second.oom_predicted);
   EXPECT_NE(first.device_job_budget, second.device_job_budget);
 }
