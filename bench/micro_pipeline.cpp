@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/analyzer.h"
 #include "core/estimation_service.h"
@@ -132,31 +133,91 @@ void BM_ServiceEstimateWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceEstimateWarm);
 
+/// The refine loop's inputs: the gpt2 b8 orchestrated sequence, its
+/// per-component profile and a (d=2, t=2, p=2) hybrid plan.
+struct RankInputs {
+  core::OrchestratedSequence sequence;
+  std::vector<core::ComponentProfile> profiles;
+  core::HybridPlan plan;
+};
+
+const RankInputs& rank_inputs() {
+  static const RankInputs kInputs = [] {
+    const auto analysis = core::Analyzer().analyze(test_trace());
+    RankInputs inputs;
+    inputs.sequence =
+        core::Orchestrator().orchestrate(analysis.timeline).sequence;
+    inputs.profiles = core::per_component_profile(analysis.timeline);
+    core::HybridOptions hybrid;
+    hybrid.data_parallel = 2;
+    hybrid.tensor_parallel = 2;
+    hybrid.pipeline_stages = 2;
+    inputs.plan = core::DistributedPlanner().plan_hybrid(inputs.profiles,
+                                                         hybrid);
+    return inputs;
+  }();
+  return kInputs;
+}
+
+/// The refine loop's transform options for rank_inputs()'s plan.
+core::RankTransformOptions rank_transform() {
+  core::RankTransformOptions transform;
+  transform.data_parallel = 2;
+  transform.tensor_parallel = 2;
+  transform.micro_batches = 4;
+  transform.materialize_blocks = false;
+  return transform;
+}
+
+void BM_RankSequence(benchmark::State& state) {
+  // The transform half of the refine loop: pipeline rank 0 of the
+  // (d=2, t=2, p=2) candidate into a reused scratch. Arg 0 = resident
+  // collectives, arg 1 = overlap windows. Items are output events.
+  const RankInputs& inputs = rank_inputs();
+  const core::SequenceTransformer transformer(inputs.sequence,
+                                              inputs.profiles);
+  core::RankTransformOptions transform = rank_transform();
+  transform.comm_overlap = state.range(0) == 1;
+  core::RankScratch scratch;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const core::OrchestratedSequence& sequence = transformer.rank_sequence(
+        transform, inputs.plan.stages, 2, 0, scratch);
+    events = sequence.events.size();
+    benchmark::DoNotOptimize(sequence.events.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_RankSequence)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_SequenceFingerprint(benchmark::State& state) {
+  // The refine loop's dedup key over one transformed rank sequence.
+  const RankInputs& inputs = rank_inputs();
+  const core::SequenceTransformer transformer(inputs.sequence,
+                                              inputs.profiles);
+  core::RankScratch scratch;
+  const core::OrchestratedSequence& sequence = transformer.rank_sequence(
+      rank_transform(), inputs.plan.stages, 2, 0, scratch);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::sequence_fingerprint(sequence));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sequence.events.size()));
+}
+BENCHMARK(BM_SequenceFingerprint)->Unit(benchmark::kMicrosecond);
+
 void BM_RankReplay(benchmark::State& state) {
   // The phase-2 refine hot loop: transform one pipeline rank of a
   // (d=2, t=2, p=2) candidate and replay it through the allocator tower.
   // Arg 0 = fresh scratch every replay (the naive loop), arg 1 = reused
   // transform + replay scratch (the batching/caching pass): the delta is
   // what scratch reuse buys per candidate.
-  const auto analysis = core::Analyzer().analyze(test_trace());
-  const auto orchestration =
-      core::Orchestrator().orchestrate(analysis.timeline);
-  const std::vector<core::ComponentProfile> profiles =
-      core::per_component_profile(analysis.timeline);
-  core::DistributedPlanner planner;
-  core::HybridOptions hybrid;
-  hybrid.data_parallel = 2;
-  hybrid.tensor_parallel = 2;
-  hybrid.pipeline_stages = 2;
-  const core::HybridPlan plan = planner.plan_hybrid(profiles, hybrid);
-
-  const core::SequenceTransformer transformer(orchestration.sequence,
-                                              profiles);
-  core::RankTransformOptions transform;
-  transform.data_parallel = 2;
-  transform.tensor_parallel = 2;
-  transform.micro_batches = 4;
-  transform.materialize_blocks = false;
+  const RankInputs& inputs = rank_inputs();
+  const core::SequenceTransformer transformer(inputs.sequence,
+                                              inputs.profiles);
+  const core::RankTransformOptions transform = rank_transform();
   core::MemorySimulator simulator;
   const bool reuse = state.range(0) == 1;
   core::RankScratch scratch;
@@ -167,7 +228,7 @@ void BM_RankReplay(benchmark::State& state) {
       replay_scratch = core::ReplayScratch{};
     }
     const core::OrchestratedSequence& sequence = transformer.rank_sequence(
-        transform, plan.stages, 2, 0, scratch);
+        transform, inputs.plan.stages, 2, 0, scratch);
     benchmark::DoNotOptimize(simulator.replay(sequence, {}, &replay_scratch));
   }
   state.SetItemsProcessed(state.iterations());
@@ -180,27 +241,12 @@ void BM_RankReplayReset(benchmark::State& state) {
   // every replay (the pre-reset rebuild path), arg 1 = backend_reset() on
   // the pooled tower kept in ReplayScratch. The delta is what the reset
   // contract buys each refined candidate.
-  const auto analysis = core::Analyzer().analyze(test_trace());
-  const auto orchestration =
-      core::Orchestrator().orchestrate(analysis.timeline);
-  const std::vector<core::ComponentProfile> profiles =
-      core::per_component_profile(analysis.timeline);
-  core::DistributedPlanner planner;
-  core::HybridOptions hybrid;
-  hybrid.data_parallel = 2;
-  hybrid.tensor_parallel = 2;
-  hybrid.pipeline_stages = 2;
-  const core::HybridPlan plan = planner.plan_hybrid(profiles, hybrid);
-  const core::SequenceTransformer transformer(orchestration.sequence,
-                                              profiles);
-  core::RankTransformOptions transform;
-  transform.data_parallel = 2;
-  transform.tensor_parallel = 2;
-  transform.micro_batches = 4;
-  transform.materialize_blocks = false;
+  const RankInputs& inputs = rank_inputs();
+  const core::SequenceTransformer transformer(inputs.sequence,
+                                              inputs.profiles);
   core::RankScratch rank_scratch;
-  const core::OrchestratedSequence sequence =
-      transformer.rank_sequence(transform, plan.stages, 2, 0, rank_scratch);
+  const core::OrchestratedSequence sequence = transformer.rank_sequence(
+      rank_transform(), inputs.plan.stages, 2, 0, rank_scratch);
 
   core::MemorySimulator simulator;
   const bool reset = state.range(0) == 1;

@@ -50,7 +50,7 @@ struct OrchestratedEvent {
 /// allocs on ties (so same-instant reuse does not manufacture phantom
 /// peaks), block id as the total-order tiebreak. Every producer of an
 /// OrchestratedSequence (the Orchestrator, the rank-sequence transforms)
-/// sorts with this comparator.
+/// orders its events by this comparator.
 inline bool orchestrated_event_order(const OrchestratedEvent& a,
                                      const OrchestratedEvent& b) {
   if (a.ts != b.ts) return a.ts < b.ts;

@@ -112,11 +112,9 @@ const List<gpu::DeviceModel>& device_fields() {
     };
     return List<gpu::DeviceModel>{
         name,
-        field(kCapacityKey, &gpu::DeviceModel::capacity,
-              integer<std::int64_t>(1)),
-        field("m_init_bytes", &gpu::DeviceModel::m_init,
-              integer<std::int64_t>(0)),
-        field("m_fm_bytes", &gpu::DeviceModel::m_fm, integer<std::int64_t>(0)),
+        field(kCapacityKey, &gpu::DeviceModel::capacity, byte_count(1)),
+        field("m_init_bytes", &gpu::DeviceModel::m_init, byte_count(0)),
+        field("m_fm_bytes", &gpu::DeviceModel::m_fm, byte_count(0)),
     };
   }();
   return list;

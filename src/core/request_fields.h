@@ -299,6 +299,13 @@ Codec<std::map<std::string, alloc::BackendKnobs>> allocator_configs();
 /// cap keeps one valid question to about half a second of top-4 search.
 inline Codec<int> gpu_budget() { return integer<int>(1, 1024); }
 
+/// A byte count of device memory (a card's geometry, a headroom's
+/// "absolute_bytes"): at most 2^50 (1 PiB), so a job budget
+/// (capacity - m_init - m_fm) or a peak plus headroom stays in int64.
+inline Codec<std::int64_t> byte_count(std::int64_t min) {
+  return integer<std::int64_t>(min, std::int64_t{1} << 50);
+}
+
 template <typename T>
 Field<T> job(TrainJob T::*ptr) {
   return required(field("job", ptr, object(job_fields())));

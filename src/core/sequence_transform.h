@@ -75,6 +75,15 @@
 // const across the thread-pool fan-out; each worker passes its own
 // RankScratch, whose buffers are reused across candidates (the §6.1
 // batching/caching pass — measured by BM_RankReplay in bench/).
+//
+// A rank's transform is linear in the base sequence. The constructor sorts
+// the base blocks' alloc/free events once into replay order; the sort key
+// (ts, free before alloc, block id) never looks at the bytes a transform
+// rewrites. rank_sequence computes each kept block's bytes, walks that
+// stored order emitting the kept blocks' events, and merges in the few
+// injected collective events after sorting only those. Every event's key is
+// unique, so the output equals a sort of the whole vector
+// (tests/rank_sequence_reference.h holds that sort-based transform).
 #pragma once
 
 #include <cstdint>
@@ -86,13 +95,15 @@
 
 namespace xmem::core {
 
-/// Canonical fingerprint of a transformed event sequence: FNV-1a 64 over
-/// every event's (ts, block_id, bytes, is_alloc) in sequence order. Two
-/// ranks with equal fingerprints replay identically (the simulator consumes
-/// events only), so the planner's refine pass collapses symmetric ranks and
-/// memoizes replay verdicts on it — always behind a full event-vector
-/// compare, so a colliding pair degrades to a fresh replay, never a wrong
-/// verdict (tests/sequence_transform_test.cpp pins the property).
+/// Canonical fingerprint of a transformed event sequence: a multiply-xorshift
+/// mix of whole 64-bit words, the event count and then each event's ts,
+/// block_id << 1 | is_alloc and bytes in sequence order. The value lives
+/// only in memory (nothing persists or prints it). Two ranks with equal
+/// fingerprints replay identically (the simulator consumes events only), so
+/// the planner's refine pass collapses symmetric ranks and memoizes replay
+/// verdicts on it — always behind a full event-vector compare, so a
+/// colliding pair degrades to a fresh replay, never a wrong verdict
+/// (tests/sequence_transform_test.cpp pins the property).
 std::uint64_t sequence_fingerprint(const OrchestratedSequence& sequence);
 
 /// How one rank of a (d, t, p) candidate reshapes the base sequence.
@@ -144,6 +155,8 @@ struct RankScratch {
   /// Transform-internal working sets, kept here so they reuse capacity too.
   std::vector<std::size_t> chunk_of;
   std::vector<char> replicated;
+  /// This rank's bytes per base block (a sentinel for skipped blocks).
+  std::vector<std::int64_t> block_bytes;
   /// Overlap-window working sets (only touched when comm_overlap is set).
   /// grad_marks: per-timestamp backward payload, merged and bucketed into
   /// DDP windows. The per-component vectors anchor the ZeRO-3 gather
@@ -165,7 +178,9 @@ class SequenceTransformer {
   /// Bind the base single-device sequence and the component order of its
   /// per-component profile (forward order — the same vector the planner
   /// packed stages over). Both must outlive the transformer. Construction
-  /// indexes every block's component once; transforms never rescan strings.
+  /// indexes every block's component once, so transforms never rescan
+  /// strings, and sorts the base blocks' events once, so they never sort
+  /// more than their injected events.
   SequenceTransformer(const OrchestratedSequence& base,
                       const std::vector<ComponentProfile>& profiles);
 
@@ -188,6 +203,15 @@ class SequenceTransformer {
   /// Per base block: index into component_names_, or -1 (unattributed).
   std::vector<std::int32_t> block_component_;
   std::int64_t next_buffer_id_ = 0;  ///< first id free for injected buffers
+  /// One base block's alloc or free event; `block` indexes base_.blocks.
+  struct OrderedEvent {
+    util::TimeUs ts = 0;
+    std::int64_t block_id = 0;
+    std::size_t block = 0;
+    bool is_alloc = false;
+  };
+  /// Every base block's events in orchestrated_event_order.
+  std::vector<OrderedEvent> base_order_;
 };
 
 }  // namespace xmem::core

@@ -1,7 +1,7 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <stdexcept>
 
 namespace xmem::core {
 
@@ -17,6 +17,16 @@ std::string replay_tower_key(const SimulationOptions& options) {
 SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
                                          const SimulationOptions& options,
                                          ReplayScratch* scratch) const {
+  // Block ids index the live-handle table; every producer numbers them
+  // densely from 0 or 1, so the largest id sizes it.
+  std::int64_t max_id = -1;
+  for (const OrchestratedEvent& event : sequence.events) {
+    if (event.block_id < 0) {
+      throw std::invalid_argument("replay: negative block id " +
+                                  std::to_string(event.block_id));
+    }
+    max_id = std::max(max_id, event.block_id);
+  }
   SimulationResult result;
   ReplayScratch local;
   ReplayScratch& workspace = scratch != nullptr ? *scratch : local;
@@ -39,13 +49,11 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
   }
   alloc::SimulatedCudaDriver& driver = *workspace.driver;
   fw::AllocatorBackend* const allocator = workspace.backend.get();
-  // Transform-layer sequences may carry events only (no materialized
-  // blocks); size the live map from whichever is populated.
-  std::unordered_map<std::int64_t, std::int64_t>& live = workspace.live;
-  live.clear();
-  live.reserve(std::max(sequence.blocks.size(), sequence.events.size() / 2));
+  std::vector<std::int64_t>& live = workspace.live;
+  live.assign(static_cast<std::size_t>(max_id) + 1, ReplayScratch::kNotLive);
 
   for (const OrchestratedEvent& event : sequence.events) {
+    std::int64_t& handle = live[static_cast<std::size_t>(event.block_id)];
     if (event.is_alloc) {
       const fw::BackendAllocResult outcome =
           allocator->backend_alloc(event.bytes);
@@ -56,12 +64,11 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
         result.oom = true;
         break;
       }
-      live[event.block_id] = outcome.id;
+      handle = outcome.id;
     } else {
-      auto it = live.find(event.block_id);
-      if (it == live.end()) continue;  // freed past an OOM cut-off
-      allocator->backend_free(it->second);
-      live.erase(it);
+      if (handle == ReplayScratch::kNotLive) continue;  // nothing live to free
+      allocator->backend_free(handle);
+      handle = ReplayScratch::kNotLive;
     }
     if (options.record_series) {
       const fw::BackendStats s = allocator->backend_stats();

@@ -16,7 +16,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,8 +61,11 @@ struct SimulationResult {
 /// Reusable replay state for hot loops that replay many sequences back to
 /// back (the planner's per-rank refine pass):
 ///
-///   * the live block->backend-id map keeps its bucket array across replays
-///     instead of rehashing from empty every call;
+///   * the live-handle table (block id -> backend handle, kNotLive when the
+///     block is not live) keeps its capacity across replays. Block ids are
+///     dense (the analyzer numbers blocks from 1, the rank transform's
+///     injected buffers follow), so each replay sizes it from the
+///     sequence's largest id; a negative id throws std::invalid_argument;
 ///   * the driver + backend tower is kept and *reset* between replays
 ///     (backend_reset() / SimulatedCudaDriver::reset()) instead of being
 ///     rebuilt, so segment maps, block-node pools, and free-set storage
@@ -84,7 +86,8 @@ struct SimulationResult {
 /// backend_reset() contract makes replays order-independent), reports stay
 /// byte-identical whether the cache hits or not.
 struct ReplayScratch {
-  std::unordered_map<std::int64_t, std::int64_t> live;
+  static constexpr std::int64_t kNotLive = -1;
+  std::vector<std::int64_t> live;
   std::unique_ptr<alloc::SimulatedCudaDriver> driver;
   std::unique_ptr<fw::AllocatorBackend> backend;
   std::string tower_key;  ///< backend|knobs|capacity of the held tower
@@ -108,6 +111,7 @@ std::string replay_tower_key(const SimulationOptions& options);
 
 class MemorySimulator {
  public:
+  /// Throws std::invalid_argument when an event carries a negative block id.
   SimulationResult replay(const OrchestratedSequence& sequence,
                           const SimulationOptions& options = {},
                           ReplayScratch* scratch = nullptr) const;

@@ -84,7 +84,7 @@ const fields::List<HeadroomRule>& rule_fields() {
       // Bounded so a job's demand, peak + absolute + peak * percent / 100,
       // stays inside int64 for any peak under 8 PiB.
       field("absolute_bytes", &HeadroomRule::absolute_bytes,
-            integer<std::int64_t>(0, std::int64_t{1} << 50)),
+            fields::byte_count(0)),
       field("percent", &HeadroomRule::percent, integer<int>(0, 1000)),
   };
   return list;

@@ -38,6 +38,7 @@
 #include "alloc/backend_registry.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
+#include "rank_sequence_reference.h"
 #include "util/rng.h"
 
 namespace xmem {
@@ -660,6 +661,37 @@ TEST(CommOverlapFuzz, RandomConfigsHoldInvariantsOnEveryBackend) {
              << " ranks=" << config.ranks << "\nshrunken reproducer ("
              << reproducer.size() << " blocks):\n"
              << dump_blocks(reproducer);
+    }
+  }
+}
+
+TEST(CommOverlapFuzz, RandomConfigsMatchTheSortBasedReference) {
+  // The invariant campaign's seeded draws, every rank in window and
+  // resident mode, with and without materialized blocks.
+  util::Rng rng(0xC0FFEE);
+  for (int iteration = 0; iteration < 40; ++iteration) {
+    const auto profiles = random_profiles(rng);
+    const OrchestratedSequence base =
+        sequence_from_blocks(random_model_blocks(rng, profiles));
+    const FuzzConfig config = random_config(rng, profiles.size());
+    const SequenceTransformer transformer(base, profiles);
+    RankTransformOptions options = overlap_options(
+        config.d, config.t, config.zero, config.bucket_bytes,
+        config.bucket_count);
+    for (std::size_t rank = 0; rank < config.ranks; ++rank) {
+      for (const bool overlap : {true, false}) {
+        for (const bool materialize : {true, false}) {
+          options.comm_overlap = overlap;
+          options.materialize_blocks = materialize;
+          RankScratch scratch;
+          EXPECT_EQ(core::reference::difference_from_reference(
+                        transformer, profiles, options, config.chunks,
+                        config.ranks, rank, scratch),
+                    "")
+              << "iteration " << iteration << ", rank " << rank
+              << ", overlap " << overlap << ", materialize " << materialize;
+        }
+      }
     }
   }
 }

@@ -1,7 +1,14 @@
 // Memory Simulator tests: two-level replay semantics, the paper's Figure 3
-// sequence-sensitivity effect, capacity-bound OOM, and curve recording.
+// sequence-sensitivity effect, capacity-bound OOM, curve recording, and the
+// flat live-handle table held to a std::map-keyed replay on irregular ids.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "alloc/backend_registry.h"
 #include "core/simulator.h"
 #include "util/bytes.h"
 
@@ -126,6 +133,134 @@ TEST(Simulator, EmptySequence) {
   const SimulationResult r = MemorySimulator().replay(OrchestratedSequence{});
   EXPECT_EQ(r.peak_reserved, 0);
   EXPECT_FALSE(r.oom);
+}
+
+// ---------- the live-handle table ----------
+
+/// The replay loop keyed by a std::map from block id to backend handle:
+/// the shape the simulator's flat table replaced. Peaks and OOM only.
+SimulationResult map_replay(const OrchestratedSequence& sequence,
+                            const SimulationOptions& options) {
+  alloc::SimulatedCudaDriver driver(options.capacity);
+  const auto backend =
+      alloc::make_backend(options.backend, driver, options.backend_knobs);
+  std::map<std::int64_t, std::int64_t> live;
+  SimulationResult result;
+  for (const OrchestratedEvent& event : sequence.events) {
+    if (event.is_alloc) {
+      const fw::BackendAllocResult outcome =
+          backend->backend_alloc(event.bytes);
+      if (outcome.oom) {
+        result.oom = true;
+        break;
+      }
+      live[event.block_id] = outcome.id;
+    } else {
+      const auto it = live.find(event.block_id);
+      if (it == live.end()) continue;
+      backend->backend_free(it->second);
+      live.erase(it);
+    }
+  }
+  const fw::BackendStats stats = backend->backend_stats();
+  result.peak_reserved = stats.peak_reserved_bytes;
+  result.peak_device = driver.stats().num_mallocs > 0
+                           ? driver.stats().peak_used_bytes
+                           : result.peak_reserved;
+  result.peak_allocated = stats.peak_active_bytes;
+  return result;
+}
+
+OrchestratedEvent alloc_event(util::TimeUs ts, std::int64_t id,
+                              std::int64_t bytes) {
+  return OrchestratedEvent{ts, id, bytes, true};
+}
+
+OrchestratedEvent free_event(util::TimeUs ts, std::int64_t id,
+                             std::int64_t bytes) {
+  return OrchestratedEvent{ts, id, bytes, false};
+}
+
+struct HandleCase {
+  std::string name;
+  std::vector<OrchestratedEvent> events;
+  std::int64_t capacity = SimulationOptions::kUnboundedCapacity;
+  bool oom = false;  ///< what the case is built to reach
+};
+
+std::vector<HandleCase> handle_cases() {
+  return {
+      {"orphan free",
+       {alloc_event(0, 1, 5 * kMiB), free_event(5, 42, 3 * kMiB),
+        alloc_event(10, 2, 7 * kMiB), free_event(15, 1, 5 * kMiB),
+        free_event(20, 2, 7 * kMiB), free_event(25, 2, 7 * kMiB)}},
+      {"frees after an OOM cut-off",
+       {alloc_event(0, 1, 12 * kMiB), alloc_event(5, 2, 12 * kMiB),
+        alloc_event(10, 3, 12 * kMiB), free_event(15, 3, 12 * kMiB),
+        free_event(20, 2, 12 * kMiB), free_event(25, 1, 12 * kMiB),
+        alloc_event(30, 4, 2 * kMiB)},
+       30 * kMiB,
+       true},
+      {"id reused after its free",
+       {alloc_event(0, 1, 5 * kMiB), free_event(5, 1, 5 * kMiB),
+        alloc_event(10, 1, 30 * kMiB), alloc_event(12, 2, 3 * kMiB),
+        free_event(15, 1, 30 * kMiB), alloc_event(20, 1, 1 * kMiB),
+        free_event(25, 2, 3 * kMiB)}},
+      {"ids from 0",
+       {alloc_event(0, 0, 4 * kMiB), alloc_event(1, 1, 6 * kMiB),
+        free_event(2, 0, 4 * kMiB), alloc_event(3, 2, 2 * kMiB),
+        free_event(4, 1, 6 * kMiB), free_event(5, 2, 2 * kMiB)}},
+      {"sparse id 10^6",
+       {alloc_event(0, 1, 4 * kMiB), alloc_event(1, 1000000, 25 * kMiB),
+        free_event(2, 1, 4 * kMiB), alloc_event(3, 3, 8 * kMiB),
+        free_event(4, 1000000, 25 * kMiB), free_event(5, 3, 8 * kMiB)}},
+  };
+}
+
+TEST(SimulatorHandles, IrregularIdsReplayLikeAMapKeyedReplay) {
+  // Every backend, each case fresh and through one shared scratch (whose
+  // table still holds the previous case's size and handles).
+  const MemorySimulator simulator;
+  for (const std::string& backend : alloc::backend_names()) {
+    ReplayScratch shared;
+    for (const HandleCase& c : handle_cases()) {
+      OrchestratedSequence sequence;
+      sequence.events = c.events;
+      SimulationOptions options;
+      options.backend = backend;
+      options.capacity = c.capacity;
+      const SimulationResult expected = map_replay(sequence, options);
+      if (backend == "pytorch") {
+        EXPECT_EQ(expected.oom, c.oom) << c.name;
+      }
+      for (ReplayScratch* scratch : {static_cast<ReplayScratch*>(nullptr),
+                                     &shared}) {
+        const SimulationResult r = simulator.replay(sequence, options, scratch);
+        const std::string where = backend + ", " + c.name +
+                                  (scratch == nullptr ? "" : ", shared scratch");
+        EXPECT_EQ(r.oom, expected.oom) << where;
+        EXPECT_EQ(r.peak_device, expected.peak_device) << where;
+        EXPECT_EQ(r.peak_reserved, expected.peak_reserved) << where;
+        EXPECT_EQ(r.peak_allocated, expected.peak_allocated) << where;
+      }
+    }
+  }
+}
+
+TEST(SimulatorHandles, NegativeBlockIdThrows) {
+  OrchestratedSequence sequence;
+  sequence.events = {alloc_event(0, 1, kMiB), alloc_event(1, -3, kMiB)};
+  ReplayScratch scratch;
+  try {
+    MemorySimulator().replay(sequence, {}, &scratch);
+    FAIL() << "a negative block id must throw";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "replay: negative block id -3");
+  }
+  // The scratch still replays afterwards.
+  sequence.events = {alloc_event(0, 1, kMiB), free_event(1, 1, kMiB)};
+  EXPECT_EQ(MemorySimulator().replay(sequence, {}, &scratch).peak_allocated,
+            kMiB);
 }
 
 }  // namespace

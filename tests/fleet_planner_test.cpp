@@ -166,33 +166,38 @@ TEST(FleetPack, RejectNamesTheReasonWhenNothingFits) {
 }
 
 TEST(FleetPack, LimitsAtTheirCapsKeepEveryDemandInRange) {
-  // The largest headroom the schema accepts (1 PiB plus 10x the peak) and
-  // the largest GPU budget. On the reference cards nothing fits, even split
-  // 1024 ways; on a 4 PiB what-if card every job does. Every demand stays
-  // a positive int64 (the ASan/UBSan tree aborts on signed overflow).
-  const sched::HeadroomRule cap{std::int64_t{1} << 50, 1000};
+  // The largest headroom the schema accepts (1 PiB plus 10x the peak), the
+  // largest GPU budget and the largest card (1 PiB). Nothing fits, even
+  // split 1024 ways: no card's budget reaches 1 PiB plus the peak. With a
+  // quarter of the absolute headroom every job fits, two per largest card.
+  // Every demand stays a positive int64 (the ASan/UBSan tree aborts on
+  // signed overflow).
+  const std::int64_t max_bytes = std::int64_t{1} << 50;
+  const sched::HeadroomRule cap{max_bytes, 1000};
   sched::FleetRequest request = small_request();
   request.headroom.base = cap;
   request.headroom.per_device[gpu::rtx3060().name] = cap;
   request.max_gpus_per_job = 1024;
+  request.pools.push_back(
+      {gpu::DeviceModel{"Vast-1PiB", max_bytes, 0, 0}, 2});
 
   core::EstimationService service;
-  const auto expect_demands_in_range = [](const sched::FleetReport& report) {
+  const auto expect_demands_in_range = [](const sched::FleetReport& report,
+                                          std::int64_t absolute_bytes) {
     for (const sched::JobVerdict& verdict : report.verdicts) {
       ASSERT_TRUE(verdict.supported) << verdict.id;
       EXPECT_GT(verdict.predicted_peak, 0) << verdict.id;
-      EXPECT_GE(verdict.headroom_bytes, std::int64_t{1} << 50) << verdict.id;
+      EXPECT_GE(verdict.headroom_bytes, absolute_bytes) << verdict.id;
       EXPECT_GT(verdict.demand_bytes, verdict.predicted_peak) << verdict.id;
     }
   };
   const sched::FleetReport rejected = service.fleet(request);
-  expect_demands_in_range(rejected);
+  expect_demands_in_range(rejected, max_bytes);
   EXPECT_EQ(rejected.stats.admitted, 0);
 
-  request.pools.push_back(
-      {gpu::DeviceModel{"Vast-4PiB", std::int64_t{1} << 52, 0, 0}, 2});
+  request.headroom.base.absolute_bytes = max_bytes / 4;
   const sched::FleetReport admitted = service.fleet(request);
-  expect_demands_in_range(admitted);
+  expect_demands_in_range(admitted, max_bytes / 4);
   EXPECT_EQ(admitted.stats.admitted, 4);
   for (const sched::GpuState& gpu : admitted.gpus) {
     EXPECT_LE(gpu.committed_bytes, gpu.budget_bytes);

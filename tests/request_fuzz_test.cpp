@@ -44,6 +44,7 @@ constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
 constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kMaxGpus = 1024;
+constexpr std::int64_t kMaxBytes = std::int64_t{1} << 50;
 
 struct IntRange {
   std::int64_t min;
@@ -60,15 +61,15 @@ struct IntRange {
 /// Every integer key of the three request types, by key.
 const std::map<std::string, IntRange>& int_keys() {
   static const std::map<std::string, IntRange> keys = {
-      {"absolute_bytes", {0, std::int64_t{1} << 50, true}},
+      {"absolute_bytes", {0, kMaxBytes, true}},
       {"activation_replication_pct", {0, 100, true}},
       {"batch", {1, kInt32Max, false}},
-      {"capacity_bytes", {1, kInt64Max, false}},
+      {"capacity_bytes", {1, kMaxBytes, true}},
       {"count", {1, kInt32Max, false}},
       {"ddp_bucket_bytes", {0, kInt64Max, false}},
       {"ddp_bucket_count", {0, kInt32Max, false}},
-      {"m_fm_bytes", {0, kInt64Max, false}},
-      {"m_init_bytes", {0, kInt64Max, false}},
+      {"m_fm_bytes", {0, kMaxBytes, true}},
+      {"m_init_bytes", {0, kMaxBytes, true}},
       {"max_candidates", {0, kInt64Max, true}},
       {"max_gpus", {1, kMaxGpus, true}},
       {"max_gpus_per_job", {1, kMaxGpus, true}},

@@ -155,6 +155,19 @@ TEST(RejectionPins, Sweep) {
        "request devices[0]: missing \"name\""},
       {"sweep", R"({)" JOB R"(, "devices": [{"name": "mystery"}]})",
        "request devices[0]: unknown device 'mystery' needs an explicit \"capacity_bytes\""},
+      {"sweep",
+       R"({)" JOB R"(, "devices": [{"name": "big",
+                      "capacity_bytes": 1125899906842625}]})",
+       "request devices[0]: \"capacity_bytes\" must be <= 1125899906842624"},
+      {"sweep",
+       R"({)" JOB R"(, "devices": [{"name": "wrap", "capacity_bytes": 1,
+                      "m_init_bytes": 9223372036854775807,
+                      "m_fm_bytes": 9223372036854775807}]})",
+       "request devices[0]: \"m_init_bytes\" must be <= 1125899906842624"},
+      {"sweep",
+       R"({)" JOB R"(, "devices": [{"name": "rtx3060",
+                      "m_fm_bytes": 1125899906842625}]})",
+       "request devices[0]: \"m_fm_bytes\" must be <= 1125899906842624"},
       {"sweep", R"({)" JOB "," DEV R"(, "allocators": ["warp"]})",
        "request: \"allocators[0]\" names unknown allocator 'warp' "
        KNOWN_ALLOCATORS},
@@ -269,6 +282,17 @@ TEST(RejectionPins, Fleet) {
        R"({)" JOBS R"(, "pools": [{"device": {"name": "tiny",
                   "capacity_bytes": 100, "m_init_bytes": 200}, "count": 1}]})",
        "fleet request: device 'tiny' has a non-positive job budget"},
+      {"fleet",
+       R"({)" JOBS R"(, "pools": [{"device": {"name": "edge",
+                  "capacity_bytes": 1, "m_init_bytes": 1125899906842624,
+                  "m_fm_bytes": 1125899906842624}, "count": 1}]})",
+       "fleet request: device 'edge' has a non-positive job budget"},
+      {"fleet",
+       R"({)" JOBS R"(, "pools": [{"device": {"name": "edge",
+                  "capacity_bytes": 1, "m_fm_bytes": 1125899906842625},
+                  "count": 1}]})",
+       "fleet request pools[0] device: \"m_fm_bytes\" must be <= "
+       "1125899906842624"},
       {"fleet",
        R"({)" JOBS R"(, "pools": [{"device": "rtx3060", "count": 1},
                   {"device": {"name": "GeForce RTX 3060",

@@ -11,6 +11,9 @@
 //   * collective-communication buffers (DDP buckets, TP all-reduce staging,
 //     ZeRO-3 all-gather) are injected as ordinary resident events with
 //     fresh block ids, and only for the dimensions that need them;
+//   * every transform equals the sort-based reference
+//     (rank_sequence_reference.h) event for event, injected buffers that
+//     tie on ts with base events included;
 //   * a real profiled sequence slices into per-rank sequences the simulator
 //     replays to nonzero fragmentation-aware peaks bounded by the
 //     single-device replay.
@@ -26,6 +29,7 @@
 #include "core/profile_session.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
+#include "rank_sequence_reference.h"
 
 namespace xmem {
 namespace {
@@ -525,6 +529,86 @@ TEST(SequenceFingerprint, SensitiveToEveryEventField) {
   mutated = sequence;
   mutated.events.pop_back();
   EXPECT_NE(core::sequence_fingerprint(mutated), original);
+}
+
+// ---------- the sort-based reference ----------
+
+TEST(SequenceTransform, MatchesTheSortBasedReference) {
+  // The fingerprint corpus's seeded draws, each in resident and window mode
+  // with and without materialized blocks. One library scratch serves every
+  // draw, so a candidate must not inherit its predecessor's state either.
+  const OrchestratedSequence base = base_sequence();
+  const auto profiles = base_profiles();
+  const SequenceTransformer transformer(base, profiles);
+  const std::vector<std::vector<PipelineStage>> partitions = {
+      {chunk(0, 3)},
+      {chunk(0, 1), chunk(2, 3)},
+      {chunk(0, 0), chunk(1, 1), chunk(2, 3)},
+  };
+
+  std::mt19937 rng(20250807);
+  RankScratch scratch;
+  for (int trial = 0; trial < 200; ++trial) {
+    RankTransformOptions options;
+    options.data_parallel = 1 << (rng() % 3);
+    options.tensor_parallel = 1 << (rng() % 3);
+    options.micro_batches = 1 + static_cast<int>(rng() % 4);
+    options.zero = static_cast<ZeroStage>(rng() % 4);
+    options.inject_collectives = (rng() % 2) == 0;
+    const auto& chunks = partitions[rng() % partitions.size()];
+    const std::size_t rank = rng() % chunks.size();
+    for (const bool overlap : {false, true}) {
+      for (const bool materialize : {true, false}) {
+        options.comm_overlap = overlap;
+        options.materialize_blocks = materialize;
+        EXPECT_EQ(core::reference::difference_from_reference(
+                      transformer, profiles, options, chunks, chunks.size(),
+                      rank, scratch),
+                  "")
+            << "trial " << trial << ", overlap " << overlap
+            << ", materialize " << materialize;
+      }
+    }
+  }
+}
+
+TEST(SequenceTransform, InjectedEventsTyingWithBaseEventsMergeLikeASort) {
+  // Resident buffers open at a base block's alloc ts (first backward, first
+  // forward, first block); window buffers also close at a base block's free
+  // ts (a TP span's last forward free, a ZeRO-3 gather's window end) or at
+  // the optimizer step's first alloc. On equal ts the merge must put frees
+  // first and break the rest by block id, like the sort.
+  const OrchestratedSequence base = base_sequence();
+  const auto profiles = base_profiles();
+  const SequenceTransformer transformer(base, profiles);
+  RankTransformOptions options;
+  options.data_parallel = 2;
+  options.tensor_parallel = 2;
+  options.zero = ZeroStage::kFull;
+  options.ddp_bucket_bytes = 1000;
+  std::size_t alloc_ties = 0;
+  std::size_t free_ties = 0;
+  for (const bool overlap : {false, true}) {
+    options.comm_overlap = overlap;
+    RankScratch scratch;
+    EXPECT_EQ(core::reference::difference_from_reference(
+                  transformer, profiles, options, {}, 1, 0, scratch),
+              "")
+        << "overlap " << overlap;
+    std::set<std::int64_t> injected;
+    for (const CollectiveBuffer& b : scratch.buffers) {
+      injected.insert(b.block_id);
+    }
+    for (const OrchestratedEvent& event : scratch.sequence.events) {
+      if (injected.count(event.block_id) == 0) continue;
+      for (const MemoryBlock& b : base.blocks) {
+        if (b.alloc_ts == event.ts) ++alloc_ties;
+        if (b.free_ts == event.ts) ++free_ties;
+      }
+    }
+  }
+  EXPECT_GT(alloc_ties, 0u);
+  EXPECT_GT(free_ties, 0u);
 }
 
 // ---------- real profiled sequence through the allocator tower ----------
