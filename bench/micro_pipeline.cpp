@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the xMem pipeline stages (§6.1:
 // "the current runtime is dominated by trace processing"): profiling,
-// JSON serialization/parsing, analysis, orchestration, simulation, and the
-// end-to-end estimate, on a representative mid-size workload.
+// JSON serialization/parsing, analysis, orchestration, simulation, the
+// whole profile prefix, and the end-to-end estimate, on a representative
+// mid-size workload.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -103,6 +104,19 @@ core::TrainJob test_job() {
   job.optimizer = fw::OptimizerKind::kAdamW;
   return job;
 }
+
+void BM_ProfilePipeline(benchmark::State& state) {
+  // The cold prefix a never-seen job pays once: model build, CPU profile,
+  // Analyzer and Orchestrator, as the profile session runs it.
+  core::ProfileKey key;
+  key.model_name = "gpt2";
+  key.batch_size = 8;
+  key.optimizer = fw::OptimizerKind::kAdamW;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::run_profile_pipeline(key));
+  }
+}
+BENCHMARK(BM_ProfilePipeline);
 
 void BM_EndToEndEstimate(benchmark::State& state) {
   // Fresh session every iteration: the full profile->analyze->orchestrate->

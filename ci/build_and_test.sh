@@ -53,8 +53,10 @@
 # per-thread replay scratch, the profile session's in-flight dedup and the
 # server fail CI too.
 #
-# After the goldens, `bench/perf/run.sh --smoke` builds the benchmark and
-# runs each workload at 1/20 size with its correctness checks.
+# After the goldens, the google-benchmark micro_* programs (when built) run
+# once each with a short minimum time, and `bench/perf/run.sh --smoke`
+# builds the benchmark and runs each workload at 1/20 size with its
+# correctness checks.
 #
 # The serve smoke boots the `xmem serve` daemon and
 # proves the process boundary is invisible: `xmem request` replies diff
@@ -119,6 +121,31 @@ for bench in table03_mcp table04_runtime \
     echo "golden ok: ${bench}"
   fi
   rm -f "${actual}"
+done
+
+# --- microbenchmarks -------------------------------------------------------
+# The google-benchmark programs run once each, briefly: a microbench that
+# throws or aborts fails CI. Their numbers are printed, not compared.
+# google-benchmark 1.8+ spells the minimum time with a unit ("0.01s"),
+# 1.7 takes a bare number; the listing run picks the spelling it accepts.
+
+for micro in micro_pipeline micro_allocator; do
+  binary="${BUILD_DIR}/bench/${micro}"
+  if [[ ! -x "${binary}" ]]; then
+    echo "micro skip: ${micro} was not built (google-benchmark not found)"
+    continue
+  fi
+  min_time="0.01s"
+  if ! "${binary}" --benchmark_list_tests --benchmark_min_time="${min_time}" \
+       > /dev/null 2>&1; then
+    min_time="0.01"
+  fi
+  if ! "${binary}" --benchmark_min_time="${min_time}"; then
+    echo "MICROBENCH: ${micro} failed" >&2
+    GOLDEN_FAILED=1
+  else
+    echo "micro ok: ${micro}"
+  fi
 done
 
 # --- benchmark smoke -------------------------------------------------------

@@ -1,23 +1,10 @@
 #include "core/analyzer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace xmem::core {
-
-const char* to_string(Phase phase) {
-  switch (phase) {
-    case Phase::kModelLoad: return "model_load";
-    case Phase::kDataLoader: return "dataloader";
-    case Phase::kForward: return "forward";
-    case Phase::kBackward: return "backward";
-    case Phase::kOptimizerStep: return "optimizer_step";
-    case Phase::kOther: return "other";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -53,11 +40,13 @@ struct WindowIndex {
   }
 };
 
+/// An operator's window. The strings point into the analyzed trace; an op
+/// with no parent span points at one shared empty component.
 struct OpWindow {
   util::TimeUs start = 0;
   util::TimeUs end = 0;
-  std::string name;
-  std::string component;
+  const std::string* name = nullptr;
+  const std::string* component = nullptr;
   std::int64_t seq = -1;
 };
 
@@ -69,14 +58,21 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
   AnalyzerStats& stats = out.stats;
 
   // Pass 1: index span events. Build the id->event map for parent lookup
-  // and classify annotation windows by name.
+  // (a repeated id maps to its last span; instant events are never
+  // parents) and classify annotation windows by name.
   std::unordered_map<std::int64_t, const TraceEvent*> by_id;
+  by_id.reserve(trace.events.size());
+  std::size_t allocations = 0;
   for (const TraceEvent& e : trace.events) {
-    if (e.kind != EventKind::kCpuInstantEvent) by_id[e.id] = &e;
+    if (e.kind != EventKind::kCpuInstantEvent) {
+      by_id[e.id] = &e;
+    } else if (e.bytes > 0) {
+      ++allocations;
+    }
   }
 
+  static const std::string kNoComponent;
   WindowIndex iter_index, zg_index, step_index, dl_index, bw_index;
-  WindowIndex op_index;
   std::vector<OpWindow> ops;
   Window model_load{0, 0};
   util::TimeUs trace_end = 0;
@@ -101,16 +97,12 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
         break;
       }
       case EventKind::kCpuOp: {
-        OpWindow op;
-        op.start = e.ts;
-        op.end = e.end_ts();
-        op.name = e.name;
-        op.seq = e.seq;
         // The component is the nearest python_function / annotation parent.
-        auto parent = by_id.find(e.parent_id);
-        if (parent != by_id.end()) op.component = parent->second->name;
-        op_index.add(op.start, op.end);
-        ops.push_back(std::move(op));
+        const auto parent = by_id.find(e.parent_id);
+        ops.push_back(OpWindow{
+            e.ts, e.end_ts(), &e.name,
+            parent != by_id.end() ? &parent->second->name : &kNoComponent,
+            e.seq});
         break;
       }
       default:
@@ -126,7 +118,8 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
   // spans at open time), but sort defensively and keep `ops` aligned.
   std::sort(ops.begin(), ops.end(),
             [](const OpWindow& a, const OpWindow& b) { return a.start < b.start; });
-  op_index.windows.clear();
+  WindowIndex op_index;
+  op_index.windows.reserve(ops.size());
   for (const OpWindow& op : ops) op_index.add(op.start, op.end);
   // Already sorted: finalize() would be a no-op, but keep the invariant.
   op_index.finalize();
@@ -138,13 +131,14 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
 
   // Pass 2: reconstruct block lifecycles from the memory event stream,
   // handling address reuse (an address can host many blocks over time).
-  struct OpenBlock {
+  // One entry per address ever allocated; `open` while a block lives there.
+  struct AddressState {
     std::int64_t size = 0;
     util::TimeUs alloc_ts = 0;
-    bool seen_before = false;
+    bool open = false;
   };
-  std::unordered_map<std::uint64_t, OpenBlock> open;
-  std::unordered_map<std::uint64_t, bool> address_seen;
+  std::unordered_map<std::uint64_t, AddressState> addresses;
+  addresses.reserve(allocations);
 
   struct RawBlock {
     std::uint64_t addr = 0;
@@ -153,28 +147,30 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
     util::TimeUs free_ts = -1;
   };
   std::vector<RawBlock> raw_blocks;
+  raw_blocks.reserve(allocations);
 
   for (const TraceEvent& e : trace.events) {
     if (e.kind != EventKind::kCpuInstantEvent) continue;
     ++stats.memory_events;
     if (e.bytes > 0) {
-      if (address_seen[e.addr]) ++stats.address_reuses;
-      address_seen[e.addr] = true;
-      open[e.addr] = OpenBlock{e.bytes, e.ts, false};
+      const auto [it, first_use] = addresses.try_emplace(e.addr);
+      if (!first_use) ++stats.address_reuses;
+      it->second = AddressState{e.bytes, e.ts, true};
     } else if (e.bytes < 0) {
-      auto it = open.find(e.addr);
-      if (it == open.end()) {
+      const auto it = addresses.find(e.addr);
+      if (it == addresses.end() || !it->second.open) {
         ++stats.unmatched_frees;
         continue;
       }
       raw_blocks.push_back(
           RawBlock{e.addr, it->second.size, it->second.alloc_ts, e.ts});
       ++stats.matched_pairs;
-      open.erase(it);
+      it->second.open = false;
     }
   }
-  for (const auto& [addr, ob] : open) {
-    raw_blocks.push_back(RawBlock{addr, ob.size, ob.alloc_ts, -1});
+  for (const auto& [addr, state] : addresses) {
+    if (!state.open) continue;
+    raw_blocks.push_back(RawBlock{addr, state.size, state.alloc_ts, -1});
     ++stats.persistent_blocks;
   }
   std::sort(raw_blocks.begin(), raw_blocks.end(),
@@ -186,6 +182,7 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
   // Pass 3: operator attribution + phase/iteration tagging; filter blocks
   // with no operator context (script-level temporaries).
   std::int64_t next_id = 1;
+  tl.blocks.reserve(raw_blocks.size());
   for (const RawBlock& rb : raw_blocks) {
     const int op_slot = op_index.find(rb.alloc_ts);
     if (op_slot < 0) {
@@ -197,9 +194,10 @@ Analyzer::Output Analyzer::analyze(const trace::Trace& trace) const {
     block.size = rb.size;
     block.alloc_ts = rb.alloc_ts;
     block.free_ts = rb.free_ts;
-    block.op_name = ops[static_cast<std::size_t>(op_slot)].name;
-    block.component = ops[static_cast<std::size_t>(op_slot)].component;
-    block.seq = ops[static_cast<std::size_t>(op_slot)].seq;
+    const OpWindow& op = ops[static_cast<std::size_t>(op_slot)];
+    block.op_name = *op.name;
+    block.component = *op.component;
+    block.seq = op.seq;
     block.iteration = iter_index.find(rb.alloc_ts);
 
     if (model_load.contains(rb.alloc_ts)) {

@@ -37,7 +37,6 @@ enum class Phase : std::uint8_t {
   kOptimizerStep,
   kOther,
 };
-const char* to_string(Phase phase);
 
 struct MemoryBlock {
   std::int64_t id = 0;

@@ -259,9 +259,10 @@ const fields::List<PlanRequest>& plan_fields() {
                            PipelineSchedule::kInterleaved})),
       field("virtual_stages", &R::virtual_stages, integer<int>(1)),
       field("zero_stage", &R::zero, integer<ZeroStage>(0, 3)),
-      field("ddp_bucket_bytes", &R::ddp_bucket_bytes,
-            integer<std::int64_t>(0)),
-      field("ddp_bucket_count", &R::ddp_bucket_count, integer<int>(0)),
+      // The analytic model adds count x bytes per rank; the caps keep that
+      // product at most 2^60.
+      field("ddp_bucket_bytes", &R::ddp_bucket_bytes, fields::byte_count(0)),
+      field("ddp_bucket_count", &R::ddp_bucket_count, integer<int>(0, 1024)),
       field("activation_replication_pct", &R::activation_replication_pct,
             integer<int>(0, 100)),
       field("allocator", &R::allocator, fields::allocator()),

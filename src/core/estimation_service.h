@@ -86,7 +86,7 @@ struct EstimateRequest {
 /// to the first of them; the others read its result and record no stage
 /// cost (profile_cache_hit true, simulate_seconds 0).
 struct StageTimings {
-  double profile_seconds = 0.0;   ///< CPU profile + JSON round trip (0 on hit)
+  double profile_seconds = 0.0;   ///< CPU profile (0 on hit)
   double analyze_seconds = 0.0;   ///< Analyzer + Orchestrator (0 on hit)
   double simulate_seconds = 0.0;  ///< simulator replay this entry ran
   double total_seconds = 0.0;     ///< wall time until this entry was answered

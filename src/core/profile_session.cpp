@@ -39,10 +39,9 @@ ProfileArtifacts run_profile_pipeline(const ProfileKey& key) {
   profile_options.iterations = key.profile_iterations;
   profile_options.placement = key.placement;
   profile_options.seed = key.seed;
-  // The file-based handoff the paper's tool uses: the analyzer reads what
-  // a profiler output file would hold.
-  artifacts.trace = trace::Trace::from_json_string(
-      profile_on_cpu(model, key.optimizer, profile_options).to_json_string());
+  // The profile runs in this process, so the analyzer reads it in memory;
+  // the Chrome-trace codec is for traces that cross a process.
+  artifacts.trace = profile_on_cpu(model, key.optimizer, profile_options);
   const auto analyze_start = std::chrono::steady_clock::now();
 
   Analyzer analyzer;

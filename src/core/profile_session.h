@@ -1,7 +1,7 @@
 // ProfileSession: the profile-once half of the estimation service.
 //
-// The expensive prefix of the xMem pipeline (Figure 4) — CPU profile, JSON
-// round trip, Analyzer, Orchestrator — depends only on the job
+// The expensive prefix of the xMem pipeline (Figure 4) — CPU profile,
+// Analyzer, Orchestrator — depends only on the job
 // configuration, never on the target device or the allocator backend the
 // simulator replays against. A ProfileSession caches that prefix per
 // ProfileKey behind a bounded LRU (keyed like the old EvalHarness cache),
@@ -59,7 +59,7 @@ struct ProfileArtifacts {
   trace::Trace trace;
   Analyzer::Output analysis;
   Orchestrator::Output orchestration;
-  double profile_seconds = 0.0;  ///< CPU execution + JSON round trip
+  double profile_seconds = 0.0;  ///< model build + CPU execution
   double analyze_seconds = 0.0;  ///< Analyzer + Orchestrator
 };
 

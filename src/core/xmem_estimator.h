@@ -1,11 +1,12 @@
 // The xMem estimator: the full pipeline of Figure 4.
 //
-//   CPU profile (3 iterations)  ->  JSON trace  ->  Analyzer
+//   CPU profile (3 iterations)  ->  profiler trace  ->  Analyzer
 //       ->  Memory Orchestrator  ->  two-level Memory Simulator
 //       ->  estimated peak (+ optional memory curve)
 //
-// The trace genuinely round-trips through JSON (serialize + parse) so the
-// pipeline consumes exactly what a profiler file would contain.
+// The profile runs in this process, so the Analyzer reads the trace in
+// memory; the Chrome-trace JSON codec (trace/trace.h) is the file format
+// for traces that cross a process, and reads back the same trace.
 //
 // Since the service-layer redesign this class is a thin adapter: the
 // expensive prefix (profile -> analyze -> orchestrate) lives in a

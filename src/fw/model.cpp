@@ -1,7 +1,5 @@
 #include "fw/model.h"
 
-#include <algorithm>
-
 namespace xmem::fw {
 
 std::int64_t ModelDescriptor::saved_activation_bytes(Backend backend) const {
@@ -14,21 +12,6 @@ std::int64_t ModelDescriptor::saved_activation_bytes(Backend backend) const {
     }
   }
   return total;
-}
-
-std::int64_t ModelDescriptor::max_workspace_bytes(Backend backend) const {
-  std::int64_t max_ws = 0;
-  for (const auto& m : modules) {
-    for (const auto& op : m.ops) {
-      const std::int64_t fwd = backend == Backend::kCpu ? op.workspace_cpu
-                                                        : op.workspace_gpu;
-      const std::int64_t bwd = backend == Backend::kCpu
-                                   ? op.bwd_workspace_cpu
-                                   : op.bwd_workspace_gpu;
-      max_ws = std::max({max_ws, fwd, bwd});
-    }
-  }
-  return max_ws;
 }
 
 }  // namespace xmem::fw

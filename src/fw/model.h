@@ -99,9 +99,6 @@ struct ModelDescriptor {
   /// Total forward activation bytes retained for backward on the given
   /// backend (saved outputs + extra saved payloads).
   std::int64_t saved_activation_bytes(Backend backend) const;
-
-  /// Largest single transient workspace on the given backend.
-  std::int64_t max_workspace_bytes(Backend backend) const;
 };
 
 }  // namespace xmem::fw

@@ -4,30 +4,10 @@
 
 namespace xmem::fw {
 
-const char* to_string(DType dtype) {
-  switch (dtype) {
-    case DType::kF32: return "f32";
-    case DType::kF16: return "f16";
-    case DType::kBF16: return "bf16";
-    case DType::kI64: return "i64";
-    case DType::kI32: return "i32";
-    case DType::kU8: return "u8";
-  }
-  return "?";
-}
-
 const char* to_string(ModelFamily family) {
   switch (family) {
     case ModelFamily::kCnn: return "CNN";
     case ModelFamily::kTransformer: return "Transformer";
-  }
-  return "?";
-}
-
-const char* to_string(Backend backend) {
-  switch (backend) {
-    case Backend::kCpu: return "cpu";
-    case Backend::kCuda: return "cuda";
   }
   return "?";
 }

@@ -28,8 +28,6 @@ constexpr std::int64_t dtype_size(DType dtype) {
   return 4;
 }
 
-const char* to_string(DType dtype);
-
 struct TensorDesc {
   std::vector<std::int64_t> shape;
   DType dtype = DType::kF32;
@@ -60,7 +58,6 @@ enum class ModelFamily : std::uint8_t { kCnn, kTransformer };
 const char* to_string(ModelFamily family);
 
 enum class Backend : std::uint8_t { kCpu, kCuda };
-const char* to_string(Backend backend);
 
 enum class OptimizerKind : std::uint8_t {
   kSgd,

@@ -12,9 +12,10 @@
 //                       events with addresses and timestamps
 //
 // Traces serialize to and parse from PyTorch-Profiler-style Chrome-trace
-// JSON ({"schemaVersion":1, "traceEvents":[...]}); the xMem Analyzer
-// consumes the JSON form, exactly as the paper's tool consumes profiler
-// output files.
+// JSON ({"schemaVersion":1, "traceEvents":[...]}), the file format of a
+// trace that crosses a process, as the paper's tool reads profiler output
+// files. A profile taken in process reaches the Analyzer in memory; the
+// read-back trace equals it field for field.
 //
 // The codec is direct: the writer appends each event's bytes to one
 // string, and the reader fills TraceEvents in one pass over the document,

@@ -35,13 +35,6 @@ std::int64_t Json::get_int_or(const std::string& key,
   return it->second.as_int();
 }
 
-double Json::get_double_or(const std::string& key, double fallback) const {
-  if (!is_object()) return fallback;
-  auto it = as_object().find(key);
-  if (it == as_object().end() || !it->second.is_number()) return fallback;
-  return it->second.as_double();
-}
-
 std::string Json::get_string_or(const std::string& key,
                                 const std::string& fallback) const {
   if (!is_object()) return fallback;

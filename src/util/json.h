@@ -307,7 +307,6 @@ class Json {
   const Json& at(const std::string& key) const;
   bool contains(const std::string& key) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
-  double get_double_or(const std::string& key, double fallback) const;
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
 

@@ -21,8 +21,6 @@ double variance(const std::vector<double>& xs) {
   return sum_sq / static_cast<double>(xs.size() - 1);
 }
 
-double stddev(const std::vector<double>& xs) { return std::sqrt(variance(xs)); }
-
 double quantile(std::vector<double> xs, double q) {
   if (xs.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -16,7 +16,6 @@ namespace xmem::util {
 double mean(const std::vector<double>& xs);
 /// Sample variance (divides by n-1). Returns 0 for n < 2.
 double variance(const std::vector<double>& xs);
-double stddev(const std::vector<double>& xs);
 
 /// Type-7 (linear interpolation) quantile; q in [0,1]. Empty input -> 0.
 double quantile(std::vector<double> xs, double q);

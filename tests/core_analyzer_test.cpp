@@ -1,5 +1,6 @@
 // Analyzer unit tests on hand-built traces: lifecycle reconstruction,
-// address reuse, attribution, filtering, phase tagging.
+// address reuse, attribution (missing, instant and repeated parents, ops
+// out of start order), filtering, phase tagging.
 #include <gtest/gtest.h>
 
 #include "core/analyzer.h"
@@ -207,6 +208,78 @@ TEST(Analyzer, SurvivesJsonRoundTrip) {
     EXPECT_EQ(a.timeline.blocks[i].free_ts, b.timeline.blocks[i].free_ts);
     EXPECT_EQ(a.timeline.blocks[i].phase, b.timeline.blocks[i].phase);
   }
+}
+
+// Operator attribution. The analyzer keeps each op's name and component
+// as pointers into the trace; these pin the lookups those pointers come
+// from.
+
+TEST(Analyzer, OpWithAMissingParentHasNoComponent) {
+  TraceBuilder b;
+  b.span(EventKind::kUserAnnotation, "ProfilerStep#0", 0, 100);
+  b.span(EventKind::kCpuOp, "aten::mm", 10, 10, /*parent=*/999);
+  b.alloc(0x10, 100, 12);
+  const auto out = Analyzer().analyze(b.trace);
+  ASSERT_EQ(out.timeline.blocks.size(), 1u);
+  EXPECT_EQ(out.timeline.blocks[0].op_name, "aten::mm");
+  EXPECT_EQ(out.timeline.blocks[0].component, "");
+}
+
+TEST(Analyzer, InstantEventsAreNeverParents) {
+  TraceBuilder b;
+  b.span(EventKind::kUserAnnotation, "ProfilerStep#0", 0, 100);
+  b.alloc(0x20, 64, 5);  // a memory event outside every op
+  const std::int64_t instant_id = b.trace.events.back().id;
+  b.span(EventKind::kCpuOp, "aten::mm", 10, 10, instant_id);
+  b.alloc(0x10, 100, 12);
+  const auto out = Analyzer().analyze(b.trace);
+  ASSERT_EQ(out.timeline.blocks.size(), 1u);
+  EXPECT_EQ(out.timeline.blocks[0].op_name, "aten::mm");
+  EXPECT_EQ(out.timeline.blocks[0].component, "");
+  EXPECT_EQ(out.stats.filtered_blocks, 1u);
+}
+
+TEST(Analyzer, RepeatedSpanIdResolvesToTheLastSpan) {
+  TraceBuilder b;
+  b.span(EventKind::kUserAnnotation, "ProfilerStep#0", 0, 100);
+  const std::int64_t module_id =
+      b.span(EventKind::kPythonFunction, "nn.Module: First", 5, 30);
+  b.span(EventKind::kCpuOp, "aten::mm", 10, 10, module_id);
+  b.alloc(0x10, 100, 12);
+  // A later span reuses the id; it is the parent even though it comes
+  // after the op.
+  b.span(EventKind::kPythonFunction, "nn.Module: Second", 40, 30);
+  b.trace.events.back().id = module_id;
+  const auto out = Analyzer().analyze(b.trace);
+  ASSERT_EQ(out.timeline.blocks.size(), 1u);
+  EXPECT_EQ(out.timeline.blocks[0].component, "nn.Module: Second");
+}
+
+TEST(Analyzer, OpsOutOfStartOrderStillOwnTheirBlocks) {
+  TraceBuilder b;
+  b.span(EventKind::kUserAnnotation, "ProfilerStep#0", 0, 100);
+  const std::int64_t late_parent =
+      b.span(EventKind::kPythonFunction, "nn.Module: Late", 50, 20);
+  const std::int64_t early_parent =
+      b.span(EventKind::kPythonFunction, "nn.Module: Early", 10, 20);
+  b.span(EventKind::kCpuOp, "aten::late", 50, 10, late_parent, 7);
+  b.span(EventKind::kCpuOp, "aten::early", 10, 10, early_parent, 3);
+  b.alloc(0x20, 200, 55);
+  b.alloc(0x10, 100, 15);
+  b.alloc(0x30, 300, 40);  // between the ops: filtered
+  const auto out = Analyzer().analyze(b.trace);
+  ASSERT_EQ(out.timeline.blocks.size(), 2u);
+  const MemoryBlock& early = out.timeline.blocks[0];
+  EXPECT_EQ(early.alloc_ts, 15);
+  EXPECT_EQ(early.op_name, "aten::early");
+  EXPECT_EQ(early.component, "nn.Module: Early");
+  EXPECT_EQ(early.seq, 3);
+  const MemoryBlock& late = out.timeline.blocks[1];
+  EXPECT_EQ(late.alloc_ts, 55);
+  EXPECT_EQ(late.op_name, "aten::late");
+  EXPECT_EQ(late.component, "nn.Module: Late");
+  EXPECT_EQ(late.seq, 7);
+  EXPECT_EQ(out.stats.filtered_blocks, 1u);
 }
 
 }  // namespace

@@ -145,47 +145,70 @@ TEST(Pipeline, DeterministicEstimates) {
   EXPECT_EQ(a.estimated_peak, b.estimated_peak);
 }
 
-TEST(Pipeline, FileHandoffDoesNotChangeTheSequence) {
-  // The pipeline writes the profile as a trace file's bytes and analyzes
-  // what it reads back; the trace it reads back is the profile, field for
-  // field (so a cached profile can be regenerated from its key), and
-  // analyzing the profile in memory gives the same orchestrated sequence.
-  const TrainJob job = make_job({"distilgpt2", 8, fw::OptimizerKind::kAdam});
-  const XMemEstimator estimator;
-  const ProfileKey key = estimator.profile_key(job);
-  ProfileOptions options;
-  options.iterations = key.profile_iterations;
-  options.placement = key.placement;
-  options.seed = key.seed;
-  const trace::Trace profiled = profile_on_cpu(
-      models::build_model(key.model_name, key.batch_size), key.optimizer,
-      options);
-  const Orchestrator::Output in_memory = Orchestrator().orchestrate(
-      Analyzer().analyze(profiled).timeline, key.orchestrator_config);
-  const ProfileArtifacts artifacts = run_profile_pipeline(key);
-  const trace::Trace& read_back = artifacts.trace;
-  EXPECT_EQ(read_back.model_name, profiled.model_name);
-  EXPECT_EQ(read_back.optimizer_name, profiled.optimizer_name);
-  EXPECT_EQ(read_back.batch_size, profiled.batch_size);
-  EXPECT_EQ(read_back.iterations, profiled.iterations);
-  EXPECT_EQ(read_back.backend, profiled.backend);
-  EXPECT_EQ(read_back.schema_version, profiled.schema_version);
-  ASSERT_EQ(read_back.events.size(), profiled.events.size());
-  for (std::size_t i = 0; i < profiled.events.size(); ++i) {
-    const trace::TraceEvent& a = read_back.events[i];
-    const trace::TraceEvent& b = profiled.events[i];
-    ASSERT_TRUE(a.kind == b.kind && a.name == b.name && a.ts == b.ts &&
-                a.dur == b.dur && a.id == b.id && a.parent_id == b.parent_id &&
-                a.seq == b.seq && a.addr == b.addr && a.bytes == b.bytes &&
-                a.total_allocated == b.total_allocated &&
-                a.device_id == b.device_id)
-        << "event " << i << " (" << trace::to_string(b.kind) << " "
-        << b.name << ") differs after the file handoff";
+/// Field-for-field trace equality, naming the first difference.
+::testing::AssertionResult same_trace(const trace::Trace& a,
+                                      const trace::Trace& b) {
+  if (a.model_name != b.model_name || a.optimizer_name != b.optimizer_name ||
+      a.batch_size != b.batch_size || a.iterations != b.iterations ||
+      a.backend != b.backend || a.schema_version != b.schema_version) {
+    return ::testing::AssertionFailure() << "trace metadata differs";
   }
-  const OrchestratedSequence& handed_off = artifacts.orchestration.sequence;
-  ASSERT_EQ(handed_off.events.size(), in_memory.sequence.events.size());
-  EXPECT_EQ(sequence_fingerprint(handed_off),
-            sequence_fingerprint(in_memory.sequence));
+  if (a.events.size() != b.events.size()) {
+    return ::testing::AssertionFailure()
+           << a.events.size() << " events vs " << b.events.size();
+  }
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const trace::TraceEvent& x = a.events[i];
+    const trace::TraceEvent& y = b.events[i];
+    if (!(x.kind == y.kind && x.name == y.name && x.ts == y.ts &&
+          x.dur == y.dur && x.id == y.id && x.parent_id == y.parent_id &&
+          x.seq == y.seq && x.addr == y.addr && x.bytes == y.bytes &&
+          x.total_allocated == y.total_allocated &&
+          x.device_id == y.device_id)) {
+      return ::testing::AssertionFailure()
+             << "event " << i << " (" << trace::to_string(y.kind) << " "
+             << y.name << ") differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Pipeline, EveryZooTraceSurvivesTheFileHandoff) {
+  // The pipeline analyzes the profile in memory. A trace file carries the
+  // same profile: for every zoo model, writing the trace and reading it
+  // back gives the profile field for field, and the read-back trace
+  // orchestrates to the same sequence. The pipeline's own sequence is the
+  // in-memory one.
+  for (const std::string& name : models::all_model_names()) {
+    SCOPED_TRACE(name);
+    ProfileKey key;
+    key.model_name = name;
+    key.batch_size = 2;
+    key.optimizer = fw::OptimizerKind::kAdamW;
+    key.seed = 5;
+    ProfileOptions options;
+    options.iterations = key.profile_iterations;
+    options.placement = key.placement;
+    options.seed = key.seed;
+    const trace::Trace profiled = profile_on_cpu(
+        models::build_model(key.model_name, key.batch_size), key.optimizer,
+        options);
+    const trace::Trace read_back =
+        trace::Trace::from_json_string(profiled.to_json_string());
+    ASSERT_TRUE(same_trace(read_back, profiled));
+
+    const Orchestrator::Output in_memory = Orchestrator().orchestrate(
+        Analyzer().analyze(profiled).timeline, key.orchestrator_config);
+    const Orchestrator::Output handed_off = Orchestrator().orchestrate(
+        Analyzer().analyze(read_back).timeline, key.orchestrator_config);
+    ASSERT_EQ(handed_off.sequence.events.size(),
+              in_memory.sequence.events.size());
+    EXPECT_EQ(sequence_fingerprint(handed_off.sequence),
+              sequence_fingerprint(in_memory.sequence));
+
+    EXPECT_TRUE(run_profile_pipeline(key).orchestration.sequence.events ==
+                in_memory.sequence.events);
+  }
 }
 
 TEST(Pipeline, OrchestratorAblationUnderestimates) {

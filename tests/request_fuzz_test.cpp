@@ -45,6 +45,7 @@ constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 constexpr std::int64_t kMaxGpus = 1024;
 constexpr std::int64_t kMaxBytes = std::int64_t{1} << 50;
+constexpr std::int64_t kMaxBuckets = 1024;
 
 struct IntRange {
   std::int64_t min;
@@ -66,8 +67,8 @@ const std::map<std::string, IntRange>& int_keys() {
       {"batch", {1, kInt32Max, false}},
       {"capacity_bytes", {1, kMaxBytes, true}},
       {"count", {1, kInt32Max, false}},
-      {"ddp_bucket_bytes", {0, kInt64Max, false}},
-      {"ddp_bucket_count", {0, kInt32Max, false}},
+      {"ddp_bucket_bytes", {0, kMaxBytes, true}},
+      {"ddp_bucket_count", {0, kMaxBuckets, true}},
       {"m_fm_bytes", {0, kMaxBytes, true}},
       {"m_init_bytes", {0, kMaxBytes, true}},
       {"max_candidates", {0, kInt64Max, true}},

@@ -215,6 +215,15 @@ TEST(RejectionPins, Plan) {
        "plan request: \"ddp_bucket_bytes\" must be >= 0"},
       {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_count": -1})",
        "plan request: \"ddp_bucket_count\" must be >= 0"},
+      {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_bytes": 1125899906842625})",
+       "plan request: \"ddp_bucket_bytes\" must be <= 1125899906842624"},
+      {"plan", R"({)" JOB "," DEV R"(, "ddp_bucket_count": 1025})",
+       "plan request: \"ddp_bucket_count\" must be <= 1024"},
+      // 4 buckets of 2^61 bytes overflow int64 in the analytic model.
+      {"plan",
+       R"({)" JOB "," DEV
+       R"(, "ddp_bucket_count": 4, "ddp_bucket_bytes": 2305843009213693952})",
+       "plan request: \"ddp_bucket_bytes\" must be <= 1125899906842624"},
       {"plan", R"({)" JOB "," DEV R"(, "activation_replication_pct": 101})",
        "plan request: \"activation_replication_pct\" must be <= 100"},
       {"plan", R"({)" JOB "," DEV R"(, "activation_replication_pct": -1})",
