@@ -46,6 +46,11 @@
 # that is not JSON (bad_malformed.json) never reaches the daemon: the
 # client fails to parse it with the offline message (exit 1).
 #
+# The link audit builds `<build-dir>-audit` with -ffunction-sections
+# -fdata-sections and -Wl,--gc-sections and fails when a global function of
+# libxmem.a reaches no linked executable (ci/link_audit.sh, allow-list in
+# ci/link_audit_allow.txt).
+#
 # The sanitizer passes (end of the file) build two more trees next to the
 # main one and run the full ctest set in each: `<build-dir>-asan` with
 # AddressSanitizer + UBSan, so memory errors in the threaded fan-outs fail
@@ -536,6 +541,25 @@ if ! wait "${SERVE_PID}"; then
   GOLDEN_FAILED=1
 else
   echo "serve smoke ok: fleet daemon drained on shutdown request"
+fi
+
+# --- link audit ------------------------------------------------------------
+# A fourth tree with every function and datum in its own section and the
+# linker's --gc-sections, tests, examples and benches on (the main and
+# bench trees keep their flags). ci/link_audit.sh then fails when a global
+# function defined in libxmem.a is linked into no executable and is not in
+# ci/link_audit_allow.txt: public surface nothing calls stays deleted.
+
+AUDIT_DIR="${BUILD_DIR}-audit"
+cmake -B "${AUDIT_DIR}" -S "${REPO_ROOT}" -DXMEM_WERROR=ON \
+  -DCMAKE_CXX_FLAGS="-ffunction-sections -fdata-sections" \
+  -DCMAKE_EXE_LINKER_FLAGS="-Wl,--gc-sections" \
+  -DXMEM_BUILD_TESTS=ON -DXMEM_BUILD_EXAMPLES=ON -DXMEM_BUILD_BENCH=ON
+cmake --build "${AUDIT_DIR}" -j "${JOBS}"
+if ! bash "${REPO_ROOT}/ci/link_audit.sh" "${AUDIT_DIR}"; then
+  GOLDEN_FAILED=1
+else
+  echo "link audit ok"
 fi
 
 # --- sanitizer pass --------------------------------------------------------

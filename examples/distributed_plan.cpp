@@ -97,16 +97,15 @@ int main(int argc, char** argv) {
   core::DistributedPlanner planner;
   std::printf("\npure data parallelism at d=%d:\n", request.max_gpus);
   for (int zero = 0; zero <= 3; ++zero) {
-    core::DataParallelOptions dp;
-    dp.ranks = request.max_gpus;
+    core::HybridOptions dp;
+    dp.data_parallel = request.max_gpus;
+    dp.micro_batches = 1;
     dp.zero = core::zero_stage_from_int(zero);
-    const core::DataParallelPlan plan =
-        planner.plan_data_parallel(profiles, dp);
-    std::printf("  ZeRO-%d: per-rank %-10s (params %s, grads %s, optim %s)\n",
+    const core::HybridPlan plan = planner.plan_hybrid(profiles, dp);
+    std::printf("  ZeRO-%d: per-rank %-10s (persistent %s, activations %s)\n",
                 zero, util::format_bytes(plan.per_rank_peak).c_str(),
-                util::format_bytes(plan.param_bytes).c_str(),
-                util::format_bytes(plan.gradient_bytes).c_str(),
-                util::format_bytes(plan.optimizer_bytes).c_str());
+                util::format_bytes(plan.stages[0].persistent_bytes).c_str(),
+                util::format_bytes(plan.stages[0].activation_bytes).c_str());
   }
 
   std::printf("\nprofiles run for the whole search: %zu (profile-once)\n",

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace xmem;
   const std::string model_name = argc > 1 ? argv[1] : "pythia-1b";
   const int batch = argc > 2 ? std::atoi(argv[2]) : 4;
-  core::DistributedOptions options;
+  core::HybridOptions options;
   options.pipeline_stages = argc > 3 ? std::atoi(argv[3]) : 4;
   options.micro_batches = argc > 4 ? std::atoi(argv[4]) : 4;
 
@@ -53,8 +53,7 @@ int main(int argc, char** argv) {
   }
 
   core::DistributedPlanner planner;
-  const core::PipelinePlan plan =
-      planner.plan_pipeline(analysis.timeline, options);
+  const core::HybridPlan plan = planner.plan_hybrid(profiles, options);
 
   std::printf("\nsingle-device footprint: %s (%s on a %s)\n",
               util::format_bytes(plan.single_device_peak).c_str(),
@@ -76,13 +75,14 @@ int main(int argc, char** argv) {
                                                            : "");
   }
   std::printf("\nmax stage peak %s -> pipeline %s on %d x %s\n",
-              util::format_bytes(plan.max_stage_peak).c_str(),
-              plan.max_stage_peak > device.job_budget() ? "DOES NOT FIT"
-                                                        : "fits",
+              util::format_bytes(plan.per_rank_peak).c_str(),
+              plan.per_rank_peak > device.job_budget() ? "DOES NOT FIT"
+                                                       : "fits",
               options.pipeline_stages, device.name.c_str());
   std::printf("adding data parallelism costs a further %s per rank "
               "(gradient-bucket staging)\n",
-              util::format_bytes(planner.data_parallel_overhead(options))
+              util::format_bytes(options.ddp_bucket_count *
+                                 options.ddp_bucket_bytes)
                   .c_str());
   return 0;
 }

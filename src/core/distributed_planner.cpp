@@ -121,19 +121,6 @@ struct StageWeight {
   std::int64_t transient = 0;
 };
 
-/// Gradients mirror parameters on each stage; no sharding applied.
-std::vector<StageWeight> weights_from_profiles(
-    const std::vector<ComponentProfile>& profiles) {
-  std::vector<StageWeight> weights(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    weights[i].persistent =
-        profiles[i].persistent_bytes() + profiles[i].param_bytes;
-    weights[i].activation = profiles[i].activation_bytes;
-    weights[i].transient = profiles[i].transient_peak;
-  }
-  return weights;
-}
-
 std::int64_t span_peak(const std::vector<StageWeight>& weights,
                        std::size_t first, std::size_t last, std::size_t index,
                        std::size_t num_stages, int micro_batches) {
@@ -247,67 +234,6 @@ std::vector<std::int64_t> rank_peaks_of(const std::vector<PipelineStage>& chunks
 
 }  // namespace
 
-PipelinePlan DistributedPlanner::plan_pipeline(
-    const MemoryTimeline& timeline, const DistributedOptions& options) const {
-  return plan_pipeline(per_component_profile(timeline), options);
-}
-
-PipelinePlan DistributedPlanner::plan_pipeline(
-    const std::vector<ComponentProfile>& profiles,
-    const DistributedOptions& options) const {
-  PipelinePlan plan;
-  if (profiles.empty() || options.pipeline_stages < 1 ||
-      options.micro_batches < 1 || options.virtual_stages < 1) {
-    return plan;
-  }
-  const std::vector<StageWeight> weights = weights_from_profiles(profiles);
-  plan.single_device_peak = span_peak(weights, 0, weights.size() - 1, 0, 1, 1);
-
-  const auto ranks = static_cast<std::size_t>(options.pipeline_stages);
-  const std::size_t chunks_per_rank =
-      options.schedule == PipelineSchedule::kInterleaved
-          ? static_cast<std::size_t>(options.virtual_stages)
-          : 1;
-  plan.stages = pack_min_max(weights, ranks * chunks_per_rank,
-                             options.micro_batches);
-  plan.rank_peaks = rank_peaks_of(plan.stages, ranks);
-  for (const std::int64_t peak : plan.rank_peaks) {
-    plan.max_stage_peak = std::max(plan.max_stage_peak, peak);
-  }
-  return plan;
-}
-
-DataParallelPlan DistributedPlanner::plan_data_parallel(
-    const std::vector<ComponentProfile>& profiles,
-    const DataParallelOptions& options) const {
-  DataParallelPlan plan;
-  plan.ranks = std::max(1, options.ranks);
-  plan.zero = options.zero;
-  const std::int64_t d = plan.ranks;
-  for (const ComponentProfile& c : profiles) {
-    plan.param_bytes +=
-        options.zero >= ZeroStage::kFull ? ceil_div(c.param_bytes, d)
-                                         : c.param_bytes;
-    plan.gradient_bytes +=
-        options.zero >= ZeroStage::kOptimizerGradient
-            ? ceil_div(c.param_bytes, d)
-            : c.param_bytes;
-    plan.optimizer_bytes +=
-        options.zero >= ZeroStage::kOptimizer
-            ? ceil_div(c.optimizer_bytes, d)
-            : c.optimizer_bytes;
-    plan.activation_bytes += ceil_div(c.activation_bytes, d);
-    plan.transient_peak = std::max(plan.transient_peak, c.transient_peak);
-  }
-  plan.bucket_overhead_bytes =
-      d > 1 ? options.ddp_bucket_count * options.ddp_bucket_bytes : 0;
-  plan.per_rank_peak = plan.param_bytes + plan.gradient_bytes +
-                       plan.optimizer_bytes + plan.activation_bytes +
-                       plan.transient_peak + plan.bucket_overhead_bytes;
-  plan.single_device_peak = single_device_peak(profiles);
-  return plan;
-}
-
 ComponentProfile DistributedPlanner::shard_tensor_parallel(
     const ComponentProfile& component,
     const TensorParallelOptions& options) const {
@@ -328,31 +254,6 @@ ComponentProfile DistributedPlanner::shard_tensor_parallel(
       replicated + ceil_div(component.activation_bytes - replicated, t);
   sharded.transient_peak = ceil_div(component.transient_peak, t);
   return sharded;
-}
-
-TensorParallelPlan DistributedPlanner::plan_tensor_parallel(
-    const std::vector<ComponentProfile>& profiles,
-    const TensorParallelOptions& options) const {
-  TensorParallelPlan plan;
-  plan.ways = std::max(1, options.ways);
-  TensorParallelOptions ways_options = options;
-  ways_options.ways = plan.ways;
-  for (const ComponentProfile& c : profiles) {
-    const ComponentProfile sharded = shard_tensor_parallel(c, ways_options);
-    if (plan.ways > 1 && sharded.param_bytes == c.param_bytes) {
-      plan.replicated_param_bytes += c.param_bytes;
-    }
-    plan.param_bytes += sharded.param_bytes;
-    plan.gradient_bytes += sharded.param_bytes;
-    plan.optimizer_bytes += sharded.optimizer_bytes;
-    plan.activation_bytes += sharded.activation_bytes;
-    plan.transient_peak = std::max(plan.transient_peak, sharded.transient_peak);
-  }
-  plan.per_rank_peak = plan.param_bytes + plan.gradient_bytes +
-                       plan.optimizer_bytes + plan.activation_bytes +
-                       plan.transient_peak;
-  plan.single_device_peak = single_device_peak(profiles);
-  return plan;
 }
 
 HybridPlan DistributedPlanner::plan_hybrid(
@@ -413,9 +314,14 @@ HybridPlan DistributedPlanner::plan_hybrid(
 
 std::int64_t DistributedPlanner::single_device_peak(
     const std::vector<ComponentProfile>& profiles) const {
-  if (profiles.empty()) return 0;
-  const std::vector<StageWeight> weights = weights_from_profiles(profiles);
-  return span_peak(weights, 0, weights.size() - 1, 0, 1, 1);
+  // Gradients mirror parameters; every activation is resident at once.
+  std::int64_t resident = 0;
+  std::int64_t transient = 0;
+  for (const ComponentProfile& c : profiles) {
+    resident += c.persistent_bytes() + c.param_bytes + c.activation_bytes;
+    transient = std::max(transient, c.transient_peak);
+  }
+  return resident + transient;
 }
 
 std::vector<Decomposition> DistributedPlanner::enumerate_decompositions(

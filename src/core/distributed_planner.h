@@ -2,22 +2,26 @@
 // architecture is "deliberately prepared" for.
 //
 // The Analyzer's per-layer attribution yields a component-level memory
-// profile from a single-node CPU trace; this planner consumes it to answer
-// the questions distributed deployment asks *before* any multi-GPU run:
+// profile from a single-node CPU trace; plan_hybrid consumes it to answer
+// the questions distributed deployment asks *before* any multi-GPU run.
+// One (d, t, p) decomposition composes three dimensions:
 //
-//   * pipeline parallelism — split the layer sequence into contiguous
-//     stages so the worst stage's peak memory is minimized, modelling the
-//     1F1B schedule's in-flight micro-batch activations (plus an
-//     interleaved-schedule variant with several virtual stages per rank);
-//   * data parallelism — batch-sharded activations, replicated (or
+//   * tensor parallelism (t) — per-component divisible/replicated byte
+//     split with an activation-replication model (norms/embeddings stay
+//     whole on every rank, matmul shards divide);
+//   * data parallelism (d) — batch-sharded activations, replicated (or
 //     ZeRO-1/2/3-sharded) persistent state, and the extra resident bytes
 //     DDP's gradient-bucket staging adds per rank;
-//   * tensor parallelism — per-component divisible/replicated byte split
-//     with an activation-replication model (norms/embeddings stay whole on
-//     every rank, matmul shards divide);
-//   * hybrid DP×TP×PP — evaluate any (d, t, p) decomposition of a GPU
-//     budget; the EstimationService's plan search enumerates and ranks
-//     them against candidate devices from ONE cached CPU profile.
+//   * pipeline parallelism (p) — split the sharded layer sequence into
+//     contiguous stages so the worst stage's peak memory is minimized,
+//     modelling the 1F1B schedule's in-flight micro-batch activations
+//     (plus an interleaved-schedule variant with several virtual stages
+//     per rank).
+//
+// A pure dimension is the slice with the other two at 1. The
+// EstimationService's plan search enumerates every decomposition of a GPU
+// budget and ranks them against candidate devices from ONE cached CPU
+// profile.
 //
 // Everything here is integer arithmetic over a component profile — cheap,
 // deterministic, and thread-safe (the planner holds no state), which is
@@ -84,22 +88,6 @@ const char* to_string(PipelineSchedule schedule);
 /// Parse "1f1b" / "interleaved"; throws std::invalid_argument.
 PipelineSchedule pipeline_schedule_from_string(const std::string& name);
 
-struct DistributedOptions {
-  int pipeline_stages = 2;
-  /// In-flight micro-batches of the 1F1B schedule. Stage s (0-based, of S)
-  /// holds min(S - s, micro_batches) activation copies, each 1/micro_batches
-  /// of the profiled batch.
-  int micro_batches = 4;
-  /// DDP gradient bucket size (PyTorch default 25 MiB).
-  std::int64_t ddp_bucket_bytes = std::int64_t{25} * 1024 * 1024;
-  /// In-flight DDP gradient buckets per rank (reduce + staging). 2 is the
-  /// classic PyTorch overlap depth, previously hard-coded.
-  int ddp_bucket_count = 2;
-  PipelineSchedule schedule = PipelineSchedule::kOneFOneB;
-  /// Model chunks per rank under kInterleaved (ignored for kOneFOneB).
-  int virtual_stages = 1;
-};
-
 struct PipelineStage {
   std::size_t first_component = 0;  ///< inclusive index into the profile
   std::size_t last_component = 0;   ///< inclusive
@@ -107,43 +95,6 @@ struct PipelineStage {
   std::int64_t activation_bytes = 0;  ///< per full batch
   std::int64_t transient_peak = 0;    ///< largest op workspace in the stage
   std::int64_t estimated_peak = 0;
-};
-
-struct PipelinePlan {
-  /// Contiguous chunks in forward order: one per rank under kOneFOneB,
-  /// `virtual_stages` per rank (round-robin: chunk c lives on rank
-  /// c % pipeline_stages) under kInterleaved.
-  std::vector<PipelineStage> stages;
-  /// Peak per pipeline rank (size = pipeline_stages actually populated).
-  std::vector<std::int64_t> rank_peaks;
-  std::int64_t max_stage_peak = 0;  ///< max over rank_peaks
-  /// Peak of the same job on one device (for the "does splitting help"
-  /// comparison).
-  std::int64_t single_device_peak = 0;
-};
-
-struct DataParallelOptions {
-  int ranks = 2;
-  ZeroStage zero = ZeroStage::kNone;
-  /// DDP gradient bucket size (PyTorch default 25 MiB).
-  std::int64_t ddp_bucket_bytes = std::int64_t{25} * 1024 * 1024;
-  /// In-flight DDP gradient buckets per rank (previously hard-coded at 2).
-  int ddp_bucket_count = 2;
-};
-
-/// Per-rank byte budget of a pure data-parallel deployment. All fields are
-/// per rank, after ZeRO sharding; gradients mirror parameters.
-struct DataParallelPlan {
-  int ranks = 1;
-  ZeroStage zero = ZeroStage::kNone;
-  std::int64_t param_bytes = 0;
-  std::int64_t gradient_bytes = 0;
-  std::int64_t optimizer_bytes = 0;
-  std::int64_t activation_bytes = 0;  ///< batch shard: ceil(total / ranks)
-  std::int64_t transient_peak = 0;
-  std::int64_t bucket_overhead_bytes = 0;  ///< count x bucket bytes, 0 if d==1
-  std::int64_t per_rank_peak = 0;
-  std::int64_t single_device_peak = 0;
 };
 
 struct TensorParallelOptions {
@@ -154,20 +105,6 @@ struct TensorParallelOptions {
   /// Components whose name contains any of these substrings are fully
   /// replicated (Megatron keeps norms and embeddings whole per rank).
   std::vector<std::string> replicated_substrings = {"Norm", "Embedding"};
-};
-
-/// Per-rank byte budget of a pure tensor-parallel deployment.
-struct TensorParallelPlan {
-  int ways = 1;
-  std::int64_t param_bytes = 0;  ///< per rank, incl. replicated components
-  std::int64_t gradient_bytes = 0;
-  std::int64_t optimizer_bytes = 0;
-  std::int64_t activation_bytes = 0;
-  std::int64_t transient_peak = 0;
-  /// Parameter bytes that every rank keeps whole (norms, embeddings).
-  std::int64_t replicated_param_bytes = 0;
-  std::int64_t per_rank_peak = 0;
-  std::int64_t single_device_peak = 0;
 };
 
 /// One point of the hybrid search space: d × t × p GPUs.
@@ -196,8 +133,11 @@ struct HybridPlan {
   int tensor_parallel = 1;
   int pipeline_stages = 1;
   int gpus = 1;
-  std::vector<PipelineStage> stages;  ///< contiguous (virtual) stage chunks
-  std::vector<std::int64_t> rank_peaks;
+  /// Contiguous chunks in forward order: one per pipeline rank under
+  /// kOneFOneB, `virtual_stages` per rank (round-robin: chunk c lives on
+  /// rank c % pipeline_stages) under kInterleaved.
+  std::vector<PipelineStage> stages;
+  std::vector<std::int64_t> rank_peaks;  ///< per pipeline rank
   std::int64_t per_rank_peak = 0;
   std::int64_t single_device_peak = 0;
 };
@@ -212,20 +152,6 @@ struct Decomposition {
 
 class DistributedPlanner {
  public:
-  /// Balance the component sequence into contiguous stages minimizing the
-  /// maximum per-stage peak (binary search over the peak + greedy packing —
-  /// optimal for contiguous partitioning of a nonnegative sequence).
-  PipelinePlan plan_pipeline(const MemoryTimeline& timeline,
-                             const DistributedOptions& options) const;
-  PipelinePlan plan_pipeline(const std::vector<ComponentProfile>& profiles,
-                             const DistributedOptions& options) const;
-
-  /// Pure data parallelism: batch-sharded activations, ZeRO-sharded or
-  /// replicated persistent state, two in-flight gradient buckets.
-  DataParallelPlan plan_data_parallel(
-      const std::vector<ComponentProfile>& profiles,
-      const DataParallelOptions& options) const;
-
   /// Shard one component across `options.ways` tensor-parallel ranks.
   /// Replicated components (name matches `replicated_substrings`) are
   /// returned unchanged; divisible ones split params/optimizer/transients
@@ -234,13 +160,11 @@ class DistributedPlanner {
       const ComponentProfile& component,
       const TensorParallelOptions& options) const;
 
-  /// Pure tensor parallelism over the whole component sequence.
-  TensorParallelPlan plan_tensor_parallel(
-      const std::vector<ComponentProfile>& profiles,
-      const TensorParallelOptions& options) const;
-
-  /// Evaluate one (d, t, p) decomposition. Deterministic integer
-  /// arithmetic: safe to call concurrently from a sweep fan-out.
+  /// Evaluate one (d, t, p) decomposition. The stage split minimizes the
+  /// maximum per-stage peak (binary search over the peak + greedy packing —
+  /// optimal for contiguous partitioning of a nonnegative sequence).
+  /// Deterministic integer arithmetic: safe to call concurrently from a
+  /// sweep fan-out.
   HybridPlan plan_hybrid(const std::vector<ComponentProfile>& profiles,
                          const HybridOptions& options) const;
 
@@ -254,12 +178,6 @@ class DistributedPlanner {
   /// deterministic order (total GPUs, then d, then t).
   static std::vector<Decomposition> enumerate_decompositions(
       int max_gpus, int max_pipeline_stages);
-
-  /// Extra resident bytes per data-parallel rank: the configured number of
-  /// in-flight gradient buckets (reduce + staging).
-  std::int64_t data_parallel_overhead(const DistributedOptions& options) const {
-    return options.ddp_bucket_count * options.ddp_bucket_bytes;
-  }
 };
 
 }  // namespace xmem::core

@@ -77,6 +77,14 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
     }
   }
 
+  if (result.oom && options.capacity == SimulationOptions::kUnboundedCapacity) {
+    // The "unbounded" replay is bounded after all: a peak cut off at the
+    // ceiling is no estimate, so fail instead of reporting it.
+    throw std::invalid_argument(
+        "replay: the job needs more than the " +
+        std::to_string(SimulationOptions::kUnboundedCapacity) +
+        "-byte replay capacity (2^50); its peak cannot be estimated");
+  }
   result.backend_stats = allocator->backend_stats();
   result.peak_reserved = result.backend_stats.peak_reserved_bytes;
   // Driverless backends (basic-bfc's unbounded arena) never touch the

@@ -28,8 +28,9 @@ namespace xmem::core {
 
 struct SimulationOptions {
   /// Device capacity for the replay. The default (effectively unbounded)
-  /// yields the unconstrained peak used as the estimate; passing a real
-  /// budget turns the replay into an OOM predictor with full reclamation
+  /// yields the unconstrained peak used as the estimate, and a replay that
+  /// runs out of it throws std::invalid_argument; passing a real budget
+  /// turns the replay into an OOM predictor with full reclamation
   /// semantics.
   std::int64_t capacity = kUnboundedCapacity;
   bool record_series = false;
@@ -111,7 +112,8 @@ std::string replay_tower_key(const SimulationOptions& options);
 
 class MemorySimulator {
  public:
-  /// Throws std::invalid_argument when an event carries a negative block id.
+  /// Throws std::invalid_argument when an event carries a negative block id
+  /// or a replay at kUnboundedCapacity runs out of memory.
   SimulationResult replay(const OrchestratedSequence& sequence,
                           const SimulationOptions& options = {},
                           ReplayScratch* scratch = nullptr) const;

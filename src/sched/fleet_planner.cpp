@@ -827,9 +827,9 @@ struct FleetPlanner::Impl {
     return report;
   }
 
-  /// pack() and what_if()'s shared body: validate the request, estimate
-  /// its archetypes, and pack its pools into `base` — plus, when it carries
-  /// what-if pools, diff the augmented fleet into the report's what_if.
+  /// pack()'s body: validate the request, estimate its archetypes, and
+  /// pack its pools into `base` — plus, when it carries what-if pools, diff
+  /// the augmented fleet into the report's what_if.
   FleetReport pack_fresh(ScopedRequest& request, PackResult& base) {
     materialize_ids(request);
     validate(request);
@@ -1021,18 +1021,6 @@ FleetReport FleetPlanner::apply(const JobFinish& event) {
       counters);
   report.wall_seconds = seconds_since(start);
   return report;
-}
-
-WhatIfDelta FleetPlanner::what_if(const FleetRequest& request,
-                                  const std::vector<GpuPool>& added_pools) {
-  if (added_pools.empty()) {
-    throw std::invalid_argument(
-        "fleet what-if: added pools must be non-empty");
-  }
-  ScopedRequest materialized(request);
-  materialized.what_if = added_pools;
-  PackResult base;
-  return *impl_->pack_fresh(materialized, base).what_if;
 }
 
 }  // namespace xmem::sched

@@ -6,20 +6,21 @@
 // FleetPlanner closes that loop — per-job peaks come through
 // core::EstimationService (ONE CPU profile per *distinct* job archetype,
 // however long the queue; `profiles_run == distinct_jobs` is the
-// acceptance proof), a pluggable PackingPolicy turns those peaks plus a
+// acceptance proof), a PackingPolicy turns those peaks plus a
 // configurable headroom into placements, and jobs too big for any single
 // card fall back to DistributedPlanner candidates consuming multiple
 // slots of one pool.
 //
-// Three layers on top of the batch pack:
+// Two layers on top of the batch pack:
 //   * pack(FleetRequest) -> FleetReport — placements, per-job
 //     admit/defer/reject verdicts, fleet utilization/fragmentation stats;
+//     a request carrying `what_if` pools also diffs a second pack of the
+//     same queue on the augmented fleet ("what does adding 8xA100 buy?"),
+//     sharing one archetype cache;
 //   * apply(JobArrival | JobFinish) — incremental re-planning against the
 //     cached estimates (a trailing arrival under an order-preserving
 //     policy touches at most one pool; everything else repacks with pure
-//     integer arithmetic, zero new profiles);
-//   * what_if(request, added_pools) — diff two packs of the same queue
-//     ("what does adding 8xA100 buy?") sharing one archetype cache.
+//     integer arithmetic, zero new profiles).
 //
 // Determinism contract matches sweep/plan: serial and ThreadPool-fanned
 // packs produce byte-identical FleetReports (the fan-out only computes
@@ -264,11 +265,6 @@ class FleetPlanner {
   /// before any pack(), std::invalid_argument on duplicate/unknown ids.
   FleetReport apply(const JobArrival& event);
   FleetReport apply(const JobFinish& event);
-
-  /// Diff request.pools vs request.pools + added_pools for the same queue.
-  /// Does not disturb the incremental state.
-  WhatIfDelta what_if(const FleetRequest& request,
-                      const std::vector<GpuPool>& added_pools);
 
  private:
   struct Impl;

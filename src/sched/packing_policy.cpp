@@ -1,8 +1,6 @@
 #include "sched/packing_policy.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 namespace xmem::sched {
@@ -79,99 +77,63 @@ class BestFitDecreasingPolicy : public PackingPolicy {
   }
 };
 
-struct Registration {
-  std::string description;
-  PackingPolicyFactory factory;
+/// The built-in policies, sorted by name: packing_policy_names() and the
+/// unknown-name message list them in this order.
+struct Entry {
+  const char* name;
+  const char* description;
+  std::unique_ptr<PackingPolicy> (*make)();
 };
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, Registration> entries;
-
-  Registry() {
-    entries["first-fit"] = {
-        "predicted peak + headroom, first GPU that fits (queue order)",
-        [] { return std::make_unique<FirstFitPolicy>(); }};
-    entries["best-fit-decreasing"] = {
-        "largest demands first, tightest feasible GPU (classic BFD)",
-        [] { return std::make_unique<BestFitDecreasingPolicy>(); }};
-    entries["whole-gpu"] = {
-        "one job per GPU regardless of estimate (conservative baseline)",
-        [] { return std::make_unique<WholeGpuPolicy>(); }};
-  }
-};
-
-Registry& registry() {
-  static Registry instance;
-  return instance;
+template <typename Policy>
+std::unique_ptr<PackingPolicy> make() {
+  return std::make_unique<Policy>();
 }
 
-std::string known_names_message() {
-  std::string names;
-  for (const std::string& name : packing_policy_names()) {
-    if (!names.empty()) names += ", ";
-    names += name;
+constexpr Entry kPolicies[] = {
+    {"best-fit-decreasing",
+     "largest demands first, tightest feasible GPU (classic BFD)",
+     make<BestFitDecreasingPolicy>},
+    {"first-fit",
+     "predicted peak + headroom, first GPU that fits (queue order)",
+     make<FirstFitPolicy>},
+    {"whole-gpu",
+     "one job per GPU regardless of estimate (conservative baseline)",
+     make<WholeGpuPolicy>},
+};
+
+const Entry* find_policy(const std::string& name) {
+  for (const Entry& entry : kPolicies) {
+    if (name == entry.name) return &entry;
   }
-  return names;
+  return nullptr;
 }
 
 }  // namespace
 
-void register_packing_policy(const std::string& name,
-                             const std::string& description,
-                             PackingPolicyFactory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("register_packing_policy: empty name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("register_packing_policy: null factory for '" +
-                                name + "'");
-  }
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  if (reg.entries.count(name) > 0) {
-    throw std::invalid_argument("register_packing_policy: duplicate name '" +
-                                name + "'");
-  }
-  reg.entries.emplace(name, Registration{description, std::move(factory)});
-}
-
-bool is_known_packing_policy(const std::string& name) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  return reg.entries.count(name) > 0;
-}
-
 std::vector<std::string> packing_policy_names() {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
   std::vector<std::string> names;
-  names.reserve(reg.entries.size());
-  for (const auto& [name, entry] : reg.entries) names.push_back(name);
-  return names;  // std::map iterates sorted
+  for (const Entry& entry : kPolicies) names.emplace_back(entry.name);
+  return names;
 }
 
 std::string packing_policy_description(const std::string& name) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto it = reg.entries.find(name);
-  if (it == reg.entries.end()) return std::string();
-  return it->second.description;
+  const Entry* entry = find_policy(name);
+  return entry != nullptr ? entry->description : std::string();
 }
 
 std::unique_ptr<PackingPolicy> make_packing_policy(const std::string& name) {
-  Registry& reg = registry();
-  PackingPolicyFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    const auto it = reg.entries.find(name);
-    if (it != reg.entries.end()) factory = it->second.factory;
-  }
-  if (!factory) {
+  const Entry* entry = find_policy(name);
+  if (entry == nullptr) {
+    std::string known;
+    for (const std::string& policy : packing_policy_names()) {
+      if (!known.empty()) known += ", ";
+      known += policy;
+    }
     throw std::invalid_argument("unknown packing policy '" + name +
-                                "' (known: " + known_names_message() + ")");
+                                "' (known: " + known + ")");
   }
-  return factory();
+  return entry->make();
 }
 
 }  // namespace xmem::sched

@@ -1,6 +1,5 @@
-// Pluggable bin-packing policies for the fleet planner, behind a
-// name -> factory registry mirroring core/estimator_registry.h and
-// alloc/backend_registry.h.
+// Bin-packing policies for the fleet planner: a fixed, name-keyed table of
+// three built-ins behind one PackingPolicy interface.
 //
 // The paper's motivation (§1) is admission control: schedulers reserve
 // whole GPUs because they cannot trust memory estimates. A packing policy
@@ -27,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,24 +77,14 @@ class PackingPolicy {
                      const std::vector<std::int64_t>& demand_bytes) const = 0;
 };
 
-using PackingPolicyFactory = std::function<std::unique_ptr<PackingPolicy>()>;
-
-/// Register a policy. Throws std::invalid_argument on duplicate or empty
-/// names and null factories. Extensions registered here immediately work
-/// in FleetRequest::policy, `xmem fleet`, and the server's fleet method.
-void register_packing_policy(const std::string& name,
-                             const std::string& description,
-                             PackingPolicyFactory factory);
-
-bool is_known_packing_policy(const std::string& name);
-
-/// Registered names, sorted.
+/// The built-in policy names, sorted.
 std::vector<std::string> packing_policy_names();
 
+/// One-line description; empty for an unknown name.
 std::string packing_policy_description(const std::string& name);
 
 /// Construct a policy by name; throws std::invalid_argument listing the
-/// registered names when unknown.
+/// known names when unknown.
 std::unique_ptr<PackingPolicy> make_packing_policy(const std::string& name);
 
 }  // namespace xmem::sched

@@ -207,8 +207,6 @@ Server::~Server() {
   if (started_.load()) stop();
 }
 
-core::EstimationService& Server::service() { return impl_->service; }
-
 void Server::start() {
   if (started_.load()) throw std::runtime_error("server already started");
   if (config_.socket_path.empty()) {

@@ -133,7 +133,6 @@ class Server {
 
   ServerStats stats() const;
   const ServerConfig& config() const { return config_; }
-  core::EstimationService& service();
 
  private:
   struct Impl;

@@ -263,5 +263,39 @@ TEST(SimulatorHandles, NegativeBlockIdThrows) {
             kMiB);
 }
 
+TEST(SimulatorCeiling, UnboundedReplayThatRunsOutThrows) {
+  // Two 2^49-byte blocks fill the 2^50 "unbounded" capacity exactly; a
+  // third cannot fit, so the replay has no peak to report. Every backend
+  // with a device model must say so instead of returning the cut-off peak.
+  constexpr std::int64_t kHalf = SimulationOptions::kUnboundedCapacity / 2;
+  OrchestratedSequence sequence;
+  sequence.events = {alloc_event(0, 1, kHalf), alloc_event(1, 2, kHalf),
+                     alloc_event(2, 3, kMiB)};
+  for (const std::string& backend : alloc::backend_names()) {
+    if (backend == "basic-bfc") continue;  // driverless arena: no ceiling
+    SimulationOptions options;
+    options.backend = backend;
+    ReplayScratch scratch;
+    try {
+      MemorySimulator().replay(sequence, options, &scratch);
+      FAIL() << backend << ": a replay past the ceiling must throw";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(),
+                   "replay: the job needs more than the 1125899906842624-byte "
+                   "replay capacity (2^50); its peak cannot be estimated")
+          << backend;
+    }
+    // The scratch's tower still replays afterwards.
+    OrchestratedSequence small;
+    small.events = {alloc_event(0, 1, kMiB)};
+    EXPECT_GE(MemorySimulator().replay(small, options, &scratch).peak_device,
+              kMiB)
+        << backend;
+    // A real capacity keeps the OOM-predictor contract: no throw.
+    options.capacity = 64 * kMiB;
+    EXPECT_TRUE(MemorySimulator().replay(sequence, options).oom) << backend;
+  }
+}
+
 }  // namespace
 }  // namespace xmem::core

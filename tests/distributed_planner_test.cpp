@@ -1,12 +1,14 @@
 // DistributedPlanner tests: the §6.2 multi-GPU planner suite.
 //
+//   * each pure dimension is a slice of plan_hybrid: (1, 1, p) for the
+//     pipeline, (d, 1, 1) and (1, t, 1) with one micro-batch for DP/TP;
 //   * contiguous-partition optimality on hand-computable component
 //     sequences (brute force over every partition agrees with the solver);
 //   * monotonicity — more stages never raises the max-stage peak on
 //     divisible (uniform) inputs;
 //   * DP/TP shard arithmetic (ZeRO stages, replicated components,
-//     activation replication) checked against hand-computed bytes;
-//   * hybrid composition is consistent with the pure DP/TP planners;
+//     activation replication) checked against hand-computed bytes and a
+//     shard sum restated independently of the planner;
 //   * the EstimationService plan search over a >= 8 GPU budget runs
 //     exactly ONE CPU profile and is byte-identical serial vs threaded.
 #include <gtest/gtest.h>
@@ -30,7 +32,6 @@ namespace {
 
 using core::ComponentProfile;
 using core::Decomposition;
-using core::DistributedOptions;
 using core::DistributedPlanner;
 using core::HybridOptions;
 using core::PipelineSchedule;
@@ -108,17 +109,68 @@ std::vector<ComponentProfile> uniform_sequence(std::size_t n) {
   return profiles;
 }
 
-// ---------- pipeline partitioning ----------
+/// The pure data-parallel byte sum, restated independently of
+/// plan_hybrid: per-component ZeRO shards of params, gradients (mirroring
+/// params) and optimizer state, batch-sharded activations, the largest
+/// workspace, and `bucket_bytes` of DDP staging.
+std::int64_t pure_data_parallel_peak(
+    const std::vector<ComponentProfile>& profiles, std::int64_t d,
+    ZeroStage zero, std::int64_t bucket_bytes) {
+  std::int64_t sum = 0, transient = 0;
+  for (const ComponentProfile& c : profiles) {
+    sum += zero >= ZeroStage::kFull ? core::ceil_div(c.param_bytes, d)
+                                    : c.param_bytes;
+    sum += zero >= ZeroStage::kOptimizerGradient
+               ? core::ceil_div(c.param_bytes, d)
+               : c.param_bytes;
+    sum += zero >= ZeroStage::kOptimizer ? core::ceil_div(c.optimizer_bytes, d)
+                                         : c.optimizer_bytes;
+    sum += core::ceil_div(c.activation_bytes, d);
+    transient = std::max(transient, c.transient_peak);
+  }
+  return sum + transient + bucket_bytes;
+}
+
+/// The pure tensor-parallel byte sum, restated independently of
+/// plan_hybrid: every component's shard (shard_tensor_parallel has its own
+/// hand-value test), with gradients mirroring the sharded parameters.
+std::int64_t pure_tensor_parallel_peak(
+    const std::vector<ComponentProfile>& profiles,
+    const core::TensorParallelOptions& options) {
+  DistributedPlanner planner;
+  std::int64_t sum = 0, transient = 0;
+  for (const ComponentProfile& c : profiles) {
+    const ComponentProfile shard = planner.shard_tensor_parallel(c, options);
+    sum += 2 * shard.param_bytes + shard.optimizer_bytes +
+           shard.activation_bytes;
+    transient = std::max(transient, shard.transient_peak);
+  }
+  return sum + transient;
+}
+
+/// The (1, 1, p) slice: pure pipeline parallelism.
+HybridOptions pipeline_slice(int stages, int micro_batches) {
+  HybridOptions options;
+  options.pipeline_stages = stages;
+  options.micro_batches = micro_batches;
+  return options;
+}
+
+/// uneven_sequence() on one device, by hand: 2 x 5808 params (gradients
+/// mirror them) + 11616 optimizer + 9700 activations + the 200-byte
+/// LMHead workspace.
+constexpr std::int64_t kUnevenSingleDevicePeak =
+    2 * 5808 + 11616 + 9700 + 200;
+
+// ---------- pipeline slice (1, 1, p) ----------
 
 TEST(PipelinePartition, MatchesBruteForceOptimumOnHandSequences) {
   DistributedPlanner planner;
   for (const int stages : {2, 3, 4}) {
     for (const int micro_batches : {1, 2, 4}) {
-      DistributedOptions options;
-      options.pipeline_stages = stages;
-      options.micro_batches = micro_batches;
-      const auto plan = planner.plan_pipeline(uneven_sequence(), options);
-      EXPECT_EQ(plan.max_stage_peak,
+      const auto plan = planner.plan_hybrid(
+          uneven_sequence(), pipeline_slice(stages, micro_batches));
+      EXPECT_EQ(plan.per_rank_peak,
                 brute_force_min_max(uneven_sequence(),
                                     static_cast<std::size_t>(stages),
                                     micro_batches))
@@ -132,21 +184,20 @@ TEST(PipelinePartition, MoreStagesNeverRaiseMaxPeakOnDivisibleInputs) {
   const auto profiles = uniform_sequence(12);
   std::int64_t previous = std::numeric_limits<std::int64_t>::max();
   for (int stages = 1; stages <= 6; ++stages) {
-    DistributedOptions options;
-    options.pipeline_stages = stages;
-    options.micro_batches = 4;
-    const auto plan = planner.plan_pipeline(profiles, options);
-    EXPECT_LE(plan.max_stage_peak, previous) << "stages=" << stages;
-    previous = plan.max_stage_peak;
+    const auto plan = planner.plan_hybrid(profiles, pipeline_slice(stages, 4));
+    EXPECT_EQ(plan.per_rank_peak,
+              brute_force_min_max(profiles, static_cast<std::size_t>(stages),
+                                  4))
+        << "stages=" << stages;
+    EXPECT_LE(plan.per_rank_peak, previous) << "stages=" << stages;
+    previous = plan.per_rank_peak;
   }
 }
 
 TEST(PipelinePartition, StagesAreContiguousCompleteAndBounded) {
   DistributedPlanner planner;
-  DistributedOptions options;
-  options.pipeline_stages = 3;
   const auto profiles = uneven_sequence();
-  const auto plan = planner.plan_pipeline(profiles, options);
+  const auto plan = planner.plan_hybrid(profiles, pipeline_slice(3, 4));
   ASSERT_EQ(plan.stages.size(), 3u);
   ASSERT_EQ(plan.rank_peaks.size(), 3u);
   EXPECT_EQ(plan.stages.front().first_component, 0u);
@@ -156,45 +207,45 @@ TEST(PipelinePartition, StagesAreContiguousCompleteAndBounded) {
               plan.stages[s - 1].last_component + 1);
   }
   for (std::size_t s = 0; s < plan.stages.size(); ++s) {
-    // 1F1B: one chunk per rank, so rank peaks are the stage peaks.
+    // 1F1B: one chunk per rank and no DP bucket, so rank peaks are the
+    // stage peaks, each the restated stage model of its span.
     EXPECT_EQ(plan.rank_peaks[s], plan.stages[s].estimated_peak);
-    EXPECT_LE(plan.stages[s].estimated_peak, plan.max_stage_peak);
+    EXPECT_EQ(plan.stages[s].estimated_peak,
+              model_peak(profiles, plan.stages[s].first_component,
+                         plan.stages[s].last_component, s, 3, 4));
+    EXPECT_LE(plan.stages[s].estimated_peak, plan.per_rank_peak);
   }
 }
 
 TEST(PipelinePartition, SingleStageWithoutMicroBatchingIsTheSingleDevicePeak) {
   DistributedPlanner planner;
-  DistributedOptions options;
-  options.pipeline_stages = 1;
-  options.micro_batches = 1;
-  const auto plan = planner.plan_pipeline(uneven_sequence(), options);
-  EXPECT_EQ(plan.max_stage_peak, plan.single_device_peak);
-  EXPECT_EQ(plan.single_device_peak,
-            planner.single_device_peak(uneven_sequence()));
+  const auto plan = planner.plan_hybrid(uneven_sequence(), pipeline_slice(1, 1));
+  EXPECT_EQ(plan.per_rank_peak, kUnevenSingleDevicePeak);
+  EXPECT_EQ(plan.single_device_peak, kUnevenSingleDevicePeak);
+  EXPECT_EQ(planner.single_device_peak(uneven_sequence()),
+            kUnevenSingleDevicePeak);
 }
 
 TEST(PipelinePartition, InterleavedWithOneChunkPerRankMatchesOneFOneB) {
   DistributedPlanner planner;
-  DistributedOptions flat;
-  flat.pipeline_stages = 3;
-  DistributedOptions interleaved = flat;
+  const HybridOptions flat = pipeline_slice(3, 4);
+  HybridOptions interleaved = flat;
   interleaved.schedule = PipelineSchedule::kInterleaved;
   interleaved.virtual_stages = 1;
-  const auto a = planner.plan_pipeline(uneven_sequence(), flat);
-  const auto b = planner.plan_pipeline(uneven_sequence(), interleaved);
+  const auto a = planner.plan_hybrid(uneven_sequence(), flat);
+  const auto b = planner.plan_hybrid(uneven_sequence(), interleaved);
   ASSERT_EQ(a.stages.size(), b.stages.size());
-  EXPECT_EQ(a.max_stage_peak, b.max_stage_peak);
+  EXPECT_EQ(a.per_rank_peak, b.per_rank_peak);
   EXPECT_EQ(a.rank_peaks, b.rank_peaks);
 }
 
 TEST(PipelinePartition, InterleavedSplitsIntoVirtualStagesPerRank) {
   DistributedPlanner planner;
-  DistributedOptions options;
-  options.pipeline_stages = 2;
+  HybridOptions options = pipeline_slice(2, 4);
   options.schedule = PipelineSchedule::kInterleaved;
   options.virtual_stages = 3;
   const auto profiles = uniform_sequence(12);
-  const auto plan = planner.plan_pipeline(profiles, options);
+  const auto plan = planner.plan_hybrid(profiles, options);
   ASSERT_EQ(plan.stages.size(), 6u);  // 2 ranks x 3 chunks
   ASSERT_EQ(plan.rank_peaks.size(), 2u);
   EXPECT_EQ(plan.stages.front().first_component, 0u);
@@ -202,66 +253,81 @@ TEST(PipelinePartition, InterleavedSplitsIntoVirtualStagesPerRank) {
   // Every rank holds v chunks whose resident bytes add up; the max rank
   // peak bounds every single chunk's peak from above.
   for (const auto& stage : plan.stages) {
-    EXPECT_LE(stage.estimated_peak, plan.max_stage_peak);
+    EXPECT_LE(stage.estimated_peak, plan.per_rank_peak);
   }
   const std::int64_t max_rank =
       *std::max_element(plan.rank_peaks.begin(), plan.rank_peaks.end());
-  EXPECT_EQ(plan.max_stage_peak, max_rank);
+  EXPECT_EQ(plan.per_rank_peak, max_rank);
 }
 
-// ---------- data-parallel arithmetic ----------
+// ---------- data-parallel slice (d, 1, 1), one micro-batch ----------
 
-TEST(DataParallelPlan, ShardArithmeticPerZeroStage) {
+TEST(DataParallelSlice, ShardArithmeticPerZeroStage) {
   DistributedPlanner planner;
   const std::vector<ComponentProfile> profiles = {
       component("MLP.0", 100, 200, 400, 50),
       component("MLP.1", 300, 600, 800, 70),
   };
-  core::DataParallelOptions options;
-  options.ranks = 4;
+  HybridOptions options;
+  options.data_parallel = 4;
+  options.micro_batches = 1;
   options.ddp_bucket_bytes = 1000;
-
-  options.zero = ZeroStage::kNone;
-  auto plan = planner.plan_data_parallel(profiles, options);
-  EXPECT_EQ(plan.param_bytes, 400);
-  EXPECT_EQ(plan.gradient_bytes, 400);
-  EXPECT_EQ(plan.optimizer_bytes, 800);
-  EXPECT_EQ(plan.activation_bytes, 100 + 200);  // per-component ceil(x/4)
-  EXPECT_EQ(plan.transient_peak, 70);
-  EXPECT_EQ(plan.bucket_overhead_bytes, 2000);
-  EXPECT_EQ(plan.per_rank_peak, 400 + 400 + 800 + 300 + 70 + 2000);
-
-  options.zero = ZeroStage::kOptimizer;  // ZeRO-1
-  plan = planner.plan_data_parallel(profiles, options);
-  EXPECT_EQ(plan.optimizer_bytes, 50 + 150);
-  EXPECT_EQ(plan.gradient_bytes, 400);
-
-  options.zero = ZeroStage::kOptimizerGradient;  // ZeRO-2
-  plan = planner.plan_data_parallel(profiles, options);
-  EXPECT_EQ(plan.optimizer_bytes, 200);
-  EXPECT_EQ(plan.gradient_bytes, 25 + 75);
-  EXPECT_EQ(plan.param_bytes, 400);
-
-  options.zero = ZeroStage::kFull;  // ZeRO-3
-  plan = planner.plan_data_parallel(profiles, options);
-  EXPECT_EQ(plan.param_bytes, 100);
-  EXPECT_EQ(plan.gradient_bytes, 100);
-  EXPECT_EQ(plan.optimizer_bytes, 200);
-  EXPECT_EQ(plan.per_rank_peak, 100 + 100 + 200 + 300 + 70 + 2000);
+  // Per rank: activations ceil(400/4) + ceil(800/4) = 300, workspace 70,
+  // two 1000-byte buckets; persistent = params + gradients + optimizer.
+  const struct {
+    ZeroStage zero;
+    std::int64_t persistent;
+  } cases[] = {
+      {ZeroStage::kNone, 400 + 400 + 800},
+      {ZeroStage::kOptimizer, 400 + 400 + (50 + 150)},        // ZeRO-1
+      {ZeroStage::kOptimizerGradient, 400 + (25 + 75) + 200},  // ZeRO-2
+      {ZeroStage::kFull, (25 + 75) + (25 + 75) + 200},         // ZeRO-3
+  };
+  for (const auto& c : cases) {
+    options.zero = c.zero;
+    const auto plan = planner.plan_hybrid(profiles, options);
+    ASSERT_EQ(plan.stages.size(), 1u);
+    EXPECT_EQ(plan.stages[0].persistent_bytes, c.persistent)
+        << to_string(c.zero);
+    EXPECT_EQ(plan.stages[0].activation_bytes, 300);
+    EXPECT_EQ(plan.stages[0].transient_peak, 70);
+    EXPECT_EQ(plan.per_rank_peak, c.persistent + 300 + 70 + 2000)
+        << to_string(c.zero);
+  }
 }
 
-TEST(DataParallelPlan, OneRankIsTheSingleDevicePeakWithNoOverhead) {
+TEST(DataParallelSlice, OneRankIsTheSingleDevicePeakWithNoOverhead) {
   DistributedPlanner planner;
-  core::DataParallelOptions options;
-  options.ranks = 1;
-  const auto plan = planner.plan_data_parallel(uneven_sequence(), options);
-  EXPECT_EQ(plan.bucket_overhead_bytes, 0);
+  HybridOptions options;
+  options.micro_batches = 1;
+  options.ddp_bucket_bytes = 1000;
+  options.ddp_bucket_count = 5;
+  const auto plan = planner.plan_hybrid(uneven_sequence(), options);
+  EXPECT_EQ(plan.per_rank_peak, kUnevenSingleDevicePeak);  // no bucket at d=1
   EXPECT_EQ(plan.per_rank_peak, plan.single_device_peak);
 }
 
-// ---------- tensor-parallel arithmetic ----------
+TEST(DataParallelSlice, MatchesTheRestatedShardSumPerZeroStage) {
+  DistributedPlanner planner;
+  const auto profiles = uneven_sequence();
+  for (const int d : {2, 3, 4, 8}) {
+    for (const auto zero : {ZeroStage::kNone, ZeroStage::kOptimizer,
+                            ZeroStage::kOptimizerGradient, ZeroStage::kFull}) {
+      HybridOptions hybrid;
+      hybrid.data_parallel = d;
+      hybrid.micro_batches = 1;
+      hybrid.zero = zero;
+      EXPECT_EQ(planner.plan_hybrid(profiles, hybrid).per_rank_peak,
+                pure_data_parallel_peak(profiles, d, zero,
+                                        2 * hybrid.ddp_bucket_bytes))
+          << "d=" << d << " " << to_string(zero);
+    }
+  }
+}
 
-TEST(TensorParallelPlan, ShardsDivisibleComponentsAndReplicatesNorms) {
+// ---------- tensor-parallel slice (1, t, 1), one micro-batch ----------
+
+TEST(TensorParallelSlice, ShardsDivisibleComponentsAndReplicatesNorms) {
   DistributedPlanner planner;
   core::TensorParallelOptions options;
   options.ways = 4;
@@ -283,58 +349,48 @@ TEST(TensorParallelPlan, ShardsDivisibleComponentsAndReplicatesNorms) {
   EXPECT_EQ(replicated.transient_peak, 10);
 }
 
-TEST(TensorParallelPlan, PlanSumsShardsAndTracksReplicatedBytes) {
+TEST(TensorParallelSlice, SumsShardsAndKeepsNormsWhole) {
   DistributedPlanner planner;
-  core::TensorParallelOptions options;
-  options.ways = 2;
-  options.activation_replication_pct = 0;
+  HybridOptions options;
+  options.tensor_parallel = 2;
+  options.micro_batches = 1;
+  options.tensor.activation_replication_pct = 0;
   const std::vector<ComponentProfile> profiles = {
       component("SelfAttention.0", 1000, 2000, 600, 40),
       component("InputNorm.1", 100, 200, 300, 8),
   };
-  const auto plan = planner.plan_tensor_parallel(profiles, options);
-  EXPECT_EQ(plan.ways, 2);
-  EXPECT_EQ(plan.param_bytes, 500 + 100);
-  EXPECT_EQ(plan.gradient_bytes, 500 + 100);
-  EXPECT_EQ(plan.optimizer_bytes, 1000 + 200);
-  EXPECT_EQ(plan.activation_bytes, 300 + 300);
-  EXPECT_EQ(plan.transient_peak, 20);
-  EXPECT_EQ(plan.replicated_param_bytes, 100);
+  const auto plan = planner.plan_hybrid(profiles, options);
+  EXPECT_EQ(plan.gpus, 2);
+  ASSERT_EQ(plan.stages.size(), 1u);
+  // Params 500 + 100 (the norm stays whole), gradients mirror them,
+  // optimizer 1000 + 200.
+  EXPECT_EQ(plan.stages[0].persistent_bytes,
+            (500 + 100) + (500 + 100) + (1000 + 200));
+  EXPECT_EQ(plan.stages[0].activation_bytes, 300 + 300);
+  EXPECT_EQ(plan.stages[0].transient_peak, 20);
   EXPECT_EQ(plan.per_rank_peak, 600 + 600 + 1200 + 600 + 20);
   EXPECT_LT(plan.per_rank_peak, plan.single_device_peak);
 }
 
-// ---------- hybrid composition ----------
-
-TEST(HybridPlan, PureDataParallelSliceMatchesTheDataParallelPlanner) {
+TEST(TensorParallelSlice, MatchesTheRestatedShardSum) {
   DistributedPlanner planner;
   const auto profiles = uneven_sequence();
-  for (const auto zero : {ZeroStage::kNone, ZeroStage::kOptimizer,
-                          ZeroStage::kOptimizerGradient, ZeroStage::kFull}) {
-    HybridOptions hybrid;
-    hybrid.data_parallel = 4;
-    hybrid.micro_batches = 1;
-    hybrid.zero = zero;
-    core::DataParallelOptions dp;
-    dp.ranks = 4;
-    dp.zero = zero;
-    EXPECT_EQ(planner.plan_hybrid(profiles, hybrid).per_rank_peak,
-              planner.plan_data_parallel(profiles, dp).per_rank_peak)
-        << to_string(zero);
+  for (const int t : {2, 3, 4}) {
+    for (const int pct : {0, 25, 100}) {
+      HybridOptions hybrid;
+      hybrid.tensor_parallel = t;
+      hybrid.micro_batches = 1;
+      hybrid.tensor.activation_replication_pct = pct;
+      core::TensorParallelOptions tp = hybrid.tensor;
+      tp.ways = t;
+      EXPECT_EQ(planner.plan_hybrid(profiles, hybrid).per_rank_peak,
+                pure_tensor_parallel_peak(profiles, tp))
+          << "t=" << t << " pct=" << pct;
+    }
   }
 }
 
-TEST(HybridPlan, PureTensorParallelSliceMatchesTheTensorParallelPlanner) {
-  DistributedPlanner planner;
-  const auto profiles = uneven_sequence();
-  HybridOptions hybrid;
-  hybrid.tensor_parallel = 4;
-  hybrid.micro_batches = 1;
-  core::TensorParallelOptions tp = hybrid.tensor;
-  tp.ways = 4;
-  EXPECT_EQ(planner.plan_hybrid(profiles, hybrid).per_rank_peak,
-            planner.plan_tensor_parallel(profiles, tp).per_rank_peak);
-}
+// ---------- hybrid composition ----------
 
 TEST(HybridPlan, GpuCountMultipliesAndBucketChargesOnlyDataParallel) {
   DistributedPlanner planner;
@@ -898,40 +954,85 @@ TEST(PlanRefine, RefineAllReplaysEveryRankedDecomposition) {
   EXPECT_TRUE(json.at("stage_counters").contains("replay_cache_hits"));
 }
 
+// ---------- metamorphic relations ----------
+
+TEST(PlanMetamorphic, OneGpuCandidateIsTheSingleDeviceJob) {
+  // Relation: the (1, 1, 1) candidate with one micro-batch is the
+  // single-device job. Its analytic peak is the report's single-device
+  // analytic peak, and its replayed peak is what a plain sweep estimates
+  // for the job alone — on every backend, for ZeRO 0 and 3 (nothing
+  // shards at d = 1), with and without overlap windows (no collective at
+  // d = 1). No golden is involved.
+  std::ifstream in(std::string(XMEM_FIXTURE_DIR) + "/plan_request.json");
+  ASSERT_TRUE(in) << "missing ci/fixtures/plan_request.json";
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  core::PlanRequest request =
+      core::PlanRequest::from_json(util::Json::parse(buffer.str()));
+  request.max_gpus = 1;
+  request.micro_batches = 1;
+  request.refine_top_k = 1;
+
+  for (const char* model : {"distilgpt2", "MobileNetV2"}) {
+    request.job.model_name = model;
+    const bool transformer = request.job.model_name == "distilgpt2";
+    for (const std::string& backend : alloc::backend_names()) {
+      request.allocator = backend;
+      core::EstimateRequest sweep;
+      sweep.job = request.job;
+      sweep.devices = request.devices;
+      sweep.allocators = {backend};
+      sweep.profile_iterations = request.profile_iterations;
+      const core::EstimateReport single =
+          core::EstimationService().sweep(sweep);
+      const std::int64_t estimate = single.entries.at(0).estimated_peak;
+
+      for (const auto zero : {ZeroStage::kNone, ZeroStage::kFull}) {
+        for (const bool overlap : {false, true}) {
+          if (overlap && !transformer) continue;
+          request.zero = zero;
+          request.comm_overlap = overlap;
+          const std::string label = std::string(model) + " " + backend +
+                                    " " + to_string(zero) +
+                                    (overlap ? " overlap" : "");
+          const core::PlanReport report =
+              core::EstimationService().plan(request);
+          ASSERT_EQ(report.candidates.size(), 1u) << label;
+          const core::PlanCandidate& candidate = report.candidates.front();
+          EXPECT_EQ(candidate.plan.gpus, 1) << label;
+          EXPECT_EQ(candidate.plan.per_rank_peak, report.single_device_peak)
+              << label;
+          ASSERT_TRUE(candidate.replayed) << label;
+          EXPECT_EQ(candidate.replayed_per_rank_peak, estimate) << label;
+          for (const core::EstimateEntry& entry :
+               report.single_device_entries) {
+            EXPECT_EQ(entry.estimated_peak, estimate) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------- DDP bucket knob ----------
 
-TEST(DataParallelPlan, BucketCountIsConfigurableWithTwoAsDefault) {
+TEST(DataParallelSlice, BucketCountIsConfigurableWithTwoAsDefault) {
   DistributedPlanner planner;
   const auto profiles = uneven_sequence();
-  core::DataParallelOptions options;
-  options.ranks = 2;
+  HybridOptions options;
+  options.data_parallel = 2;
+  options.micro_batches = 1;
   options.ddp_bucket_bytes = 1000;
-  EXPECT_EQ(planner.plan_data_parallel(profiles, options).bucket_overhead_bytes,
-            2000);  // the old hard-coded behavior stays the default
+  // Per rank without buckets: the 23232 persistent bytes stay whole, the
+  // activations halve per component to 4850, plus the 200-byte workspace.
+  constexpr std::int64_t kBase = 23232 + 4850 + 200;
+  EXPECT_EQ(planner.plan_hybrid(profiles, options).per_rank_peak,
+            kBase + 2000);  // the old hard-coded behavior stays the default
   options.ddp_bucket_count = 5;
-  EXPECT_EQ(planner.plan_data_parallel(profiles, options).bucket_overhead_bytes,
-            5000);
+  EXPECT_EQ(planner.plan_hybrid(profiles, options).per_rank_peak,
+            kBase + 5000);
   options.ddp_bucket_count = 0;
-  EXPECT_EQ(planner.plan_data_parallel(profiles, options).bucket_overhead_bytes,
-            0);
-
-  DistributedOptions distributed;
-  distributed.ddp_bucket_bytes = 1 << 20;
-  EXPECT_EQ(planner.data_parallel_overhead(distributed), 2 << 20);
-  distributed.ddp_bucket_count = 3;
-  EXPECT_EQ(planner.data_parallel_overhead(distributed), 3 << 20);
-
-  HybridOptions hybrid;
-  hybrid.data_parallel = 2;
-  hybrid.micro_batches = 1;
-  hybrid.ddp_bucket_bytes = 1000;
-  hybrid.ddp_bucket_count = 4;
-  core::DataParallelOptions dp;
-  dp.ranks = 2;
-  dp.ddp_bucket_bytes = 1000;
-  dp.ddp_bucket_count = 4;
-  EXPECT_EQ(planner.plan_hybrid(profiles, hybrid).per_rank_peak,
-            planner.plan_data_parallel(profiles, dp).per_rank_peak);
+  EXPECT_EQ(planner.plan_hybrid(profiles, options).per_rank_peak, kBase);
 }
 
 // ---------- plan request / report JSON ----------

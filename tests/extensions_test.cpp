@@ -227,25 +227,26 @@ TEST_F(PlannerFixture, PerComponentProfileCoversParameters) {
   EXPECT_GT(activations, 0);
 }
 
+core::HybridPlan pipeline_plan(const core::MemoryTimeline& timeline,
+                               int stages, int micro_batches = 4) {
+  core::HybridOptions options;
+  options.pipeline_stages = stages;
+  options.micro_batches = micro_batches;
+  return core::DistributedPlanner().plan_hybrid(
+      core::per_component_profile(timeline), options);
+}
+
 TEST_F(PlannerFixture, MoreStagesLowerTheMaxPeak) {
-  core::DistributedPlanner planner;
-  core::DistributedOptions two;
-  two.pipeline_stages = 2;
-  core::DistributedOptions four;
-  four.pipeline_stages = 4;
-  const auto plan2 = planner.plan_pipeline(timeline(), two);
-  const auto plan4 = planner.plan_pipeline(timeline(), four);
+  const auto plan2 = pipeline_plan(timeline(), 2);
+  const auto plan4 = pipeline_plan(timeline(), 4);
   ASSERT_EQ(plan2.stages.size(), 2u);
   ASSERT_EQ(plan4.stages.size(), 4u);
-  EXPECT_LT(plan2.max_stage_peak, plan2.single_device_peak);
-  EXPECT_LE(plan4.max_stage_peak, plan2.max_stage_peak);
+  EXPECT_LT(plan2.per_rank_peak, plan2.single_device_peak);
+  EXPECT_LE(plan4.per_rank_peak, plan2.per_rank_peak);
 }
 
 TEST_F(PlannerFixture, StagesAreContiguousAndComplete) {
-  core::DistributedPlanner planner;
-  core::DistributedOptions options;
-  options.pipeline_stages = 3;
-  const auto plan = planner.plan_pipeline(timeline(), options);
+  const auto plan = pipeline_plan(timeline(), 3);
   const auto profiles = core::per_component_profile(timeline());
   ASSERT_EQ(plan.stages.size(), 3u);
   EXPECT_EQ(plan.stages.front().first_component, 0u);
@@ -255,32 +256,33 @@ TEST_F(PlannerFixture, StagesAreContiguousAndComplete) {
               plan.stages[s - 1].last_component + 1);
   }
   for (const auto& stage : plan.stages) {
-    EXPECT_LE(stage.estimated_peak, plan.max_stage_peak);
+    EXPECT_LE(stage.estimated_peak, plan.per_rank_peak);
     EXPECT_GT(stage.persistent_bytes, 0);
   }
 }
 
 TEST_F(PlannerFixture, SingleStageMatchesSingleDevicePeakModel) {
-  core::DistributedPlanner planner;
-  core::DistributedOptions options;
-  options.pipeline_stages = 1;
-  options.micro_batches = 1;
-  const auto plan = planner.plan_pipeline(timeline(), options);
+  const auto plan = pipeline_plan(timeline(), 1, 1);
   ASSERT_EQ(plan.stages.size(), 1u);
-  EXPECT_EQ(plan.max_stage_peak, plan.single_device_peak);
+  EXPECT_EQ(plan.per_rank_peak, plan.single_device_peak);
 }
 
 TEST_F(PlannerFixture, DataParallelOverheadIsTwoBuckets) {
   core::DistributedPlanner planner;
-  core::DistributedOptions options;
-  EXPECT_EQ(planner.data_parallel_overhead(options),
+  const auto profiles = core::per_component_profile(timeline());
+  core::HybridOptions options;
+  options.data_parallel = 2;
+  core::HybridOptions no_buckets = options;
+  no_buckets.ddp_bucket_count = 0;
+  EXPECT_EQ(planner.plan_hybrid(profiles, options).per_rank_peak -
+                planner.plan_hybrid(profiles, no_buckets).per_rank_peak,
             2 * options.ddp_bucket_bytes);
 }
 
 TEST(Planner, EmptyTimeline) {
-  core::DistributedPlanner planner;
-  const auto plan = planner.plan_pipeline(core::MemoryTimeline{}, {});
+  const auto plan = pipeline_plan(core::MemoryTimeline{}, 2);
   EXPECT_TRUE(plan.stages.empty());
+  EXPECT_EQ(plan.per_rank_peak, 0);
 }
 
 }  // namespace

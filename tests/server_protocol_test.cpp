@@ -249,6 +249,26 @@ TEST(ServerProtocol, MissingRequestDocumentIsActionable) {
   daemon.stop();
 }
 
+TEST(ServerProtocol, JobPastTheReplayCeilingIsABadRequest) {
+  // distilgpt2 at batch 2^24 outgrows the 2^50-byte replay capacity: the
+  // daemon answers bad_request with the offline message and keeps serving.
+  server::Server daemon(protocol_config("replay_ceiling"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/15000);
+  ASSERT_TRUE(client.send_frame(
+      "{\"type\": \"sweep\", \"id\": 3, \"request\": {\"job\": "
+      "{\"model\": \"distilgpt2\", \"batch\": 16777216, "
+      "\"optimizer\": \"AdamW\"}, \"devices\": [\"a100\"]}}"));
+  std::string reply;
+  ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+  EXPECT_TRUE(has_error_code(reply, server::kErrBadRequest)) << reply;
+  EXPECT_NE(reply.find("1125899906842624"), std::string::npos) << reply;
+  ASSERT_TRUE(client.send_frame("{\"type\": \"ping\", \"id\": 4}"));
+  ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+  EXPECT_TRUE(util::Json::parse(reply).at("ok").as_bool()) << reply;
+  daemon.stop();
+}
+
 // --- seeded frame mutator ---------------------------------------------------
 
 /// Small corpus the mutator starts from. Everything here is cheap for the

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "alloc/backend_registry.h"
@@ -21,6 +22,7 @@
 #include "core/profile_session.h"
 #include "core/simulator.h"
 #include "core/xmem_estimator.h"
+#include "util/bytes.h"
 #include "util/json.h"
 
 namespace xmem {
@@ -719,6 +721,72 @@ TEST(EstimateReportJson, SchemaFieldsPresent) {
   const util::Json stable = report.to_json(/*include_timings=*/false);
   EXPECT_FALSE(stable.contains("wall_seconds"));
   EXPECT_FALSE(stable.at("entries")[0].contains("timings"));
+}
+
+// ---------- replay ceiling ----------
+
+TEST(EstimationServiceSweep, JobPastTheReplayCeilingFailsNamingIt) {
+  // distilgpt2 with AdamW needs about 6.8e14 bytes at batch 2^20, which
+  // the 2^50-byte "unbounded" replay still holds; at 2^24 it runs out, and
+  // the sweep must fail instead of reporting the cut-off peak.
+  core::EstimateRequest request;
+  request.job.model_name = "distilgpt2";
+  request.job.optimizer = fw::OptimizerKind::kAdamW;
+  request.devices = {gpu::a100_40gb()};
+  request.job.batch_size = 1 << 20;
+  core::EstimationService service;
+  EXPECT_EQ(service.sweep(request).entries.at(0).estimated_peak,
+            682572665323520);
+  request.job.batch_size = 1 << 24;
+  try {
+    service.sweep(request);
+    FAIL() << "a job past the replay ceiling must not be estimated";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(),
+                 "replay: the job needs more than the 1125899906842624-byte "
+                 "replay capacity (2^50); its peak cannot be estimated");
+  }
+}
+
+// ---------- metamorphic relations ----------
+
+TEST(SweepMetamorphic, AddingADeviceChangesNoOtherEntry) {
+  // Relation: a device's entry depends on the job, the estimator, the
+  // allocator and that device only. Adding cards to the sweep, in front of
+  // and behind the others, leaves every existing entry byte-identical, on
+  // a fresh service and on one that answered the smaller sweep first.
+  core::EstimateRequest small;
+  small.job = small_job();
+  small.devices = {gpu::rtx3060(), gpu::a100_40gb()};
+  small.allocators = alloc::backend_names();
+  small.estimators = {"xMem", "xMem-noOrch", "DNNMem", "LLMem"};
+  core::EstimateRequest large = small;
+  gpu::DeviceModel custom = gpu::rtx4060();
+  custom.name = "custom-6g";
+  custom.capacity = 6 * util::kGiB;
+  large.devices = {custom, gpu::rtx3060(), gpu::rtx4060(), gpu::a100_40gb()};
+
+  const auto by_key = [](const core::EstimateReport& report) {
+    std::map<std::string, std::string> entries;
+    for (const core::EstimateEntry& entry : report.entries) {
+      entries[entry.estimator + "|" + entry.device + "|" + entry.allocator] =
+          entry.to_json(/*include_timings=*/false).dump();
+    }
+    return entries;
+  };
+  core::EstimationService warm;
+  const auto expected = by_key(warm.sweep(small));
+  ASSERT_FALSE(expected.empty());
+  core::EstimationService fresh;
+  for (core::EstimationService* service : {&warm, &fresh}) {
+    const auto grown = by_key(service->sweep(large));
+    EXPECT_EQ(grown.size(), 2 * expected.size());  // twice the devices
+    for (const auto& [key, entry] : expected) {
+      const auto it = grown.find(key);
+      ASSERT_NE(it, grown.end()) << key;
+      EXPECT_EQ(it->second, entry) << key;
+    }
+  }
 }
 
 }  // namespace
