@@ -115,6 +115,30 @@ void BM_RegistryChurn(benchmark::State& state, const std::string& name) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// The fragmentation stress, whole, per iteration: 100k live 512-byte
+/// blocks, every other one freed, then 100k alloc/free pairs against the
+/// 50k equal-size holes. A free set with a per-operation cost linear in its
+/// size turns this quadratic. Registered in main() for every BFC backend.
+void BM_FragmentedChurn(benchmark::State& state, const std::string& name) {
+  constexpr int kBlocks = 100000;
+  for (auto _ : state) {
+    SimulatedCudaDriver driver(std::int64_t{1} << 40);
+    const auto backend = xmem::alloc::make_backend(name, driver);
+    std::vector<std::int64_t> ids;
+    ids.reserve(kBlocks);
+    for (int i = 0; i < kBlocks; ++i) {
+      ids.push_back(backend->backend_alloc(512).id);
+    }
+    for (int i = 0; i < kBlocks; i += 2) backend->backend_free(ids[i]);
+    for (int i = 0; i < kBlocks; ++i) {
+      backend->backend_free(backend->backend_alloc(512).id);
+    }
+    benchmark::DoNotOptimize(backend->backend_stats().peak_reserved_bytes);
+  }
+  // 100k allocs, 50k frees, 100k alloc/free pairs.
+  state.SetItemsProcessed(state.iterations() * 350000);
+}
+
 void BM_SnapshotDump(benchmark::State& state) {
   SimulatedCudaDriver driver(8 * kGiB);
   CachingAllocatorSim allocator(driver);
@@ -144,6 +168,12 @@ int main(int argc, char** argv) {
   for (const std::string& name : xmem::alloc::backend_names()) {
     benchmark::RegisterBenchmark(("BM_RegistryChurn/" + name).c_str(),
                                  BM_RegistryChurn, name);
+  }
+  for (const std::string name :
+       {"basic-bfc", "pytorch", "pytorch-expandable", "stream-pool", "tf-bfc"}) {
+    benchmark::RegisterBenchmark(("BM_FragmentedChurn/" + name).c_str(),
+                                 BM_FragmentedChurn, name)
+        ->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

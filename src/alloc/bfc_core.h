@@ -16,14 +16,14 @@
 // nodes are recycled through the arena, ids index a flat table, and both
 // keep their capacity across reset(), which is what makes
 // reset-instead-of-rebuild the replay hot path (ReplayScratch in
-// core/simulator.h). The free set is a std::set; it is the only per-event
-// tree left.
+// core/simulator.h). The free set keeps its (size, addr) keys inline in
+// sorted runs (FreeSet below), so the core has no per-event tree: once a
+// replay has warmed up, no alloc or free allocates.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <set>
 #include <vector>
 
 namespace xmem::alloc::bfc {
@@ -92,6 +92,16 @@ class LiveIds {
 
 /// Free blocks in (size, addr) order — the order upstream BFC allocators
 /// search, so best fit ties go to the lowest address.
+///
+/// The order is kept as sorted runs of at most kRunMax entries that carry
+/// their key inline, so no comparison reads a Block. A lookup binary-searches
+/// the runs' last keys, then one run; an insert or erase shifts the tail of
+/// that one run. A run that passes kRunMax entries splits in two and a run
+/// that empties is dropped; both edit the run table (O(n / kRunMax)), and
+/// past the first, a run is only created by a split, so that happens at most
+/// once per kRunMax / 2 inserts. Runs live in fixed slabs of one flat vector,
+/// recycled through a spare list: once warmed up, nothing here allocates,
+/// and clear() keeps the capacity as Core::reset() does.
 template <class Block>
 class FreeSet {
  public:
@@ -99,36 +109,143 @@ class FreeSet {
   /// `size` bytes for which `usable(block)` holds, or nullptr.
   template <class Usable>
   Block* take(std::int64_t size, Usable usable) {
-    for (auto it = blocks_.lower_bound(size); it != blocks_.end(); ++it) {
-      if (usable(**it)) {
-        Block* block = *it;
-        blocks_.erase(it);
-        return block;
+    std::size_t r = first_run_not_below(size, 0);
+    if (r == runs_.size()) return nullptr;
+    Entry* begin = entries(runs_[r]);
+    Entry* it = std::lower_bound(
+        begin, begin + runs_[r].count, size,
+        [](const Entry& entry, std::int64_t key) { return entry.size < key; });
+    // Every entry of a later run is past the first run's last key.
+    for (;;) {
+      Entry* const end = entries(runs_[r]) + runs_[r].count;
+      for (; it != end; ++it) {
+        if (usable(*it->block)) {
+          Block* const block = it->block;
+          remove(r, it);
+          return block;
+        }
       }
+      if (++r == runs_.size()) return nullptr;
+      it = entries(runs_[r]);
     }
-    return nullptr;
   }
   Block* take(std::int64_t size) {
     return take(size, [](const Block&) { return true; });
   }
-  void insert(Block* block) { blocks_.insert(block); }
-  void erase(Block* block) { blocks_.erase(block); }
-  void clear() { blocks_.clear(); }
+  /// Add `block` under its current (size, addr); a no-op when that key is
+  /// already present.
+  void insert(Block* block) {
+    const Entry entry{block->size, block->addr, block};
+    if (runs_.empty()) {
+      runs_.push_back(Run{entry.size, entry.addr, acquire_slab(), 0});
+    }
+    std::size_t r = first_run_not_below(entry.size, entry.addr);
+    if (r == runs_.size()) --r;  // past every key: the last run's tail
+    Run& run = runs_[r];
+    Entry* const begin = entries(run);
+    Entry* const end = begin + run.count;
+    Entry* const at = std::lower_bound(begin, end, entry, less);
+    if (at != end && !less(entry, *at)) return;
+    std::move_backward(at, end, end + 1);  // the slab holds kRunMax + 1
+    *at = entry;
+    if (at == end) {
+      run.size = entry.size;
+      run.addr = entry.addr;
+    }
+    if (++run.count > kRunMax) split(r);
+  }
+  /// Remove the entry under `block`'s current (size, addr); a no-op when
+  /// there is none.
+  void erase(const Block* block) {
+    const std::size_t r = first_run_not_below(block->size, block->addr);
+    if (r == runs_.size()) return;
+    Entry* const begin = entries(runs_[r]);
+    Entry* const end = begin + runs_[r].count;
+    const Entry key{block->size, block->addr, nullptr};
+    Entry* const at = std::lower_bound(begin, end, key, less);
+    if (at != end && !less(key, *at)) remove(r, at);
+  }
+  void clear() {
+    for (const Run& run : runs_) spare_slabs_.push_back(run.slab);
+    runs_.clear();
+  }
 
  private:
-  struct BySizeThenAddr {
-    using is_transparent = void;
-    bool operator()(const Block* a, const Block* b) const {
-      return a->size != b->size ? a->size < b->size : a->addr < b->addr;
-    }
-    bool operator()(const Block* a, std::int64_t size) const {
-      return a->size < size;
-    }
-    bool operator()(std::int64_t size, const Block* b) const {
-      return size < b->size;
-    }
+  /// A run splits once it passes this many entries. Long enough that a
+  /// typical replay's free set is one run, short enough that shifting a
+  /// run's tail stays a few cache lines.
+  static constexpr std::uint32_t kRunMax = 256;
+  static constexpr std::size_t kSlab = kRunMax + 1;
+
+  struct Entry {
+    std::int64_t size;
+    std::uint64_t addr;
+    Block* block;
   };
-  std::set<Block*, BySizeThenAddr> blocks_;
+  /// A sorted, non-empty run: its last key, and the slab holding it.
+  struct Run {
+    std::int64_t size;
+    std::uint64_t addr;
+    std::uint32_t slab;
+    std::uint32_t count;
+  };
+
+  static bool less(const Entry& a, const Entry& b) {
+    return a.size != b.size ? a.size < b.size : a.addr < b.addr;
+  }
+  /// The first run whose last key is >= (size, addr), or runs_.size().
+  std::size_t first_run_not_below(std::int64_t size, std::uint64_t addr) const {
+    const auto it = std::lower_bound(
+        runs_.begin(), runs_.end(), Entry{size, addr, nullptr},
+        [](const Run& run, const Entry& key) {
+          return less(Entry{run.size, run.addr, nullptr}, key);
+        });
+    return static_cast<std::size_t>(it - runs_.begin());
+  }
+  Entry* entries(const Run& run) {
+    return slabs_.data() + static_cast<std::size_t>(run.slab) * kSlab;
+  }
+  std::uint32_t acquire_slab() {
+    if (!spare_slabs_.empty()) {
+      const std::uint32_t slab = spare_slabs_.back();
+      spare_slabs_.pop_back();
+      return slab;
+    }
+    const auto slab = static_cast<std::uint32_t>(slabs_.size() / kSlab);
+    slabs_.resize(slabs_.size() + kSlab);
+    return slab;
+  }
+  /// Remove `*at` from run `r`, dropping the run when it empties.
+  void remove(std::size_t r, Entry* at) {
+    Run& run = runs_[r];
+    Entry* const end = entries(run) + run.count;
+    std::move(at + 1, end, at);
+    if (--run.count == 0) {
+      spare_slabs_.push_back(run.slab);
+      runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(r));
+    } else if (at + 1 == end) {
+      run.size = at[-1].size;
+      run.addr = at[-1].addr;
+    }
+  }
+  /// Move the upper half of run `r` into a new run right after it.
+  void split(std::size_t r) {
+    const std::uint32_t slab = acquire_slab();  // may move slabs_
+    Run& run = runs_[r];
+    const std::uint32_t keep = run.count / 2;
+    Entry* const begin = entries(run);
+    std::copy(begin + keep, begin + run.count,
+              slabs_.data() + static_cast<std::size_t>(slab) * kSlab);
+    const Run upper{run.size, run.addr, slab, run.count - keep};
+    run.count = keep;
+    run.size = begin[keep - 1].size;
+    run.addr = begin[keep - 1].addr;
+    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(r) + 1, upper);
+  }
+
+  std::vector<Run> runs_;  ///< in key order
+  std::vector<Entry> slabs_;
+  std::vector<std::uint32_t> spare_slabs_;
 };
 
 /// Node arena + live-id table + split/coalesce over one backend's blocks.

@@ -1,6 +1,7 @@
 #include "alloc/cub_allocator.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -64,9 +65,10 @@ fw::BackendAllocResult CubBinnedAllocator::backend_alloc(std::int64_t bytes) {
   auto cached_it = oversize ? cached_.end() : cached_.find(bin_bytes);
   if (cached_it != cached_.end() && !cached_it->second.empty()) {
     // Reuse the lowest-addressed cached block of this bin.
-    auto addr_it = cached_it->second.begin();
-    addr = *addr_it;
-    cached_it->second.erase(addr_it);
+    std::vector<std::uint64_t>& heap = cached_it->second;
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    addr = heap.back();
+    heap.pop_back();
     cached_bytes_ -= bin_bytes;
   } else {
     auto dev = driver_.cuda_malloc(bin_bytes);
@@ -108,13 +110,17 @@ void CubBinnedAllocator::backend_free(std::int64_t id) {
     stats_.reserved_bytes -= block.bytes;
     --stats_.num_segments;
   } else {
-    cached_[block.bytes].insert(block.addr);
+    std::vector<std::uint64_t>& heap = cached_[block.bytes];
+    heap.push_back(block.addr);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
     cached_bytes_ += block.bytes;
   }
 }
 
 void CubBinnedAllocator::free_all_cached() {
+  // Release in (bin, addr) order; a heap is not sorted.
   for (auto& [bin_bytes, addrs] : cached_) {
+    std::sort(addrs.begin(), addrs.end());
     for (const std::uint64_t addr : addrs) {
       driver_.cuda_free(addr);
       stats_.reserved_bytes -= bin_bytes;
@@ -133,7 +139,6 @@ void CubBinnedAllocator::backend_reset() {
     driver_.cuda_free(block.addr);
   });
   live_.clear();
-  cached_.clear();
   num_driver_mallocs_ = 0;
   stats_ = fw::BackendStats{};
 }

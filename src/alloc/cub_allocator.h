@@ -22,7 +22,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <vector>
 
 #include "alloc/bfc_core.h"
 #include "alloc/cuda_driver_sim.h"
@@ -73,9 +73,10 @@ class CubBinnedAllocator final : public fw::AllocatorBackend {
   SimulatedCudaDriver& driver_;
   CubConfig config_;
   std::int64_t largest_bin_bytes_ = 0;
-  // Cached (freed, still reserved) blocks per bin size, lowest address
-  // first for deterministic reuse.
-  std::map<std::int64_t, std::set<std::uint64_t>> cached_;
+  // Cached (freed, still reserved) blocks per bin size, each bin a min-heap
+  // of addresses (std::greater) so reuse takes the lowest address. Bins
+  // keep their capacity across reset(): the config bounds how many exist.
+  std::map<std::int64_t, std::vector<std::uint64_t>> cached_;
   std::int64_t cached_bytes_ = 0;
   // The shared BFC core's live-id table (alloc/bfc_core.h); a live block
   // always has bytes > 0, so LiveBlock{} marks a free slot.

@@ -47,19 +47,6 @@ bool ExpandableSegmentsAllocator::may_split(const Block& block) const {
   return cap == 0 || block.size <= cap;
 }
 
-ExpandableSegmentsAllocator::Block*
-ExpandableSegmentsAllocator::find_free_block(Segment& seg,
-                                             std::int64_t rounded) {
-  // max_split_size semantics: an over-cap free block is never split, so it
-  // may only be reused (whole) by a request that is itself over the cap —
-  // small requests skip past it rather than swallowing it.
-  const std::int64_t cap = config_.max_split_size_bytes;
-  return seg.free_blocks.take(rounded, [&](const Block& block) {
-    const bool oversize = cap > 0 && block.size > cap;
-    return !oversize || rounded > cap;
-  });
-}
-
 ExpandableSegmentsAllocator::Block* ExpandableSegmentsAllocator::expand(
     Segment& seg, std::int64_t rounded) {
   // Grow the segment by just what the (possibly free) tail is missing,
@@ -115,7 +102,14 @@ fw::BackendAllocResult ExpandableSegmentsAllocator::backend_alloc(
   const std::int64_t rounded = round_size(bytes);
   Segment& seg = pool_for(rounded);
 
-  Block* block = find_free_block(seg, rounded);
+  // max_split_size semantics: an over-cap free block is never split, so it
+  // may only be reused (whole) by a request that is itself over the cap —
+  // small requests skip past it rather than swallowing it.
+  const std::int64_t cap = config_.max_split_size_bytes;
+  Block* block = seg.free_blocks.take(rounded, [&](const Block& candidate) {
+    const bool oversize = cap > 0 && candidate.size > cap;
+    return !oversize || rounded > cap;
+  });
   if (block == nullptr) block = expand(seg, rounded);
   if (block == nullptr) {
     return fw::BackendAllocResult{-1, 0, true};

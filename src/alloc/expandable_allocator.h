@@ -89,7 +89,6 @@ class ExpandableSegmentsAllocator final : public fw::AllocatorBackend {
   };
 
   Segment& pool_for(std::int64_t rounded);
-  Block* find_free_block(Segment& seg, std::int64_t rounded);
   Block* expand(Segment& seg, std::int64_t rounded);
   bool may_split(const Block& block) const;
   void trim_segment(Segment& seg);

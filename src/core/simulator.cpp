@@ -80,7 +80,7 @@ SimulationResult MemorySimulator::replay(const OrchestratedSequence& sequence,
   if (result.oom && options.capacity == SimulationOptions::kUnboundedCapacity) {
     // The "unbounded" replay is bounded after all: a peak cut off at the
     // ceiling is no estimate, so fail instead of reporting it.
-    throw std::invalid_argument(
+    throw ReplayCeilingError(
         "replay: the job needs more than the " +
         std::to_string(SimulationOptions::kUnboundedCapacity) +
         "-byte replay capacity (2^50); its peak cannot be estimated");

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,7 @@ namespace xmem::core {
 struct SimulationOptions {
   /// Device capacity for the replay. The default (effectively unbounded)
   /// yields the unconstrained peak used as the estimate, and a replay that
-  /// runs out of it throws std::invalid_argument; passing a real budget
+  /// runs out of it throws ReplayCeilingError; passing a real budget
   /// turns the replay into an OOM predictor with full reclamation
   /// semantics.
   std::int64_t capacity = kUnboundedCapacity;
@@ -41,6 +42,14 @@ struct SimulationOptions {
   alloc::BackendKnobs backend_knobs;
 
   static constexpr std::int64_t kUnboundedCapacity = std::int64_t{1} << 50;
+};
+
+/// What a replay at SimulationOptions::kUnboundedCapacity throws when it
+/// runs out: the job has no estimate at all, which a caller packing many
+/// jobs can tell apart from a malformed request.
+class ReplayCeilingError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
 };
 
 struct SimulationResult {
@@ -112,8 +121,9 @@ std::string replay_tower_key(const SimulationOptions& options);
 
 class MemorySimulator {
  public:
-  /// Throws std::invalid_argument when an event carries a negative block id
-  /// or a replay at kUnboundedCapacity runs out of memory.
+  /// Throws std::invalid_argument when an event carries a negative block id,
+  /// and ReplayCeilingError when a replay at kUnboundedCapacity runs out of
+  /// memory.
   SimulationResult replay(const OrchestratedSequence& sequence,
                           const SimulationOptions& options = {},
                           ReplayScratch* scratch = nullptr) const;

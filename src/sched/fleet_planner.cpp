@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/request_fields.h"
+#include "core/simulator.h"
 #include "util/thread_pool.h"
 
 namespace xmem::sched {
@@ -317,6 +318,9 @@ struct PlanCandidateLite {
 
 struct Archetype {
   bool supported = true;
+  /// Set when the job has no estimate (its replay outgrows the 2^50-byte
+  /// ceiling): the message every job of this archetype is rejected with.
+  std::string unestimable;
   std::map<std::string, std::int64_t> peak_by_device;
   /// Plan-fallback candidates, computed on the first job that needs them.
   std::optional<std::vector<PlanCandidateLite>> plan;
@@ -418,7 +422,9 @@ struct FleetPlanner::Impl {
 
   /// Compute per-device peaks for every archetype among `jobs` that the
   /// cache does not already cover, fanning the sweeps on the pool. One
-  /// sweep (== one CPU profile, cold) per fresh archetype.
+  /// sweep (== one CPU profile, cold) per fresh archetype. A sweep past the
+  /// replay ceiling marks its archetype unestimable instead of failing the
+  /// request; any other sweep failure still propagates.
   void ensure_archetypes(const ScopedRequest& request,
                          const std::vector<FleetJob>& jobs,
                          const std::vector<gpu::DeviceModel>& devices,
@@ -436,6 +442,7 @@ struct FleetPlanner::Impl {
       const std::string key = archetype_key(request, fleet_job.job);
       if (!seen.insert(key).second) continue;
       const auto it = cache.find(key);
+      if (it != cache.end() && !it->second.unestimable.empty()) continue;
       sweep.job = fleet_job.job;
       sweep.devices.clear();
       for (const gpu::DeviceModel& device : devices) {
@@ -449,13 +456,22 @@ struct FleetPlanner::Impl {
     counters.estimates_reused += jobs.size() - needs.size();
 
     std::vector<core::EstimateReport> reports(needs.size());
+    std::vector<std::string> ceilings(needs.size());
     util::fan_out(pool.get(), needs.size(), [&](std::size_t i) {
-      reports[i] = service.sweep(needs[i].second);
+      try {
+        reports[i] = service.sweep(needs[i].second);
+      } catch (const core::ReplayCeilingError& error) {
+        ceilings[i] = error.what();
+      }
     });
 
     // Merge in need order so counter totals are thread-count-independent.
     for (std::size_t i = 0; i < needs.size(); ++i) {
       Archetype& archetype = cache[needs[i].first];
+      if (!ceilings[i].empty()) {
+        archetype.unestimable = ceilings[i];
+        continue;
+      }
       for (const core::EstimateEntry& entry : reports[i].entries) {
         if (!entry.supported) archetype.supported = false;
         archetype.peak_by_device[entry.device] = entry.estimated_peak;
@@ -543,6 +559,11 @@ struct FleetPlanner::Impl {
     verdict.label = job.label();
     verdict.priority = fleet_job.priority;
     const Archetype& archetype = cache.at(archetype_key(request, job));
+    if (!archetype.unestimable.empty()) {
+      verdict.verdict = Verdict::kReject;
+      verdict.reason = archetype.unestimable;
+      return;
+    }
     if (!archetype.supported) {
       verdict.supported = false;
       verdict.verdict = Verdict::kReject;
@@ -772,7 +793,7 @@ struct FleetPlanner::Impl {
     for (std::size_t i = 0; i < request.jobs.size(); ++i) {
       const Archetype& archetype =
           cache.at(archetype_key(request, request.jobs[i].job));
-      if (!archetype.supported) continue;
+      if (!archetype.supported || !archetype.unestimable.empty()) continue;
       std::set<std::string> seen;
       for (const GpuPool& gpu_pool : pools) {
         if (!seen.insert(gpu_pool.device.name).second) continue;

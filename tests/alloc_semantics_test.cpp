@@ -6,6 +6,8 @@
 
 #include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "alloc/backend_registry.h"
 #include "alloc/caching_allocator.h"
@@ -232,6 +234,41 @@ TEST(BackendContract, ReservedCoversActiveOnEveryBackend) {
     EXPECT_EQ(s.active_bytes, a.charged_bytes + b.charged_bytes) << name;
     EXPECT_GE(s.reserved_bytes, s.active_bytes) << name;
     EXPECT_EQ(s.num_allocs - s.num_frees, s.num_live_blocks) << name;
+  }
+}
+
+/// The fragmentation stress: 100k live 512-byte blocks, every other one
+/// freed (50k equal-size holes in the free set), then 100k alloc/free
+/// pairs. Each take lands on the lowest hole and each free puts it back,
+/// so a free set whose insert or erase is linear in its size turns this
+/// quadratic; BM_FragmentedChurn in bench/micro_allocator.cpp times it.
+/// The peaks are pinned: how the free set is stored must not move a block.
+TEST(BackendContract, FragmentedChurnKeepsEveryBfcPeak) {
+  const std::map<std::string, std::int64_t> peaks = {
+      {"basic-bfc", 52428800},          {"pytorch", 52428800},
+      {"pytorch-expandable", 52428800}, {"stream-pool", 67108864},
+      {"tf-bfc", 65011712}};
+  for (const auto& [name, peak] : peaks) {
+    SimulatedCudaDriver driver(std::int64_t{1} << 40);
+    const auto backend = make_backend(name, driver);
+    std::vector<std::int64_t> ids;
+    for (int i = 0; i < 100000; ++i) {
+      const auto outcome = backend->backend_alloc(512);
+      ASSERT_FALSE(outcome.oom) << name;
+      ids.push_back(outcome.id);
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 2) {
+      backend->backend_free(ids[i]);
+    }
+    for (int i = 0; i < 100000; ++i) {
+      const auto outcome = backend->backend_alloc(512);
+      ASSERT_FALSE(outcome.oom) << name;
+      backend->backend_free(outcome.id);
+    }
+    const fw::BackendStats stats = backend->backend_stats();
+    EXPECT_EQ(stats.peak_reserved_bytes, peak) << name;
+    EXPECT_EQ(stats.peak_active_bytes, 100000 * 512) << name;
+    EXPECT_EQ(stats.num_live_blocks, 50000) << name;
   }
 }
 

@@ -1,10 +1,15 @@
 // Tests for the two-level allocator tower: SimulatedCudaDriver (device
-// level) and CachingAllocatorSim (the CUDACachingAllocator port).
+// level) and CachingAllocatorSim (the CUDACachingAllocator port), and for
+// the BFC core's free set they search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "alloc/bfc_core.h"
 #include "alloc/caching_allocator.h"
 #include "alloc/cuda_driver_sim.h"
 #include "util/bytes.h"
@@ -337,6 +342,97 @@ TEST(CachingAllocator, DeterministicAcrossRuns) {
     return allocator.stats().peak_reserved_bytes;
   };
   EXPECT_EQ(run(), run());
+}
+
+
+// ---------- bfc::FreeSet against a std::set reference ----------
+
+struct TestBlock : bfc::Node<TestBlock> {};
+
+/// Seeded random insert / erase / take / take(size, usable) / clear
+/// sequences, replayed on bfc::FreeSet and on a std::set of (size, addr)
+/// keys: every take must return the block the reference names, and periodic
+/// drains must list the same keys in the same order. Sizes come mostly from
+/// three values, so long stretches of equal sizes order by address; growth
+/// phases push the set past a thousand entries and shrink phases and drains
+/// empty it again.
+TEST(BfcFreeSet, MatchesAStdSetReferenceOnRandomSequences) {
+  using Key = std::pair<std::int64_t, std::uint64_t>;
+  constexpr std::size_t kBlocks = 3000;
+  constexpr std::uint64_t kStride = 4096;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    util::Rng rng(seed);
+    std::vector<TestBlock> blocks(kBlocks);
+    for (std::size_t i = 0; i < kBlocks; ++i) blocks[i].addr = i * kStride;
+    bfc::FreeSet<TestBlock> set;
+    std::set<Key> reference;
+    auto key_of = [](const TestBlock& block) {
+      return Key{block.size, block.addr};
+    };
+    auto block_of = [&blocks](const Key& key) {
+      return &blocks[key.second / kStride];
+    };
+    auto draw_size = [&rng]() -> std::int64_t {
+      if (rng.next_bool(0.7)) return 512 << rng.next_below(3);
+      return rng.next_in_range(1, 1 << 20);
+    };
+    // Only blocks whose index is not a multiple of three are usable.
+    auto usable = [](const TestBlock& block) {
+      return block.addr / kStride % 3 != 0;
+    };
+    std::size_t largest = 0;
+    int clears = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const double p_insert = step / 2500 % 2 == 0 ? 0.75 : 0.2;
+      TestBlock& pick = blocks[rng.next_below(kBlocks)];
+      const double roll = rng.next_double();
+      if (roll < p_insert) {
+        // A block already in the set keeps its key: inserting it again is
+        // a no-op on both sides.
+        if (reference.count(key_of(pick)) == 0) pick.size = draw_size();
+        set.insert(&pick);
+        reference.insert(key_of(pick));
+      } else if (roll < p_insert + 0.1) {
+        // Often a block that is not in the set: a no-op on both sides.
+        set.erase(&pick);
+        reference.erase(key_of(pick));
+      } else if (roll < 0.9998) {
+        const std::int64_t size = draw_size();
+        const bool filtered = rng.next_bool(0.5);
+        auto it = reference.lower_bound(Key{size, 0});
+        while (filtered && it != reference.end() && !usable(*block_of(*it))) {
+          ++it;
+        }
+        TestBlock* const expected =
+            it == reference.end() ? nullptr : block_of(*it);
+        if (it != reference.end()) reference.erase(it);
+        TestBlock* const got = filtered ? set.take(size, usable) : set.take(size);
+        ASSERT_EQ(got, expected) << "seed " << seed << " step " << step
+                                 << " take(" << size << ")";
+      } else {
+        set.clear();
+        reference.clear();
+        ++clears;
+      }
+      largest = std::max(largest, reference.size());
+      if (step % 1000 == 999) {
+        // Drain in order, compare, and put everything back shuffled.
+        std::vector<TestBlock*> drained;
+        while (TestBlock* block = set.take(0)) drained.push_back(block);
+        ASSERT_EQ(drained.size(), reference.size()) << "seed " << seed;
+        std::size_t i = 0;
+        for (const Key& key : reference) {
+          ASSERT_EQ(drained[i++], block_of(key)) << "seed " << seed;
+        }
+        for (std::size_t j = drained.size(); j > 1; --j) {
+          std::swap(drained[j - 1], drained[rng.next_below(j)]);
+        }
+        for (TestBlock* block : drained) set.insert(block);
+      }
+    }
+    EXPECT_GT(largest, 1000u) << "seed " << seed;
+    EXPECT_GT(clears, 0) << "seed " << seed;
+  }
 }
 
 }  // namespace

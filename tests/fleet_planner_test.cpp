@@ -11,6 +11,8 @@
 //     both the one-slot fast path and the full-repack path;
 //   * what-if deltas: admitted_delta/newly_admitted arithmetic vs two
 //     independent packs;
+//   * a job past the 2^50-byte replay ceiling is rejected alone, naming the
+//     ceiling, in a pack and in an arrival;
 //   * request JSON round-trips and malformed documents name the bad field;
 //     unknown models are rejected before any profile runs.
 #include <gtest/gtest.h>
@@ -439,6 +441,56 @@ TEST(FleetApply, FailedArrivalLeavesThePlannerUnchanged) {
   core::EstimationService fresh_service;
   EXPECT_EQ(packing_fingerprint(finished),
             packing_fingerprint(fresh_service.fleet(base)));
+}
+
+TEST(FleetCeiling, JobPastTheReplayCeilingIsRejectedAlone) {
+  // distilgpt2 with AdamW at batch 2^24 outgrows the 2^50-byte replay, so
+  // it has no estimate. The fleet rejects that job with the ceiling
+  // message and packs the rest, in a pack and in an arrival alike.
+  const std::string ceiling =
+      "replay: the job needs more than the 1125899906842624-byte replay "
+      "capacity (2^50); its peak cannot be estimated";
+  const sched::FleetJob small =
+      fleet_job("small", make_job("distilgpt2", 10, fw::OptimizerKind::kAdamW));
+  const sched::FleetJob huge = fleet_job(
+      "huge", make_job("distilgpt2", 1 << 24, fw::OptimizerKind::kAdamW));
+  sched::FleetRequest request;
+  request.jobs = {small, huge};
+  request.pools = {{gpu::rtx3060(), 1}};
+
+  core::EstimationService service;
+  sched::FleetPlanner planner(service);
+  const sched::FleetReport packed = planner.pack(request);
+  ASSERT_EQ(packed.verdicts.size(), 2u);
+  EXPECT_EQ(packed.verdicts[0].verdict, sched::Verdict::kAdmit);
+  EXPECT_EQ(packed.verdicts[1].verdict, sched::Verdict::kReject);
+  EXPECT_EQ(packed.verdicts[1].reason, ceiling);
+  EXPECT_EQ(packed.stats.admitted, 1);
+  EXPECT_EQ(packed.stats.rejected, 1);
+
+  // Another huge job arrives: rejected from the cached archetype without a
+  // second sweep, and the small job keeps its GPU.
+  sched::FleetJob again = huge;
+  again.id = "huge-again";
+  const sched::FleetReport arrived = planner.apply(sched::JobArrival{again});
+  ASSERT_EQ(arrived.verdicts.size(), 3u);
+  EXPECT_EQ(arrived.verdicts[0].verdict, sched::Verdict::kAdmit);
+  EXPECT_EQ(arrived.verdicts[2].verdict, sched::Verdict::kReject);
+  EXPECT_EQ(arrived.verdicts[2].reason, ceiling);
+  EXPECT_EQ(arrived.counters.profiles_run, 0u);
+  EXPECT_EQ(arrived.counters.replays_run, 0u);
+
+  // The same through an arrival onto a fleet that has only the small job.
+  sched::FleetRequest only_small = request;
+  only_small.jobs = {small};
+  core::EstimationService fresh_service;
+  sched::FleetPlanner incremental(fresh_service);
+  incremental.pack(only_small);
+  const sched::FleetReport late = incremental.apply(sched::JobArrival{huge});
+  ASSERT_EQ(late.verdicts.size(), 2u);
+  EXPECT_EQ(late.verdicts[1].verdict, sched::Verdict::kReject);
+  EXPECT_EQ(late.verdicts[1].reason, ceiling);
+  EXPECT_EQ(packing_fingerprint(late), packing_fingerprint(packed));
 }
 
 // ---------- what-if ----------
