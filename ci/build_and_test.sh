@@ -67,8 +67,10 @@
 # proves the process boundary is invisible: `xmem request` replies diff
 # byte-identical against the same offline goldens, the same sweep on new
 # cards (sweep_request_new_cards.json) runs no replay and no profile,
-# twin requests coalesce,
-# the bad_frame.bin raw fixture is rejected without killing the daemon, and
+# twin requests coalesce, a repeat and a reformatted raw repeat are served
+# from the reply cache with the golden's report, a 100 KB frame of '[' is
+# a parse_error, the bad_frame.bin raw fixture is rejected without killing
+# the daemon, and
 # both shutdown paths (SIGTERM, `xmem request --shutdown`) drain cleanly.
 # bench_server (in the golden loop above) pins the load-generator counters;
 # its requests/sec and latency numbers are normalized to <runtime>.
@@ -430,6 +432,82 @@ else
   echo "serve smoke ok: concurrent identical requests coalesced"
 fi
 rm -f "${stats_out}"
+
+# Repeats are answered from stored reply bytes: the sweep fixture again, and
+# the fixture's own pretty-printed text in a raw frame (a reformatted copy,
+# which costs one canonicalization). Both replies must carry the golden
+# report, with no new execution and two more reply-cache hits. The raw reply
+# is the compact envelope, so it is held to the golden made compact:
+# dump(2) writes one value per line, so dropping the indentation and the
+# space after each key gives the compact bytes.
+write_raw_frame() {  # write_raw_frame OUT PAYLOAD_FILE
+  local size
+  size="$(wc -c < "$2")"
+  printf "$(printf '\\x%02x\\x%02x\\x%02x\\x%02x' $((size >> 24 & 255)) \
+    $((size >> 16 & 255)) $((size >> 8 & 255)) $((size & 255)))" > "$1"
+  cat "$2" >> "$1"
+}
+stats_field() {  # stats_field NAME STATS_FILE
+  sed -nE "s/^  \"$1\": ([0-9]+),?$/\1/p" "$2"
+}
+stats_before="$(mktemp)"
+stats_after="$(mktemp)"
+repeat_payload="$(mktemp)"
+repeat_frame="$(mktemp)"
+repeat_actual="$(mktemp)"
+"${XMEM}" request --socket "${SERVE_SOCK}" --stats > "${stats_before}"
+"${XMEM}" request --socket "${SERVE_SOCK}" \
+  --sweep "${FIXTURE_DIR}/sweep_request.json" --out "${repeat_actual}"
+if ! diff -u "${sweep_golden}" "${repeat_actual}" > /dev/null; then
+  echo "SERVE SMOKE MISMATCH: repeated sweep reply != offline golden" >&2
+  GOLDEN_FAILED=1
+fi
+{
+  printf '{"id": 9, "type": "sweep", "request": '
+  cat "${FIXTURE_DIR}/sweep_request.json"
+  printf '}'
+} > "${repeat_payload}"
+write_raw_frame "${repeat_frame}" "${repeat_payload}"
+"${XMEM}" request --socket "${SERVE_SOCK}" --raw "${repeat_frame}" \
+  > "${repeat_actual}" 2> /dev/null || true
+compact_golden="$(sed -E 's/^ +//; s/^("([^"\\]|\\.)*"): /\1:/' \
+  "${sweep_golden}" | tr -d '\n')"
+"${XMEM}" request --socket "${SERVE_SOCK}" --stats > "${stats_after}"
+if [[ "$(cat "${repeat_actual}")" != \
+      "{\"id\":9,\"ok\":true,\"report\":${compact_golden},\"type\":\"sweep\"}" ]]; then
+  echo "SERVE SMOKE MISMATCH: reformatted raw sweep reply != offline golden" >&2
+  head -c 400 "${repeat_actual}" >&2
+  GOLDEN_FAILED=1
+elif [[ "$(stats_field executed "${stats_after}")" != \
+        "$(stats_field executed "${stats_before}")" ]] ||
+     (( $(stats_field reply_cache_hits "${stats_after}") !=
+        $(stats_field reply_cache_hits "${stats_before}") + 2 )); then
+  echo "SERVE SMOKE: repeats must not execute and must hit the reply cache" >&2
+  cat "${stats_before}" "${stats_after}" >&2
+  GOLDEN_FAILED=1
+else
+  echo "serve smoke ok: repeat and reformatted repeat served from the cache"
+fi
+
+# A 100 KB frame of '[' must be a parse_error (every JSON reader bounds its
+# nesting), and the daemon must still answer.
+head -c 100000 /dev/zero | tr '\0' '[' > "${repeat_payload}"
+write_raw_frame "${repeat_frame}" "${repeat_payload}"
+"${XMEM}" request --socket "${SERVE_SOCK}" --raw "${repeat_frame}" \
+  > "${repeat_actual}" 2> /dev/null || true
+if ! grep -q '"code":"parse_error","message":"payload is not valid JSON: nesting deeper than 512 levels' \
+     "${repeat_actual}"; then
+  echo "SERVE SMOKE: deeply nested frame must get a parse_error" >&2
+  head -c 400 "${repeat_actual}" >&2
+  GOLDEN_FAILED=1
+elif ! "${XMEM}" request --socket "${SERVE_SOCK}" --ping > /dev/null; then
+  echo "SERVE SMOKE: daemon died on a deeply nested frame" >&2
+  GOLDEN_FAILED=1
+else
+  echo "serve smoke ok: deeply nested frame rejected, daemon alive"
+fi
+rm -f "${stats_before}" "${stats_after}" "${repeat_payload}" \
+  "${repeat_frame}" "${repeat_actual}"
 
 # Negative: a raw byte blob with an oversized length prefix must exit
 # nonzero — and the daemon must still answer afterwards.

@@ -10,9 +10,12 @@
 #include <future>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,11 +35,18 @@ namespace {
 struct Outcome {
   bool ok = true;
   std::string type;     ///< "sweep" | "plan" | "fleet"
-  util::Json payload;   ///< the report (include_timings=false)
+  std::string report;   ///< the report's compact bytes (no timings)
   std::string code;     ///< error code when !ok
   std::string message;  ///< error message when !ok
 };
 using OutcomePtr = std::shared_ptr<const Outcome>;
+
+/// A completed reply kept for later twins. The entry owns its key; the
+/// index views it.
+struct CachedReply {
+  std::string key;
+  OutcomePtr outcome;
+};
 
 struct Job {
   std::string key;
@@ -46,6 +56,87 @@ struct Job {
   sched::FleetRequest fleet;
   std::promise<OutcomePtr> promise;
 };
+
+/// The reply envelope for `outcome`, stamped with the asker's id (null
+/// when the envelope had none). An ok reply splices the stored report
+/// bytes: object keys dump sorted (id < ok < report < type), so these are
+/// the bytes make_ok_envelope with a "report" member would dump.
+std::string reply_for(const util::Json* id, const Outcome& outcome) {
+  if (!outcome.ok) {
+    return make_error_envelope(id, outcome.code, outcome.message).dump();
+  }
+  std::string reply;
+  reply.reserve(outcome.report.size() + 64);
+  reply += '{';
+  if (id != nullptr) {
+    reply += "\"id\":";
+    reply += id->dump();
+    reply += ',';
+  }
+  reply += "\"ok\":true,\"report\":";
+  reply += outcome.report;
+  reply += ",\"type\":";
+  util::append_json_string(reply, outcome.type);
+  reply += '}';
+  return reply;
+}
+
+/// The parts of a data-request envelope the repeat lookup reads. Views
+/// into the payload.
+struct EnvelopeScan {
+  std::string_view type;     ///< "sweep" | "plan" | "fleet"
+  std::string_view id;       ///< the id value's bytes; empty when absent
+  std::string_view request;  ///< the request value's bytes
+};
+
+/// Read `payload` without building a DOM. True only for one object holding
+/// a "type" of sweep, plan or fleet, a "request" and at most an "id", each
+/// key once, and nothing after it. Everything else (a tenant, an unknown or
+/// repeated key, a syntax error) is left to the full path, which judges it
+/// the way it always has.
+bool scan_envelope(std::string_view payload, EnvelopeScan& scan) {
+  try {
+    util::JsonCursor cursor(payload);
+    if (cursor.peek_value() != '{' || !cursor.enter_object()) return false;
+    std::string scratch;
+    bool has_type = false;
+    bool has_id = false;
+    bool has_request = false;
+    // The bytes of the next value, syntax-checked; JsonCursor bounds its
+    // nesting, so this recursion is bounded too.
+    const auto value_span = [&] {
+      cursor.peek_value();  // skips the whitespace before the value
+      const std::size_t start = payload.size() - cursor.remaining();
+      cursor.skip_value();
+      return payload.substr(start, payload.size() - cursor.remaining() - start);
+    };
+    do {
+      const std::string_view key = cursor.read_key(scratch);
+      if (key == "type" && !has_type) {
+        has_type = true;
+        if (cursor.peek_value() != '"') return false;
+        // A decoded string may live in `scratch`; keep a literal instead.
+        const std::string_view type = cursor.read_string(scratch);
+        for (const std::string_view known : {"sweep", "plan", "fleet"}) {
+          if (type == known) scan.type = known;
+        }
+        if (scan.type.empty()) return false;
+      } else if (key == "id" && !has_id) {
+        has_id = true;
+        scan.id = value_span();
+      } else if (key == "request" && !has_request) {
+        has_request = true;
+        scan.request = value_span();
+      } else {
+        return false;
+      }
+    } while (cursor.next_member());
+    cursor.finish();
+    return has_type && has_request;
+  } catch (const util::JsonParseError&) {
+    return false;
+  }
+}
 
 void close_if_open(int& fd) {
   if (fd >= 0) {
@@ -164,9 +255,9 @@ struct Server::Impl {
   std::deque<Job> queue;
   bool draining = false;  ///< set under dispatch_mutex during stop()
   std::map<std::string, std::shared_future<OutcomePtr>> inflight;
-  std::list<std::string> reply_lru;  ///< front = most recently used
-  std::map<std::string,
-           std::pair<OutcomePtr, std::list<std::string>::iterator>>
+  std::list<CachedReply> reply_lru;  ///< front = most recently used
+  /// Keys view reply_lru's entries, so each key is stored once.
+  std::unordered_map<std::string_view, std::list<CachedReply>::iterator>
       reply_cache;
   std::vector<std::thread> workers;
 
@@ -190,9 +281,14 @@ struct Server::Impl {
   void connection_loop(int fd, std::uint64_t id);
   std::string handle_payload(const std::string& payload,
                              bool& stop_after_reply);
-  util::Json dispatch_data_request(const util::Json& envelope,
-                                   const util::Json* id,
-                                   const std::string& type);
+  std::optional<std::string> answer_repeat(std::string_view payload);
+  /// With dispatch_mutex held: join `key`'s in-flight twin (`future`) or
+  /// take its cached reply (`ready`), counting which. False when neither.
+  bool find_answer(const std::string& key,
+                   std::shared_future<OutcomePtr>& future, OutcomePtr& ready);
+  std::string dispatch_data_request(const util::Json& envelope,
+                                    const util::Json* id,
+                                    const std::string& type);
   void worker_loop();
   OutcomePtr execute_job(Job& job);
   ServerStats snapshot();
@@ -471,6 +567,10 @@ void Server::Impl::connection_loop(int fd, std::uint64_t id) {
 
 std::string Server::Impl::handle_payload(const std::string& payload,
                                          bool& stop_after_reply) {
+  if (std::optional<std::string> reply = answer_repeat(payload)) {
+    return std::move(*reply);
+  }
+
   util::Json envelope;
   try {
     envelope = util::Json::parse(payload);
@@ -489,6 +589,19 @@ std::string Server::Impl::handle_payload(const std::string& payload,
   }
 
   const util::Json* id = envelope.contains("id") ? &envelope.at("id") : nullptr;
+  if (id != nullptr) {
+    // An id that parsed to a non-finite double (1e999) cannot be echoed.
+    try {
+      id->dump();
+    } catch (const std::invalid_argument& error) {
+      protocol_errors.fetch_add(1);
+      return make_error_envelope(nullptr, kErrBadRequest,
+                                 std::string("envelope \"id\" cannot be "
+                                             "echoed: ") +
+                                     error.what())
+          .dump();
+    }
+  }
   const std::string type = envelope.get_string_or("type", "");
   requests_total.fetch_add(1);
 
@@ -507,7 +620,7 @@ std::string Server::Impl::handle_payload(const std::string& payload,
     return reply.dump();
   }
   if (type == "sweep" || type == "plan" || type == "fleet") {
-    return dispatch_data_request(envelope, id, type).dump();
+    return dispatch_data_request(envelope, id, type);
   }
   request_errors.fetch_add(1);
   return make_error_envelope(
@@ -517,9 +630,66 @@ std::string Server::Impl::handle_payload(const std::string& payload,
       .dump();
 }
 
-util::Json Server::Impl::dispatch_data_request(const util::Json& envelope,
-                                               const util::Json* id,
-                                               const std::string& type) {
+/// A repeat served by its own text: when the request's bytes are a key of
+/// the in-flight map or the reply cache they are the canonical text of a
+/// question validated earlier (canonical texts are fixed points of
+/// from_json -> to_json), so the full path would derive this very key.
+/// Nullopt sends the payload down the full path instead.
+std::optional<std::string> Server::Impl::answer_repeat(
+    std::string_view payload) {
+  EnvelopeScan scan;
+  if (!scan_envelope(payload, scan)) return std::nullopt;
+  std::optional<util::Json> id;
+  if (!scan.id.empty()) {
+    id = util::Json::parse(scan.id);
+    try {
+      id->dump();
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;  // the full path answers the non-finite id
+    }
+  }
+
+  std::string key;
+  key.reserve(scan.type.size() + 1 + scan.request.size());
+  key += scan.type;
+  key += '|';
+  key += scan.request;
+
+  std::shared_future<OutcomePtr> future;
+  OutcomePtr ready;
+  {
+    std::lock_guard<std::mutex> lock(dispatch_mutex);
+    if (!find_answer(key, future, ready)) return std::nullopt;
+  }
+  requests_total.fetch_add(1);
+  data_requests.fetch_add(1);
+
+  const OutcomePtr outcome = ready ? ready : future.get();
+  return reply_for(id ? &*id : nullptr, *outcome);
+}
+
+bool Server::Impl::find_answer(const std::string& key,
+                               std::shared_future<OutcomePtr>& future,
+                               OutcomePtr& ready) {
+  if (const auto inflight_it = inflight.find(key);
+      inflight_it != inflight.end()) {
+    coalesced_inflight.fetch_add(1);
+    future = inflight_it->second;
+    return true;
+  }
+  if (const auto cache_it = reply_cache.find(key);
+      cache_it != reply_cache.end()) {
+    reply_cache_hits.fetch_add(1);
+    reply_lru.splice(reply_lru.begin(), reply_lru, cache_it->second);
+    ready = cache_it->second->outcome;
+    return true;
+  }
+  return false;
+}
+
+std::string Server::Impl::dispatch_data_request(const util::Json& envelope,
+                                                const util::Json* id,
+                                                const std::string& type) {
   data_requests.fetch_add(1);
 
   // Parse + canonicalize on the connection thread, so malformed documents
@@ -551,34 +721,29 @@ util::Json Server::Impl::dispatch_data_request(const util::Json& envelope,
     job.key = type + '|' + canonical;
   } catch (const std::exception& error) {
     request_errors.fetch_add(1);
-    return make_error_envelope(id, kErrBadRequest, error.what());
+    return make_error_envelope(id, kErrBadRequest, error.what()).dump();
   }
 
   std::shared_future<OutcomePtr> future;
   OutcomePtr ready;
   {
     std::unique_lock<std::mutex> lock(dispatch_mutex);
-    const auto inflight_it = inflight.find(job.key);
-    if (inflight_it != inflight.end()) {
-      coalesced_inflight.fetch_add(1);
-      future = inflight_it->second;
-    } else if (const auto cache_it = reply_cache.find(job.key);
-               cache_it != reply_cache.end()) {
-      reply_cache_hits.fetch_add(1);
-      reply_lru.splice(reply_lru.begin(), reply_lru, cache_it->second.second);
-      ready = cache_it->second.first;
-    } else if (draining) {
-      shutdown_rejections.fetch_add(1);
-      return make_error_envelope(
-          id, kErrShuttingDown,
-          "server is draining; not accepting new work");
-    } else if (queue.size() >= config().max_queue) {
-      busy_rejections.fetch_add(1);
-      return make_error_envelope(
-          id, kErrBusy,
-          "work queue full (" + std::to_string(queue.size()) +
-              " pending); retry later");
-    } else {
+    if (!find_answer(job.key, future, ready)) {
+      if (draining) {
+        shutdown_rejections.fetch_add(1);
+        return make_error_envelope(
+                   id, kErrShuttingDown,
+                   "server is draining; not accepting new work")
+            .dump();
+      }
+      if (queue.size() >= config().max_queue) {
+        busy_rejections.fetch_add(1);
+        return make_error_envelope(
+                   id, kErrBusy,
+                   "work queue full (" + std::to_string(queue.size()) +
+                       " pending); retry later")
+            .dump();
+      }
       future = job.promise.get_future().share();
       inflight.emplace(job.key, future);
       queue.push_back(std::move(job));
@@ -587,12 +752,7 @@ util::Json Server::Impl::dispatch_data_request(const util::Json& envelope,
   }
 
   const OutcomePtr outcome = ready ? ready : future.get();
-  if (!outcome->ok) {
-    return make_error_envelope(id, outcome->code, outcome->message);
-  }
-  util::Json reply = make_ok_envelope(id, outcome->type);
-  reply["report"] = outcome->payload;
-  return reply;
+  return reply_for(id, *outcome);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,11 +783,10 @@ void Server::Impl::worker_loop() {
       // transient (quota freed, a model registered later).
       if (outcome->ok && config().reply_cache_capacity > 0 &&
           reply_cache.find(job.key) == reply_cache.end()) {
-        reply_lru.push_front(job.key);
-        reply_cache.emplace(job.key,
-                            std::make_pair(outcome, reply_lru.begin()));
+        reply_lru.push_front(CachedReply{std::move(job.key), outcome});
+        reply_cache.emplace(reply_lru.front().key, reply_lru.begin());
         while (reply_cache.size() > config().reply_cache_capacity) {
-          reply_cache.erase(reply_lru.back());
+          reply_cache.erase(reply_lru.back().key);
           reply_lru.pop_back();
         }
       }
@@ -645,14 +804,14 @@ OutcomePtr Server::Impl::execute_job(Job& job) {
   outcome->type = job.type;
   try {
     if (job.type == "plan") {
-      outcome->payload =
-          service.plan(job.plan).to_json(/*include_timings=*/false);
+      outcome->report =
+          service.plan(job.plan).to_json(/*include_timings=*/false).dump();
     } else if (job.type == "fleet") {
-      outcome->payload =
-          service.fleet(job.fleet).to_json(/*include_timings=*/false);
+      outcome->report =
+          service.fleet(job.fleet).to_json(/*include_timings=*/false).dump();
     } else {
-      outcome->payload =
-          service.sweep(job.sweep).to_json(/*include_timings=*/false);
+      outcome->report =
+          service.sweep(job.sweep).to_json(/*include_timings=*/false).dump();
     }
     executed.fetch_add(1);
   } catch (const core::QuotaExceededError& error) {

@@ -10,10 +10,17 @@
 //   * request coalescing: identical in-flight (type, tenant, canonical
 //     request) work collapses onto one execution, the same way
 //     ProfileSession already dedups in-flight profiles; completed replies
-//     park in a bounded LRU so an identical later request is served the
-//     byte-identical report without re-executing. Replies are therefore
-//     deterministic: every client asking a given question gets the bytes a
-//     cold serial execution would have produced.
+//     park in a bounded LRU, as the report's compact bytes, so an identical
+//     later request is served the byte-identical report without
+//     re-executing. Replies are therefore deterministic: every client
+//     asking a given question gets the bytes a cold serial execution would
+//     have produced.
+//   * repeats by text: a plain envelope (type, request, optional id) whose
+//     request bytes are already a key, i.e. the canonical text of a
+//     question validated earlier, is answered with no DOM and no
+//     canonicalization: one scan, one lookup, the stored bytes spliced
+//     around its id. Everything else takes the parse + canonicalize path,
+//     which decides every error frame and counter.
 //   * backpressure: the work queue is bounded. A request that would
 //     overflow it is answered with an explicit `server_busy` error frame —
 //     never queued unboundedly, never silently dropped.

@@ -9,8 +9,8 @@
 // Json::dump and by direct writers.
 //
 // The full JSON grammar is supported except for exotic numbers (NaN/Inf
-// are not valid JSON and are rejected on write); integers that fit in
-// int64 are preserved exactly.
+// are not valid JSON and are rejected on write) and nesting deeper than
+// JsonCursor::kMaxDepth; integers that fit in int64 are preserved exactly.
 #pragma once
 
 #include <bit>
@@ -72,6 +72,11 @@ class JsonCursor {
     double double_value = 0.0;  ///< set when !is_int
   };
 
+  /// Deepest nesting of objects and arrays a document may have. Opening
+  /// one more fails like any malformed input, so the recursive readers
+  /// (Json::parse, skip_value) use a bounded stack on any thread.
+  static constexpr int kMaxDepth = 512;
+
   explicit JsonCursor(std::string_view text) : text_(text) {}
 
   /// The first byte of the next value, not consumed: '{', '[', '"', 't',
@@ -109,6 +114,8 @@ class JsonCursor {
   void skip_whitespace();
   bool consume(char expected);
   void expect(char expected, const char* what);
+  /// Consume an opening bracket one level down.
+  void open(char bracket, const char* what);
   char advance();
   unsigned read_hex4();
   /// read_string with pos_ at the opening quote.
@@ -120,6 +127,7 @@ class JsonCursor {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< objects and arrays open at pos_
   std::string skip_scratch_;
 };
 
@@ -149,6 +157,14 @@ inline void JsonCursor::expect(char expected, const char* what) {
   if (!consume(expected)) fail(std::string("expected ") + what);
 }
 
+inline void JsonCursor::open(char bracket, const char* what) {
+  expect(bracket, what);
+  if (++depth_ > kMaxDepth) {
+    --pos_;
+    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+  }
+}
+
 inline char JsonCursor::peek_value() {
   skip_whitespace();
   if (pos_ >= text_.size()) fail("unexpected end of input");
@@ -157,9 +173,11 @@ inline char JsonCursor::peek_value() {
 
 inline bool JsonCursor::enter_object() {
   skip_whitespace();
-  expect('{', "'{'");
+  open('{', "'{'");
   skip_whitespace();
-  return !consume('}');
+  if (!consume('}')) return true;
+  --depth_;
+  return false;
 }
 
 inline std::string_view JsonCursor::read_key(std::string& scratch) {
@@ -176,20 +194,24 @@ inline bool JsonCursor::next_member() {
   skip_whitespace();
   if (consume(',')) return true;
   expect('}', "'}' or ','");
+  --depth_;
   return false;
 }
 
 inline bool JsonCursor::enter_array() {
   skip_whitespace();
-  expect('[', "'['");
+  open('[', "'['");
   skip_whitespace();
-  return !consume(']');
+  if (!consume(']')) return true;
+  --depth_;
+  return false;
 }
 
 inline bool JsonCursor::next_element() {
   skip_whitespace();
   if (consume(',')) return true;
   expect(']', "']' or ','");
+  --depth_;
   return false;
 }
 

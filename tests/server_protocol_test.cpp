@@ -28,9 +28,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/estimation_service.h"
+#include "sched/fleet_planner.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/json.h"
@@ -266,6 +270,402 @@ TEST(ServerProtocol, JobPastTheReplayCeilingIsABadRequest) {
   ASSERT_TRUE(client.send_frame("{\"type\": \"ping\", \"id\": 4}"));
   ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
   EXPECT_TRUE(util::Json::parse(reply).at("ok").as_bool()) << reply;
+  daemon.stop();
+}
+
+TEST(ServerProtocol, DeeplyNestedFrameIsAParseErrorAndTheDaemonServes) {
+  // 100,000 '[' must not recurse the connection thread off its stack.
+  server::Server daemon(protocol_config("deep_frame"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/15000);
+  ASSERT_TRUE(client.send_frame(std::string(100000, '[')));
+  std::string reply;
+  ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+  EXPECT_EQ(reply,
+            server::make_error_envelope(
+                nullptr, server::kErrParse,
+                "payload is not valid JSON: nesting deeper than 512 levels "
+                "at offset 512")
+                .dump());
+  EXPECT_NO_THROW(client.ping());
+  EXPECT_EQ(daemon.stats().protocol_errors, 1u);
+  daemon.stop();
+}
+
+TEST(ServerProtocol, NonFiniteIdIsABadRequestAndTheDaemonServes) {
+  // 1e999 parses to infinity, which no reply can echo: the frame is
+  // answered without an id instead of throwing on the connection thread.
+  server::Server daemon(protocol_config("inf_id"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/15000);
+  for (const char* payload : {"{\"type\": \"ping\", \"id\": 1e999}",
+                              "{\"type\": \"sweep\", \"id\": [-1e999]}"}) {
+    ASSERT_TRUE(client.send_frame(payload));
+    std::string reply;
+    ASSERT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+    EXPECT_EQ(reply, server::make_error_envelope(
+                         nullptr, server::kErrBadRequest,
+                         "envelope \"id\" cannot be echoed: Json: NaN/Inf "
+                         "are not representable in JSON")
+                         .dump());
+  }
+  EXPECT_NO_THROW(client.ping());
+  EXPECT_EQ(daemon.stats().protocol_errors, 2u);
+  daemon.stop();
+}
+
+// --- repeats answered from stored reply bytes -------------------------------
+
+/// Cheap questions of each data type: one small job, one card.
+const char* const kSweepDoc =
+    "{\"job\": {\"model\": \"distilgpt2\", \"batch\": 2, \"optimizer\": "
+    "\"AdamW\"}, \"devices\": [\"rtx3060\"], \"allocators\": [\"pytorch\"]}";
+const char* const kPlanDoc =
+    "{\"job\": {\"model\": \"distilgpt2\", \"batch\": 2, \"optimizer\": "
+    "\"AdamW\"}, \"devices\": [\"rtx3060\"], \"max_gpus\": 2, "
+    "\"refine_top_k\": 1}";
+const char* const kFleetDoc =
+    "{\"jobs\": [{\"id\": \"a\", \"job\": {\"model\": \"distilgpt2\", "
+    "\"batch\": 2, \"optimizer\": \"AdamW\"}}], \"pools\": [{\"device\": "
+    "\"rtx3060\", \"count\": 1}]}";
+
+/// The full path's canonical text of a request document (throws what the
+/// daemon would answer as bad_request).
+std::string canonical_text(const std::string& type, const util::Json& doc,
+                           const std::string& tenant = std::string()) {
+  if (type == "plan") {
+    core::PlanRequest request = core::PlanRequest::from_json(doc);
+    if (!tenant.empty()) request.tenant = tenant;
+    return request.to_json().dump();
+  }
+  if (type == "fleet") {
+    sched::FleetRequest request = sched::FleetRequest::from_json(doc);
+    if (!tenant.empty()) request.tenant = tenant;
+    return request.to_json().dump();
+  }
+  core::EstimateRequest request = core::EstimateRequest::from_json(doc);
+  if (!tenant.empty()) request.tenant = tenant;
+  return request.to_json().dump();
+}
+
+std::string envelope_text(const std::string& type, const std::string& request,
+                          const std::string* id = nullptr) {
+  std::string text = "{";
+  if (id != nullptr) text += "\"id\":" + *id + ",";
+  return text + "\"request\":" + request + ",\"type\":\"" + type + "\"}";
+}
+
+std::string round_trip(server::Client& client, const std::string& payload) {
+  EXPECT_TRUE(client.send_frame(payload));
+  std::string reply;
+  EXPECT_EQ(client.read_reply(reply), server::FrameStatus::kOk);
+  return reply;
+}
+
+TEST(ServerRepeats, SplicedRepliesEqualTheDomEnvelope) {
+  server::Server daemon(protocol_config("spliced"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/60000);
+  // The daemon's first answers are cold; an offline service asked the same
+  // questions in the same order has the same cache state at each one.
+  core::ServiceOptions options;
+  options.threads = 1;
+  core::EstimationService offline(options);
+
+  const std::vector<util::Json> ids = {
+      util::Json(nullptr),
+      util::Json(42),
+      util::Json(-7),
+      util::Json(2.5),
+      util::Json(std::string("q\"\\\n\t\x01 \xC3\xA9 \xF0\x9F\x98\x80")),
+      util::Json::parse(R"({"trace":[1,{"n":null}],"a":"b"})"),
+  };
+  for (const char* type : {"sweep", "plan", "fleet"}) {
+    SCOPED_TRACE(type);
+    const util::Json doc = util::Json::parse(type == std::string("sweep")
+                                                 ? kSweepDoc
+                                             : type == std::string("plan")
+                                                 ? kPlanDoc
+                                                 : kFleetDoc);
+    const std::string canonical = canonical_text(type, doc);
+    util::Json report;
+    if (type == std::string("plan")) {
+      report = offline.plan(core::PlanRequest::from_json(doc)).to_json(false);
+    } else if (type == std::string("fleet")) {
+      report =
+          offline.fleet(sched::FleetRequest::from_json(doc)).to_json(false);
+    } else {
+      report = offline.sweep(core::EstimateRequest::from_json(doc))
+                   .to_json(false);
+    }
+    const auto expected = [&](const util::Json* id) {
+      util::Json envelope = server::make_ok_envelope(id, type);
+      envelope["report"] = report;
+      return envelope.dump();
+    };
+
+    // No id: the first ask executes, the second is a repeat.
+    EXPECT_EQ(round_trip(client, envelope_text(type, canonical)),
+              expected(nullptr));
+    EXPECT_EQ(round_trip(client, envelope_text(type, canonical)),
+              expected(nullptr));
+    for (const util::Json& id : ids) {
+      const std::string id_text = id.dump();
+      SCOPED_TRACE(id_text);
+      EXPECT_EQ(round_trip(client, envelope_text(type, canonical, &id_text)),
+                expected(&id));
+      // The same question reformatted takes the full path to the same bytes.
+      util::Json envelope = util::Json::object();
+      envelope["id"] = id;
+      envelope["type"] = util::Json(type);
+      envelope["request"] = doc;
+      EXPECT_EQ(round_trip(client, envelope.dump(2)), expected(&id));
+    }
+  }
+  const server::ServerStats stats = daemon.stats();
+  EXPECT_EQ(stats.executed, 3u);
+  EXPECT_EQ(stats.reply_cache_hits, 3u * (1 + 2 * ids.size()));
+  daemon.stop();
+}
+
+TEST(ServerRepeats, ReformattedQuestionsShareTheCanonicalKey) {
+  // docs/SERVER.md: requests are canonicalized before the lookup, so the
+  // same question in other bytes is a reply-cache hit, not a new run.
+  server::Server daemon(protocol_config("canonical_dedup"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/60000);
+  const std::string canonical =
+      canonical_text("sweep", util::Json::parse(kSweepDoc));
+  const std::string first =
+      round_trip(client, envelope_text("sweep", canonical));
+  ASSERT_TRUE(util::Json::parse(first).at("ok").as_bool()) << first;
+  EXPECT_EQ(daemon.stats().executed, 1u);
+
+  // Reordered keys, whitespace, and explicit defaults (an empty tenant in
+  // the document and in the envelope, the default iteration count).
+  const std::string reformatted =
+      "{ \"type\" : \"sweep\",\n \"tenant\": \"\",\n \"request\" : {\n"
+      "   \"allocators\" : [ \"pytorch\" ],\n   \"tenant\": \"\",\n"
+      "   \"profile_iterations\": 3,\n   \"devices\" : [\"rtx3060\"],\n"
+      "   \"job\": {\"optimizer\": \"AdamW\", \"batch\": 2, "
+      "\"model\": \"distilgpt2\"} } }";
+  ASSERT_NE(reformatted, envelope_text("sweep", canonical));
+  EXPECT_EQ(round_trip(client, reformatted), first);
+  server::ServerStats stats = daemon.stats();
+  EXPECT_EQ(stats.executed, 1u);
+  EXPECT_EQ(stats.reply_cache_hits, 1u);
+
+  // An envelope tenant is part of the question: a separate key, one more
+  // run, and the canonical text then names the tenant.
+  const std::string with_tenant = envelope_text("sweep", canonical);
+  const std::string tenant_reply = round_trip(
+      client, with_tenant.substr(0, with_tenant.size() - 1) +
+                  ",\"tenant\":\"acme\"}");
+  ASSERT_TRUE(util::Json::parse(tenant_reply).at("ok").as_bool())
+      << tenant_reply;
+  stats = daemon.stats();
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.reply_cache_hits, 1u);
+  // The tenant's canonical text, sent as the document, is that same key.
+  EXPECT_EQ(round_trip(client,
+                       envelope_text("sweep",
+                                     canonical_text(
+                                         "sweep", util::Json::parse(kSweepDoc),
+                                         "acme"))),
+            tenant_reply);
+  stats = daemon.stats();
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.reply_cache_hits, 2u);
+  daemon.stop();
+}
+
+// --- raw-text repeat fuzzer -------------------------------------------------
+
+/// What the full path answers `payload` with, computed offline:
+/// Json::parse, then the envelope checks, then canonicalization, then the
+/// known report of that question with this id, or the matching error frame.
+/// `answers` maps "type|canonical" to a report's compact bytes. Returns ""
+/// for a question the daemon has not answered yet.
+std::string full_path_reply(const std::string& payload,
+                            const std::map<std::string, std::string>& answers) {
+  util::Json envelope;
+  try {
+    envelope = util::Json::parse(payload);
+  } catch (const std::exception& error) {
+    return server::make_error_envelope(
+               nullptr, server::kErrParse,
+               std::string("payload is not valid JSON: ") + error.what())
+        .dump();
+  }
+  if (!envelope.is_object()) {
+    return server::make_error_envelope(nullptr, server::kErrBadRequest,
+                                       "envelope must be a JSON object")
+        .dump();
+  }
+  const util::Json* id =
+      envelope.contains("id") ? &envelope.at("id") : nullptr;
+  if (id != nullptr) {
+    try {
+      id->dump();
+    } catch (const std::invalid_argument& error) {
+      return server::make_error_envelope(
+                 nullptr, server::kErrBadRequest,
+                 std::string("envelope \"id\" cannot be echoed: ") +
+                     error.what())
+          .dump();
+    }
+  }
+  const std::string type = envelope.get_string_or("type", "");
+  if (type != "sweep" && type != "plan" && type != "fleet") {
+    return server::make_error_envelope(
+               id, server::kErrUnsupportedType,
+               "unknown request type '" + type +
+                   "'; expected sweep|plan|fleet|stats|ping|shutdown")
+        .dump();
+  }
+  std::string key;
+  try {
+    if (!envelope.contains("request")) {
+      throw std::invalid_argument("envelope: missing \"request\" document");
+    }
+    key = type + '|' +
+          canonical_text(type, envelope.at("request"),
+                         envelope.get_string_or("tenant", ""));
+  } catch (const std::exception& error) {
+    return server::make_error_envelope(id, server::kErrBadRequest,
+                                       error.what())
+        .dump();
+  }
+  const auto it = answers.find(key);
+  if (it == answers.end()) return std::string();
+  util::Json reply = server::make_ok_envelope(id, type);
+  reply["report"] = util::Json::parse(it->second);
+  return reply.dump();
+}
+
+/// One envelope around a known question, as member texts to be joined.
+struct Members {
+  std::vector<std::string> items;
+  std::string join(util::Rng& rng) const {
+    static const char* const kSpace[] = {"", "", " ", "\n  ", "\t"};
+    std::string text = "{";
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (i > 0) text += ',';
+      text += kSpace[rng.next_below(5)];
+      text += items[i];
+    }
+    return text + kSpace[rng.next_below(5)] + "}";
+  }
+};
+
+TEST(ServerRepeatFuzz, MutatedRepeatsMatchTheFullPath) {
+  server::Server daemon(protocol_config("repeat_fuzz"));
+  daemon.start();
+  server::Client client(daemon.config().socket_path, /*timeout_ms=*/60000);
+
+  // Ask every question the mutations can reach once, by canonical text,
+  // and keep the reports. Fields a type does not know are ignored, so each
+  // document is a question under either type.
+  struct Question {
+    std::string type;
+    util::Json doc;
+    std::string canonical;
+  };
+  const std::vector<std::pair<std::string, const char*>> documents = {
+      {"sweep", kSweepDoc}, {"plan", kPlanDoc}};
+  std::vector<Question> questions;
+  std::map<std::string, std::string> answers;
+  for (const auto& [type, text] : documents) {
+    const util::Json doc = util::Json::parse(text);
+    questions.push_back({type, doc, canonical_text(type, doc)});
+    for (const auto& [asked_as, unused] : documents) {
+      for (const std::string tenant : {"", "acme"}) {
+        const std::string canonical = canonical_text(asked_as, doc, tenant);
+        const util::Json reply = util::Json::parse(
+            round_trip(client, envelope_text(asked_as, canonical)));
+        ASSERT_TRUE(reply.at("ok").as_bool()) << reply.dump();
+        answers[asked_as + '|' + canonical] = reply.at("report").dump();
+      }
+    }
+  }
+  const std::uint64_t executed = daemon.stats().executed;
+  ASSERT_EQ(executed, answers.size());
+
+  const std::vector<std::string> id_texts = {
+      "null", "0", "7", "-12", "1.50", "2e3", "-0.0", "1e999",
+      "\"plain\"", "\"q\\\"\\\\\\n\\u00e9\xC3\xA9\"", "{\"b\":1,\"a\":[true]}",
+      "[]", std::string(600, '[') + std::string(600, ']')};
+  const std::vector<std::string> stray_members = {
+      "\"priority\":99", "\"x-trace\":\"abc\"", "\"tenant\":\"acme\"",
+      "\"tenant\":\"\"", "\"tenant\":7", "\"i\\u0064\":5", "\"type\":\"warp\"",
+      "\"type\":5", "\"id\":3", "\"request\":{}"};
+  const std::vector<std::string> trailers = {"", " ", "\n", " x", "}", "{}",
+                                             ","};
+
+  util::Rng rng(0x5EED29);
+  constexpr int kIterations = 600;
+  int spliced = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    const Question& question =
+        questions[static_cast<std::size_t>(rng.next_below(questions.size()))];
+    const Question& other =
+        questions[static_cast<std::size_t>(rng.next_below(questions.size()))];
+    Members members;
+    members.items.push_back("\"type\":\"" + question.type + "\"");
+    members.items.push_back(
+        "\"request\":" + (rng.next_bool(0.8) ? question.canonical
+                                             : question.doc.dump(2)));
+    if (rng.next_bool(0.7)) {
+      members.items.push_back(
+          "\"id\":" + id_texts[static_cast<std::size_t>(
+                          rng.next_below(id_texts.size()))]);
+    }
+    switch (rng.next_below(6)) {
+      case 0:  // a second request, before or after the first
+        members.items.insert(
+            members.items.begin() + static_cast<long>(rng.next_below(3)),
+            "\"request\":" + other.canonical);
+        break;
+      case 1:  // a stray member anywhere
+        members.items.insert(
+            members.items.begin() +
+                static_cast<long>(rng.next_below(members.items.size() + 1)),
+            stray_members[static_cast<std::size_t>(
+                rng.next_below(stray_members.size()))]);
+        break;
+      case 2:  // a repeated type naming the other question's type
+        members.items.push_back("\"type\":\"" + other.type + "\"");
+        break;
+      default:
+        break;
+    }
+    for (std::size_t j = members.items.size(); j > 1; --j) {
+      if (rng.next_bool(0.3)) {
+        std::swap(members.items[j - 1],
+                  members.items[static_cast<std::size_t>(rng.next_below(j))]);
+      }
+    }
+    std::string payload =
+        members.join(rng) +
+        trailers[static_cast<std::size_t>(rng.next_below(trailers.size()))];
+    if (rng.next_below(8) == 0) {
+      payload.resize(static_cast<std::size_t>(rng.next_below(payload.size())));
+    }
+
+    const std::string expected = full_path_reply(payload, answers);
+    ASSERT_FALSE(expected.empty())
+        << "mutation " << i << " asks a new question: " << payload;
+    ASSERT_EQ(round_trip(client, payload), expected)
+        << "mutation " << i << ": " << payload;
+    if (expected.find("\"ok\":true") != std::string::npos) ++spliced;
+  }
+
+  // Every ok reply came from the cache; the daemon still serves.
+  EXPECT_GT(spliced, kIterations / 4);
+  EXPECT_EQ(daemon.stats().executed, executed);
+  EXPECT_NO_THROW(client.ping());
+  server::Client fresh(daemon.config().socket_path, /*timeout_ms=*/15000);
+  EXPECT_NO_THROW(fresh.ping());
   daemon.stop();
 }
 

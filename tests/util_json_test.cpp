@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "util/rng.h"
 
 namespace xmem::util {
@@ -52,6 +54,57 @@ TEST(JsonParse, Errors) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonParseError);
   EXPECT_THROW(Json::parse("{'a':1}"), JsonParseError);
   EXPECT_THROW(Json::parse("\"bad \\x escape\""), JsonParseError);
+}
+
+/// `depth` arrays nested in one another around `inner`.
+std::string nested_arrays(int depth, const std::string& inner = "") {
+  return std::string(static_cast<std::size_t>(depth), '[') + inner +
+         std::string(static_cast<std::size_t>(depth), ']');
+}
+
+TEST(JsonParse, NestingStopsAtTheBoundWithTheOffset) {
+  const int limit = JsonCursor::kMaxDepth;
+  EXPECT_NO_THROW(Json::parse(nested_arrays(limit)));
+  EXPECT_NO_THROW(Json::parse(nested_arrays(limit - 1, "{\"a\":1}")));
+  // The bracket that opens level 513 is the one named.
+  try {
+    Json::parse(nested_arrays(limit + 1));
+    FAIL() << "nesting past the bound parsed";
+  } catch (const JsonParseError& error) {
+    EXPECT_STREQ(error.what(), "nesting deeper than 512 levels at offset 512");
+    EXPECT_EQ(error.offset(), 512u);
+  }
+  // Objects count the same as arrays; depth is per path, not per document.
+  std::string objects;
+  for (int i = 0; i <= limit; ++i) objects += "{\"k\":";
+  EXPECT_THROW(Json::parse(objects), JsonParseError);
+  const std::string siblings =
+      "[" + nested_arrays(limit - 1) + "," + nested_arrays(limit - 1) + "]";
+  EXPECT_NO_THROW(Json::parse(siblings));
+}
+
+TEST(JsonParse, DeepInputFailsOnAThreadStack) {
+  // 100,000 levels of '[' are an ordinary parse error for the DOM parser
+  // and for skip_value alike: neither recurses past the bound, so a small
+  // thread stack is enough.
+  const std::string deep(100000, '[');
+  std::string parse_message, skip_message;
+  std::thread reader([&] {
+    try {
+      Json::parse(deep);
+    } catch (const JsonParseError& error) {
+      parse_message = error.what();
+    }
+    try {
+      JsonCursor cursor(deep);
+      cursor.skip_value();
+    } catch (const JsonParseError& error) {
+      skip_message = error.what();
+    }
+  });
+  reader.join();
+  EXPECT_EQ(parse_message, "nesting deeper than 512 levels at offset 512");
+  EXPECT_EQ(skip_message, parse_message);
 }
 
 TEST(JsonDump, CompactRoundTrip) {
