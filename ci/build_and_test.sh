@@ -335,6 +335,8 @@ rm -f "${fleet_actual}"
 
 # Plan-shaped fixtures (refine knobs) only fail through the plan parser;
 # fleet-shaped ones (jobs/pools) only through the fleet parser.
+# bad_fleet_pool_count.json names 2147483647 GPUs: it must be refused by
+# the GPU limit, before any slot is allocated, here and in the daemon.
 subcommand_for() {
   case "$(basename "$1")" in
     bad_overlap*|bad_refine*) echo plan ;;

@@ -336,8 +336,8 @@ class EstimationService {
 
   /// Pack a job queue onto a GPU fleet (sched::FleetPlanner over this
   /// service — one profile per distinct job archetype, docs/SCHEDULER.md).
-  /// Each call uses a fresh planner; hold a FleetPlanner directly for the
-  /// incremental apply() loop. Defined in src/sched/service_fleet.cpp.
+  /// Each call is a fresh planner and one pack(). Defined in
+  /// src/sched/service_fleet.cpp.
   sched::FleetReport fleet(const sched::FleetRequest& request);
 
   /// Single-question convenience: a one-entry sweep (one estimator, one

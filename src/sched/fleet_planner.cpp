@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -22,7 +23,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Queue-level archetype identity: two jobs with the same label + seed
-/// share one CPU profile (and one planner cache entry).
+/// share one CPU profile (and one archetype entry of a pack).
 std::string job_key(const core::TrainJob& job) {
   return job.label() + "|seed" + std::to_string(job.seed);
 }
@@ -43,22 +44,6 @@ core::PlanRequest fallback_plan(const FleetRequest& request) {
   return plan;
 }
 
-/// A request plus its archetype-cache scope: the estimation knobs that
-/// change what an estimate means, so a planner reused across requests
-/// never serves stale peaks. Computed once per request, not per job. The
-/// tenant only attributes quota, so tenants share archetypes.
-struct ScopedRequest : FleetRequest {
-  ScopedRequest() = default;
-  explicit ScopedRequest(FleetRequest request)
-      : FleetRequest(std::move(request)) {
-    core::PlanRequest plan = fallback_plan(*this);
-    plan.tenant.clear();
-    scope = estimator + "|" + plan.to_json().dump();
-  }
-
-  std::string scope;
-};
-
 namespace fields = core::fields;
 using fields::field;
 using fields::integer;
@@ -75,7 +60,8 @@ const fields::List<FleetJob>& fleet_job_fields() {
 const fields::List<GpuPool>& pool_fields() {
   static const fields::List<GpuPool> list = {
       fields::required(field("device", &GpuPool::device, fields::device())),
-      fields::required(field("count", &GpuPool::count, integer<int>(1))),
+      fields::required(
+          field("count", &GpuPool::count, integer<int>(1, kMaxFleetGpus))),
   };
   return list;
 }
@@ -333,141 +319,128 @@ struct PackResult {
   FleetStats stats;
 };
 
-}  // namespace
+/// 100 * part / whole, truncated. The product is taken in 128 bits: a
+/// fleet of 2^50-byte cards holds more than INT64_MAX / 100 bytes.
+int percent_of(std::int64_t part, std::int64_t whole) {
+  __extension__ typedef __int128 int128;
+  return static_cast<int>(static_cast<int128>(part) * 100 / whole);
+}
 
-struct FleetPlanner::Impl {
+/// The field lists' checks, so C++ callers get the document's messages,
+/// plus what a list cannot express: unique job ids, a positive budget per
+/// pool, one geometry per device name, and at most kMaxFleetGpus GPUs.
+void validate(const FleetRequest& request) {
+  FleetRequest::from_json(request.to_json());
+  std::set<std::string> ids;
+  for (const FleetJob& fleet_job : request.jobs) {
+    if (!ids.insert(fleet_job.id).second) {
+      throw std::invalid_argument("fleet request: duplicate job id '" +
+                                  fleet_job.id + "'");
+    }
+  }
+  std::int64_t gpus = 0;
+  auto check_pool = [&gpus](const GpuPool& gpu_pool) {
+    if (gpu_pool.device.job_budget() <= 0) {
+      throw std::invalid_argument("fleet request: device '" +
+                                  gpu_pool.device.name +
+                                  "' has a non-positive job budget");
+    }
+    gpus += gpu_pool.count;
+  };
+  for (const GpuPool& gpu_pool : request.pools) check_pool(gpu_pool);
+  for (const GpuPool& gpu_pool : request.what_if) check_pool(gpu_pool);
+  // A device name is the estimate-cache key, so one name must mean one
+  // geometry across the fleet (and the what-if pools).
+  std::map<std::string, gpu::DeviceModel> by_name;
+  auto check_geometry = [&by_name](const gpu::DeviceModel& device) {
+    const auto [it, inserted] = by_name.emplace(device.name, device);
+    if (!inserted && (it->second.capacity != device.capacity ||
+                      it->second.m_init != device.m_init ||
+                      it->second.m_fm != device.m_fm)) {
+      throw std::invalid_argument("fleet request: device name '" +
+                                  device.name +
+                                  "' appears with conflicting geometry");
+    }
+  };
+  for (const GpuPool& gpu_pool : request.pools) check_geometry(gpu_pool.device);
+  for (const GpuPool& gpu_pool : request.what_if) check_geometry(gpu_pool.device);
+  if (gpus > kMaxFleetGpus) {
+    throw std::invalid_argument(
+        "fleet request: pools and what_if hold " + std::to_string(gpus) +
+        " GPUs; one request may name at most " +
+        std::to_string(kMaxFleetGpus));
+  }
+}
+
+/// Distinct device models across the request's pools and what-if pools,
+/// sorted by name.
+std::vector<gpu::DeviceModel> distinct_devices(const FleetRequest& request) {
+  std::map<std::string, gpu::DeviceModel> by_name;
+  for (const std::vector<GpuPool>* pools : {&request.pools, &request.what_if}) {
+    for (const GpuPool& gpu_pool : *pools) {
+      by_name.emplace(gpu_pool.device.name, gpu_pool.device);
+    }
+  }
+  std::vector<gpu::DeviceModel> devices;
+  devices.reserve(by_name.size());
+  for (const auto& [name, device] : by_name) devices.push_back(device);
+  return devices;
+}
+
+/// One validated request's packs: the base pack and the what-if pack share
+/// its archetypes (keyed by job_key), so the second profiles nothing.
+struct Packer {
   core::EstimationService& service;
-  FleetPlannerOptions options;
-  std::unique_ptr<util::ThreadPool> pool;  ///< null when serial
+  util::ThreadPool* pool;  ///< null when serial
+  const FleetRequest& request;
+  std::unique_ptr<PackingPolicy> policy;
+  /// Every device of the pools and what-if pools: the sweep and plan set.
+  std::vector<gpu::DeviceModel> devices;
+  std::map<std::string, Archetype> archetypes;
 
-  /// Archetype cache, keyed by estimation scope + job identity. Shared by
-  /// pack/apply/what_if — the what-if second pack costs zero profiles.
-  std::map<std::string, Archetype> cache;
-
-  bool has_state = false;
-  ScopedRequest state_request;  ///< jobs hold materialized unique ids
-  PackResult state_result;
-  std::size_t next_auto_id = 0;
-
-  Impl(core::EstimationService& service_in, FleetPlannerOptions options_in)
+  Packer(core::EstimationService& service_in, util::ThreadPool* pool_in,
+         const FleetRequest& request_in)
       : service(service_in),
-        options(options_in),
-        pool(util::make_pool(options_in.threads)) {}
+        pool(pool_in),
+        request(request_in),
+        policy(make_packing_policy(request_in.policy)),
+        devices(distinct_devices(request_in)) {}
 
-  static std::string archetype_key(const ScopedRequest& request,
-                                   const core::TrainJob& job) {
-    return request.scope + "|" + job_key(job);
-  }
-
-  void materialize_ids(FleetRequest& request) const {
-    for (std::size_t i = 0; i < request.jobs.size(); ++i) {
-      if (request.jobs[i].id.empty()) {
-        request.jobs[i].id = "job-" + std::to_string(i);
-      }
-    }
-  }
-
-  /// The field lists' checks, so C++ callers get the document's messages,
-  /// plus what a list cannot express: unique job ids, a positive budget
-  /// per pool, and one geometry per device name.
-  static void validate(const FleetRequest& request) {
-    FleetRequest::from_json(request.to_json());
-    std::set<std::string> ids;
-    for (const FleetJob& fleet_job : request.jobs) {
-      if (!ids.insert(fleet_job.id).second) {
-        throw std::invalid_argument("fleet request: duplicate job id '" +
-                                    fleet_job.id + "'");
-      }
-    }
-    auto check_pool = [](const GpuPool& gpu_pool) {
-      if (gpu_pool.device.job_budget() <= 0) {
-        throw std::invalid_argument("fleet request: device '" +
-                                    gpu_pool.device.name +
-                                    "' has a non-positive job budget");
-      }
-    };
-    for (const GpuPool& gpu_pool : request.pools) check_pool(gpu_pool);
-    for (const GpuPool& gpu_pool : request.what_if) check_pool(gpu_pool);
-    // A device name is the estimate-cache key, so one name must mean one
-    // geometry across the fleet (and the what-if pools).
-    std::map<std::string, gpu::DeviceModel> by_name;
-    auto check_geometry = [&by_name](const gpu::DeviceModel& device) {
-      const auto [it, inserted] = by_name.emplace(device.name, device);
-      if (!inserted && (it->second.capacity != device.capacity ||
-                        it->second.m_init != device.m_init ||
-                        it->second.m_fm != device.m_fm)) {
-        throw std::invalid_argument("fleet request: device name '" +
-                                    device.name +
-                                    "' appears with conflicting geometry");
-      }
-    };
-    for (const GpuPool& gpu_pool : request.pools) check_geometry(gpu_pool.device);
-    for (const GpuPool& gpu_pool : request.what_if) check_geometry(gpu_pool.device);
-  }
-
-  /// Distinct device models across the given pool lists, sorted by name.
-  static std::vector<gpu::DeviceModel> distinct_devices(
-      const std::vector<const std::vector<GpuPool>*>& pool_lists) {
-    std::map<std::string, gpu::DeviceModel> by_name;
-    for (const std::vector<GpuPool>* pools : pool_lists) {
-      for (const GpuPool& gpu_pool : *pools) {
-        by_name.emplace(gpu_pool.device.name, gpu_pool.device);
-      }
-    }
-    std::vector<gpu::DeviceModel> devices;
-    devices.reserve(by_name.size());
-    for (const auto& [name, device] : by_name) devices.push_back(device);
-    return devices;
-  }
-
-  /// Compute per-device peaks for every archetype among `jobs` that the
-  /// cache does not already cover, fanning the sweeps on the pool. One
-  /// sweep (== one CPU profile, cold) per fresh archetype. A sweep past the
-  /// replay ceiling marks its archetype unestimable instead of failing the
+  /// Per-device peaks for every archetype in the queue: one sweep (== one
+  /// CPU profile, cold) each, fanned on the pool. A sweep past the replay
+  /// ceiling marks its archetype unestimable instead of failing the
   /// request; any other sweep failure still propagates.
-  void ensure_archetypes(const ScopedRequest& request,
-                         const std::vector<FleetJob>& jobs,
-                         const std::vector<gpu::DeviceModel>& devices,
-                         FleetCounters& counters) {
+  void estimate_archetypes(FleetCounters& counters) {
     core::EstimateRequest sweep;  // the part every archetype sweep shares
+    sweep.devices = devices;
     sweep.allocators = {request.allocator};
     sweep.estimators = {request.estimator};
     sweep.allocator_config = request.allocator_config;
     sweep.profile_iterations = request.profile_iterations;
     sweep.tenant = request.tenant;
-    // (archetype key, sweep over the devices its cache entry lacks)
-    std::vector<std::pair<std::string, core::EstimateRequest>> needs;
-    std::set<std::string> seen;
-    for (const FleetJob& fleet_job : jobs) {
-      const std::string key = archetype_key(request, fleet_job.job);
-      if (!seen.insert(key).second) continue;
-      const auto it = cache.find(key);
-      if (it != cache.end() && !it->second.unestimable.empty()) continue;
+    // (archetype key, its sweep) in first-arrival order
+    std::vector<std::pair<std::string, core::EstimateRequest>> sweeps;
+    for (const FleetJob& fleet_job : request.jobs) {
+      const std::string key = job_key(fleet_job.job);
+      if (!archetypes.emplace(key, Archetype{}).second) continue;
       sweep.job = fleet_job.job;
-      sweep.devices.clear();
-      for (const gpu::DeviceModel& device : devices) {
-        if (it == cache.end() ||
-            it->second.peak_by_device.count(device.name) == 0) {
-          sweep.devices.push_back(device);
-        }
-      }
-      if (!sweep.devices.empty()) needs.emplace_back(key, sweep);
+      sweeps.emplace_back(key, sweep);
     }
-    counters.estimates_reused += jobs.size() - needs.size();
+    counters.estimates_reused = request.jobs.size() - sweeps.size();
 
-    std::vector<core::EstimateReport> reports(needs.size());
-    std::vector<std::string> ceilings(needs.size());
-    util::fan_out(pool.get(), needs.size(), [&](std::size_t i) {
+    std::vector<core::EstimateReport> reports(sweeps.size());
+    std::vector<std::string> ceilings(sweeps.size());
+    util::fan_out(pool, sweeps.size(), [&](std::size_t i) {
       try {
-        reports[i] = service.sweep(needs[i].second);
+        reports[i] = service.sweep(sweeps[i].second);
       } catch (const core::ReplayCeilingError& error) {
         ceilings[i] = error.what();
       }
     });
 
-    // Merge in need order so counter totals are thread-count-independent.
-    for (std::size_t i = 0; i < needs.size(); ++i) {
-      Archetype& archetype = cache[needs[i].first];
+    // Merge in sweep order so counter totals are thread-count-independent.
+    for (std::size_t i = 0; i < sweeps.size(); ++i) {
+      Archetype& archetype = archetypes.at(sweeps[i].first);
       if (!ceilings[i].empty()) {
         archetype.unestimable = ceilings[i];
         continue;
@@ -480,13 +453,12 @@ struct FleetPlanner::Impl {
     }
   }
 
-  /// Multi-GPU fallback candidates for one archetype, cached with it. The
+  /// Multi-GPU fallback candidates for one archetype, kept with it. The
   /// search shares the archetype's profile through the session
   /// (profiles_run stays == distinct_jobs).
-  const std::vector<PlanCandidateLite>& plan_for(
-      const ScopedRequest& request, const core::TrainJob& job,
-      const std::vector<gpu::DeviceModel>& devices, FleetCounters& counters) {
-    Archetype& archetype = cache[archetype_key(request, job)];
+  const std::vector<PlanCandidateLite>& plan_for(const core::TrainJob& job,
+                                                 FleetCounters& counters) {
+    Archetype& archetype = archetypes.at(job_key(job));
     if (archetype.plan.has_value()) return *archetype.plan;
 
     core::PlanRequest plan = fallback_plan(request);
@@ -511,30 +483,15 @@ struct FleetPlanner::Impl {
     return candidates;
   }
 
-  static std::vector<std::size_t> pool_starts(
-      const std::vector<GpuPool>& pools) {
-    std::vector<std::size_t> starts(pools.size(), 0);
-    std::size_t next = 0;
-    for (std::size_t p = 0; p < pools.size(); ++p) {
-      starts[p] = next;
-      next += static_cast<std::size_t>(pools[p].count);
-    }
-    return starts;
-  }
-
   /// Report fields for a job that was not placed: the cheapest-to-host
   /// fleet device (minimum demand; pool order breaks ties).
-  static void fill_best_single(JobVerdict& verdict,
-                               const std::vector<GpuPool>& pools,
-                               const Archetype& archetype,
-                               const HeadroomPolicy& headroom) {
+  void fill_best_single(JobVerdict& verdict, const std::vector<GpuPool>& pools,
+                        const Archetype& archetype) const {
     std::int64_t best_demand = -1;
-    std::set<std::string> seen;
     for (const GpuPool& gpu_pool : pools) {
       const std::string& name = gpu_pool.device.name;
-      if (!seen.insert(name).second) continue;
       const std::int64_t peak = archetype.peak_by_device.at(name);
-      const std::int64_t demand = peak + headroom.bytes_for(name, peak);
+      const std::int64_t demand = peak + request.headroom.bytes_for(name, peak);
       if (best_demand < 0 || demand < best_demand) {
         best_demand = demand;
         verdict.predicted_peak = peak;
@@ -544,21 +501,17 @@ struct FleetPlanner::Impl {
     }
   }
 
-  /// Place one job against the current slots (the shared packing step of
-  /// batch packs and incremental arrivals). Fills `verdict` and commits
+  /// Place one job against the current slots. Fills `verdict` and commits
   /// into `result` on admit.
-  void place_job(const ScopedRequest& request,
-                 const std::vector<GpuPool>& pools,
+  void place_job(const std::vector<GpuPool>& pools,
                  const std::vector<std::size_t>& pool_start,
-                 const std::vector<gpu::DeviceModel>& plan_devices,
-                 const FleetJob& fleet_job, PackingPolicy& policy,
-                 PackResult& result, FleetCounters& counters,
-                 JobVerdict& verdict) {
+                 const FleetJob& fleet_job, PackResult& result,
+                 FleetCounters& counters, JobVerdict& verdict) {
     const core::TrainJob& job = fleet_job.job;
     verdict.id = fleet_job.id;
     verdict.label = job.label();
     verdict.priority = fleet_job.priority;
-    const Archetype& archetype = cache.at(archetype_key(request, job));
+    const Archetype& archetype = archetypes.at(job_key(job));
     if (!archetype.unestimable.empty()) {
       verdict.verdict = Verdict::kReject;
       verdict.reason = archetype.unestimable;
@@ -589,16 +542,16 @@ struct FleetPlanner::Impl {
       SlotState empty;
       empty.pool = p;
       empty.budget = slots[slot].budget;
-      if (policy.commit_bytes(demands[slot], empty) <= empty.budget) {
+      if (policy->commit_bytes(demands[slot], empty) <= empty.budget) {
         single_feasible_empty = true;
       }
     }
 
     if (single_feasible_empty) {
-      const int chosen = policy.choose(slots, demands);
+      const int chosen = policy->choose(slots, demands);
       if (chosen >= 0) {
         const std::int64_t commit =
-            policy.commit_bytes(demands[chosen], slots[chosen]);
+            policy->commit_bytes(demands[chosen], slots[chosen]);
         slots[chosen].committed += commit;
         slots[chosen].jobs += 1;
         result.slot_predicted[chosen] += peaks[chosen];
@@ -614,7 +567,7 @@ struct FleetPlanner::Impl {
         placement.committed_bytes = commit;
         verdict.placements.push_back(placement);
       } else {
-        fill_best_single(verdict, pools, archetype, request.headroom);
+        fill_best_single(verdict, pools, archetype);
         verdict.verdict = Verdict::kDefer;
         verdict.reason = "no GPU fits demand " +
                          std::to_string(verdict.demand_bytes) +
@@ -625,7 +578,7 @@ struct FleetPlanner::Impl {
 
     // Multi-GPU fallback: DistributedPlanner candidates, ranks co-located
     // on one pool.
-    fill_best_single(verdict, pools, archetype, request.headroom);
+    fill_best_single(verdict, pools, archetype);
     if (request.max_gpus_per_job <= 1) {
       verdict.verdict = Verdict::kReject;
       verdict.reason = "fits no single GPU (min demand " +
@@ -634,7 +587,7 @@ struct FleetPlanner::Impl {
       return;
     }
     const std::vector<PlanCandidateLite>& candidates =
-        plan_for(request, job, plan_devices, counters);
+        plan_for(job, counters);
     bool any_feasible_empty = false;
     for (const PlanCandidateLite& candidate : candidates) {
       for (std::size_t p = 0; p < pools.size(); ++p) {
@@ -647,7 +600,7 @@ struct FleetPlanner::Impl {
         SlotState empty;
         empty.pool = p;
         empty.budget = budget;
-        if (policy.commit_bytes(demand, empty) > budget) continue;
+        if (policy->commit_bytes(demand, empty) > budget) continue;
         any_feasible_empty = true;
 
         const std::size_t start = pool_start[p];
@@ -659,13 +612,13 @@ struct FleetPlanner::Impl {
         std::vector<std::int64_t> commits;
         bool placed = true;
         for (int rank = 0; rank < candidate.gpus; ++rank) {
-          const int chosen = policy.choose(slice, slice_demands);
+          const int chosen = policy->choose(slice, slice_demands);
           if (chosen < 0) {
             placed = false;
             break;
           }
           const std::int64_t commit =
-              policy.commit_bytes(demand, slice[chosen]);
+              policy->commit_bytes(demand, slice[chosen]);
           slice[chosen].committed += commit;
           slice[chosen].jobs += 1;
           // Ranks need distinct GPUs: poison the chosen slot's demand so
@@ -713,7 +666,7 @@ struct FleetPlanner::Impl {
     }
   }
 
-  static void compute_stats(const FleetRequest& request, PackResult& result) {
+  void compute_stats(PackResult& result) const {
     FleetStats stats;
     stats.gpus_total = static_cast<int>(result.slots.size());
     std::int64_t total_free = 0;
@@ -741,34 +694,28 @@ struct FleetPlanner::Impl {
           break;
       }
     }
-    std::set<std::string> distinct;
-    for (const FleetJob& fleet_job : request.jobs) {
-      distinct.insert(job_key(fleet_job.job));
-    }
-    stats.distinct_jobs = static_cast<int>(distinct.size());
+    stats.distinct_jobs = static_cast<int>(archetypes.size());
     stats.waste_bytes = stats.committed_bytes - stats.predicted_bytes;
     if (stats.total_budget_bytes > 0) {
-      stats.utilization_pct = static_cast<int>(
-          100 * stats.predicted_bytes / stats.total_budget_bytes);
-      stats.committed_pct = static_cast<int>(
-          100 * stats.committed_bytes / stats.total_budget_bytes);
+      stats.utilization_pct =
+          percent_of(stats.predicted_bytes, stats.total_budget_bytes);
+      stats.committed_pct =
+          percent_of(stats.committed_bytes, stats.total_budget_bytes);
     }
     if (total_free > 0) {
-      stats.fragmentation_pct =
-          static_cast<int>(100 - 100 * largest_free / total_free);
+      stats.fragmentation_pct = 100 - percent_of(largest_free, total_free);
     }
     result.stats = stats;
   }
 
   /// Pack the whole queue onto `pools`, mint-condition slots. Deterministic
-  /// given the archetype cache: ordered integer arithmetic only.
-  PackResult run_pack(const ScopedRequest& request,
-                      const std::vector<GpuPool>& pools,
-                      const std::vector<gpu::DeviceModel>& plan_devices,
-                      PackingPolicy& policy, FleetCounters& counters) {
+  /// given the archetypes: ordered integer arithmetic only.
+  PackResult run_pack(const std::vector<GpuPool>& pools,
+                      FleetCounters& counters) {
     PackResult result;
-    const std::vector<std::size_t> starts = pool_starts(pools);
+    std::vector<std::size_t> starts(pools.size(), 0);
     for (std::size_t p = 0; p < pools.size(); ++p) {
+      starts[p] = result.slots.size();
       for (int i = 0; i < pools[p].count; ++i) {
         SlotState slot;
         slot.pool = p;
@@ -785,18 +732,17 @@ struct FleetPlanner::Impl {
     std::vector<std::size_t> order(request.jobs.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(),
-                     [&request](std::size_t a, std::size_t b) {
+                     [this](std::size_t a, std::size_t b) {
                        return request.jobs[a].priority >
                               request.jobs[b].priority;
                      });
+    // Each job's largest peak over the fleet's devices.
     std::vector<std::int64_t> reference(request.jobs.size(), 0);
     for (std::size_t i = 0; i < request.jobs.size(); ++i) {
       const Archetype& archetype =
-          cache.at(archetype_key(request, request.jobs[i].job));
+          archetypes.at(job_key(request.jobs[i].job));
       if (!archetype.supported || !archetype.unestimable.empty()) continue;
-      std::set<std::string> seen;
       for (const GpuPool& gpu_pool : pools) {
-        if (!seen.insert(gpu_pool.device.name).second) continue;
         reference[i] = std::max(
             reference[i], archetype.peak_by_device.at(gpu_pool.device.name));
       }
@@ -810,236 +756,98 @@ struct FleetPlanner::Impl {
       }
       std::vector<std::size_t> segment(order.begin() + seg,
                                        order.begin() + end);
-      policy.reorder(segment, reference);
+      policy->reorder(segment, reference);
       std::copy(segment.begin(), segment.end(), order.begin() + seg);
       seg = end;
     }
 
     for (const std::size_t index : order) {
-      place_job(request, pools, starts, plan_devices, request.jobs[index],
-                policy, result, counters, result.verdicts[index]);
+      place_job(pools, starts, request.jobs[index], result, counters,
+                result.verdicts[index]);
     }
-    compute_stats(request, result);
+    compute_stats(result);
     return result;
-  }
-
-  FleetReport make_report(const FleetRequest& request,
-                          const std::vector<GpuPool>& pools,
-                          const PackResult& result,
-                          const FleetCounters& counters) const {
-    FleetReport report;
-    report.policy = request.policy;
-    report.pools = pools;
-    report.verdicts = result.verdicts;
-    for (std::size_t i = 0; i < result.slots.size(); ++i) {
-      const SlotState& slot = result.slots[i];
-      GpuState gpu;
-      gpu.pool = slot.pool;
-      gpu.index = slot.index;
-      gpu.device = pools[slot.pool].device.name;
-      gpu.budget_bytes = slot.budget;
-      gpu.committed_bytes = slot.committed;
-      gpu.predicted_bytes = result.slot_predicted[i];
-      gpu.jobs = slot.jobs;
-      report.gpus.push_back(gpu);
-    }
-    report.stats = result.stats;
-    report.counters = counters;
-    return report;
-  }
-
-  /// pack()'s body: validate the request, estimate its archetypes, and
-  /// pack its pools into `base` — plus, when it carries what-if pools, diff
-  /// the augmented fleet into the report's what_if.
-  FleetReport pack_fresh(ScopedRequest& request, PackResult& base) {
-    materialize_ids(request);
-    validate(request);
-    const std::unique_ptr<PackingPolicy> policy =
-        make_packing_policy(request.policy);
-    FleetCounters counters;
-    const std::vector<gpu::DeviceModel> devices =
-        distinct_devices({&request.pools, &request.what_if});
-    ensure_archetypes(request, request.jobs, devices, counters);
-    base = run_pack(request, request.pools, devices, *policy, counters);
-    counters.pools_repacked = request.pools.size();
-    FleetReport report = make_report(request, request.pools, base, counters);
-    if (!request.what_if.empty()) {
-      std::vector<GpuPool> augmented = request.pools;
-      augmented.insert(augmented.end(), request.what_if.begin(),
-                       request.what_if.end());
-      // The second pack reuses the archetype cache end to end, so its
-      // estimation cost is zero; report counters describe the base pack.
-      FleetCounters what_if_counters;
-      report.what_if = make_delta(
-          request.what_if, base,
-          run_pack(request, augmented, devices, *policy, what_if_counters));
-    }
-    return report;
-  }
-
-  static WhatIfDelta make_delta(const std::vector<GpuPool>& added,
-                                const PackResult& base,
-                                const PackResult& after) {
-    WhatIfDelta delta;
-    delta.added_pools = added;
-    delta.admitted_delta = after.stats.admitted - base.stats.admitted;
-    delta.deferred_delta = after.stats.deferred - base.stats.deferred;
-    delta.rejected_delta = after.stats.rejected - base.stats.rejected;
-    delta.utilization_pct_delta =
-        after.stats.utilization_pct - base.stats.utilization_pct;
-    for (std::size_t i = 0; i < base.verdicts.size(); ++i) {
-      if (base.verdicts[i].verdict != Verdict::kAdmit &&
-          after.verdicts[i].verdict == Verdict::kAdmit) {
-        delta.newly_admitted.push_back(base.verdicts[i].id);
-      }
-    }
-    delta.stats_after = after.stats;
-    return delta;
   }
 };
 
+FleetReport make_report(const std::string& policy,
+                        const std::vector<GpuPool>& pools,
+                        const PackResult& result,
+                        const FleetCounters& counters) {
+  FleetReport report;
+  report.policy = policy;
+  report.pools = pools;
+  report.verdicts = result.verdicts;
+  for (std::size_t i = 0; i < result.slots.size(); ++i) {
+    const SlotState& slot = result.slots[i];
+    GpuState gpu;
+    gpu.pool = slot.pool;
+    gpu.index = slot.index;
+    gpu.device = pools[slot.pool].device.name;
+    gpu.budget_bytes = slot.budget;
+    gpu.committed_bytes = slot.committed;
+    gpu.predicted_bytes = result.slot_predicted[i];
+    gpu.jobs = slot.jobs;
+    report.gpus.push_back(gpu);
+  }
+  report.stats = result.stats;
+  report.counters = counters;
+  return report;
+}
+
+WhatIfDelta make_delta(const std::vector<GpuPool>& added,
+                       const PackResult& base, const PackResult& after) {
+  WhatIfDelta delta;
+  delta.added_pools = added;
+  delta.admitted_delta = after.stats.admitted - base.stats.admitted;
+  delta.deferred_delta = after.stats.deferred - base.stats.deferred;
+  delta.rejected_delta = after.stats.rejected - base.stats.rejected;
+  delta.utilization_pct_delta =
+      after.stats.utilization_pct - base.stats.utilization_pct;
+  for (std::size_t i = 0; i < base.verdicts.size(); ++i) {
+    if (base.verdicts[i].verdict != Verdict::kAdmit &&
+        after.verdicts[i].verdict == Verdict::kAdmit) {
+      delta.newly_admitted.push_back(base.verdicts[i].id);
+    }
+  }
+  delta.stats_after = after.stats;
+  return delta;
+}
+
+}  // namespace
+
 FleetPlanner::FleetPlanner(core::EstimationService& service,
                            FleetPlannerOptions options)
-    : impl_(std::make_unique<Impl>(service, options)) {}
-
-FleetPlanner::~FleetPlanner() = default;
+    : service_(service), options_(options) {}
 
 FleetReport FleetPlanner::pack(const FleetRequest& request) {
   const auto start = std::chrono::steady_clock::now();
-  ScopedRequest materialized(request);
-  PackResult base;
-  FleetReport report = impl_->pack_fresh(materialized, base);
-  impl_->has_state = true;
-  impl_->state_request = materialized;
-  impl_->state_request.what_if.clear();
-  impl_->state_result = std::move(base);
-  impl_->next_auto_id = materialized.jobs.size();
-  report.wall_seconds = seconds_since(start);
-  return report;
-}
-
-FleetReport FleetPlanner::apply(const JobArrival& event) {
-  const auto start = std::chrono::steady_clock::now();
-  Impl& impl = *impl_;
-  if (!impl.has_state) {
-    throw std::logic_error("FleetPlanner::apply before pack()");
-  }
-  FleetJob job = event.job;
-  auto id_taken = [&impl](const std::string& id) {
-    for (const FleetJob& existing : impl.state_request.jobs) {
-      if (existing.id == id) return true;
+  FleetRequest materialized = request;
+  for (std::size_t i = 0; i < materialized.jobs.size(); ++i) {
+    if (materialized.jobs[i].id.empty()) {
+      materialized.jobs[i].id = "job-" + std::to_string(i);
     }
-    return false;
-  };
-  std::size_t next_auto_id = impl.next_auto_id;
-  if (job.id.empty()) {
-    do {
-      job.id = "job-" + std::to_string(next_auto_id);
-      next_auto_id += 1;
-    } while (id_taken(job.id));
-  } else if (id_taken(job.id)) {
-    throw std::invalid_argument("fleet apply: duplicate job id '" + job.id +
-                                "'");
   }
-  // Check the arrival and estimate its archetype before the state changes,
-  // so a bad arrival leaves the planner as it was.
-  fields::parse(job.to_json(), fleet_job_fields(), "fleet apply");
+  validate(materialized);
+  const std::unique_ptr<util::ThreadPool> pool =
+      util::make_pool(options_.threads);
+  Packer packer(service_, pool.get(), materialized);
   FleetCounters counters;
-  counters.estimates_reused = impl.state_request.jobs.size();
-  const std::vector<gpu::DeviceModel> devices =
-      Impl::distinct_devices({&impl.state_request.pools});
-  impl.ensure_archetypes(impl.state_request, {job}, devices, counters);
-
-  const std::unique_ptr<PackingPolicy> policy =
-      make_packing_policy(impl.state_request.policy);
-  // Fast path: an order-preserving policy packs in queue order, so a new
-  // job that sorts last (priority <= everything pending) is placed against
-  // the existing state — provably equal to a full repack.
-  bool sorts_last = true;
-  for (const FleetJob& existing : impl.state_request.jobs) {
-    if (existing.priority < job.priority) {
-      sorts_last = false;
-      break;
-    }
+  packer.estimate_archetypes(counters);
+  const PackResult base = packer.run_pack(materialized.pools, counters);
+  counters.pools_repacked = materialized.pools.size();
+  FleetReport report =
+      make_report(materialized.policy, materialized.pools, base, counters);
+  if (!materialized.what_if.empty()) {
+    std::vector<GpuPool> augmented = materialized.pools;
+    augmented.insert(augmented.end(), materialized.what_if.begin(),
+                     materialized.what_if.end());
+    // The what-if pack reuses the base pack's archetypes, so its estimation
+    // cost is zero; report counters describe the base pack.
+    FleetCounters what_if_counters;
+    report.what_if = make_delta(materialized.what_if, base,
+                                packer.run_pack(augmented, what_if_counters));
   }
-  const bool fast = policy->order_preserving() && sorts_last;
-
-  // Placing can still reach a plan search; pack into a copy and commit
-  // only once it succeeds.
-  impl.state_request.jobs.push_back(job);
-  PackResult result;
-  try {
-    if (fast) {
-      result = impl.state_result;
-      result.verdicts.emplace_back();
-      impl.place_job(impl.state_request, impl.state_request.pools,
-                     Impl::pool_starts(impl.state_request.pools), devices, job,
-                     *policy, result, counters, result.verdicts.back());
-      Impl::compute_stats(impl.state_request, result);
-      counters.pools_repacked =
-          result.verdicts.back().verdict == Verdict::kAdmit ? 1 : 0;
-    } else {
-      result = impl.run_pack(impl.state_request, impl.state_request.pools,
-                             devices, *policy, counters);
-      counters.pools_repacked = impl.state_request.pools.size();
-    }
-  } catch (...) {
-    impl.state_request.jobs.pop_back();
-    throw;
-  }
-  impl.state_result = std::move(result);
-  impl.next_auto_id = next_auto_id;
-  FleetReport report = impl.make_report(
-      impl.state_request, impl.state_request.pools, impl.state_result,
-      counters);
-  report.wall_seconds = seconds_since(start);
-  return report;
-}
-
-FleetReport FleetPlanner::apply(const JobFinish& event) {
-  const auto start = std::chrono::steady_clock::now();
-  Impl& impl = *impl_;
-  if (!impl.has_state) {
-    throw std::logic_error("FleetPlanner::apply before pack()");
-  }
-  std::size_t index = impl.state_request.jobs.size();
-  for (std::size_t i = 0; i < impl.state_request.jobs.size(); ++i) {
-    if (impl.state_request.jobs[i].id == event.id) {
-      index = i;
-      break;
-    }
-  }
-  if (index == impl.state_request.jobs.size()) {
-    throw std::invalid_argument("fleet apply: unknown job id '" + event.id +
-                                "'");
-  }
-  const bool was_admitted =
-      impl.state_result.verdicts[index].verdict == Verdict::kAdmit;
-  impl.state_request.jobs.erase(impl.state_request.jobs.begin() +
-                                static_cast<std::ptrdiff_t>(index));
-  impl.state_result.verdicts.erase(impl.state_result.verdicts.begin() +
-                                   static_cast<std::ptrdiff_t>(index));
-
-  FleetCounters counters;
-  if (was_admitted) {
-    // Freed capacity can cascade (a deferred job may now fit), so repack —
-    // pure integer arithmetic, every estimate served from the cache.
-    const std::unique_ptr<PackingPolicy> policy =
-        make_packing_policy(impl.state_request.policy);
-    const std::vector<gpu::DeviceModel> devices =
-        Impl::distinct_devices({&impl.state_request.pools});
-    counters.estimates_reused = impl.state_request.jobs.size();
-    impl.state_result = impl.run_pack(
-        impl.state_request, impl.state_request.pools, devices, *policy,
-        counters);
-    counters.pools_repacked = impl.state_request.pools.size();
-  } else {
-    // A deferred/rejected job never held capacity: placements stand.
-    Impl::compute_stats(impl.state_request, impl.state_result);
-  }
-  FleetReport report = impl.make_report(
-      impl.state_request, impl.state_request.pools, impl.state_result,
-      counters);
   report.wall_seconds = seconds_since(start);
   return report;
 }

@@ -11,16 +11,14 @@
 // card fall back to DistributedPlanner candidates consuming multiple
 // slots of one pool.
 //
-// Two layers on top of the batch pack:
-//   * pack(FleetRequest) -> FleetReport — placements, per-job
-//     admit/defer/reject verdicts, fleet utilization/fragmentation stats;
-//     a request carrying `what_if` pools also diffs a second pack of the
-//     same queue on the augmented fleet ("what does adding 8xA100 buy?"),
-//     sharing one archetype cache;
-//   * apply(JobArrival | JobFinish) — incremental re-planning against the
-//     cached estimates (a trailing arrival under an order-preserving
-//     policy touches at most one pool; everything else repacks with pure
-//     integer arithmetic, zero new profiles).
+// pack(FleetRequest) -> FleetReport is the planner's one entry point:
+// placements, per-job admit/defer/reject verdicts and fleet
+// utilization/fragmentation stats. A request carrying `what_if` pools also
+// diffs a second pack of the same queue on the augmented fleet ("what does
+// adding 8xA100 buy?"); both packs share the request's archetypes, so the
+// second costs zero profiles. A report is a function of its request: the
+// planner keeps nothing from one pack to the next (the service's caches
+// move only counters).
 //
 // Determinism contract matches sweep/plan: serial and ThreadPool-fanned
 // packs produce byte-identical FleetReports (the fan-out only computes
@@ -32,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -52,6 +49,11 @@ struct FleetJob {
   static FleetJob from_json(const util::Json& json, std::size_t index);
   util::Json to_json() const;
 };
+
+/// Most GPUs one request may name, `pools` and `what_if` together: the
+/// planner keeps one slot per GPU and the report lists every one. It also
+/// keeps fleet byte totals inside int64 for cards up to 2^50 bytes.
+inline constexpr int kMaxFleetGpus = 4096;
 
 /// `count` identical devices. The fleet is a list of pools; slot order —
 /// the order first-fit scans — is pool-major, index-minor.
@@ -96,12 +98,10 @@ struct FleetRequest {
   int max_gpus_per_job = 8;
   /// Forwarded to the plan fallback (core::PlanRequest::comm_overlap):
   /// simulate collectives as schedule-tied overlap windows and rank the
-  /// fallback candidates by window-replayed peaks. Part of the archetype
-  /// cache scope, so cached peaks never cross modes.
+  /// fallback candidates by window-replayed peaks.
   bool comm_overlap = false;
   /// Forwarded to the plan fallback (core::PlanRequest::refine_all): replay
-  /// every ranked decomposition instead of the top-K. Part of the archetype
-  /// cache scope for the same reason as comm_overlap.
+  /// every ranked decomposition instead of the top-K.
   bool refine_all = false;
   /// Same semantics as EstimateRequest::tenant.
   std::string tenant;
@@ -184,7 +184,7 @@ struct FleetStats {
 };
 
 /// Diff of two packs of the same queue: the base fleet vs base + added
-/// pools. Shares the archetype cache, so the second pack costs zero
+/// pools. Shares the base pack's archetypes, so the second pack costs zero
 /// profiles.
 struct WhatIfDelta {
   std::vector<GpuPool> added_pools;
@@ -201,11 +201,12 @@ struct WhatIfDelta {
 
 /// Estimation / packing work performed, proving the profile-once win:
 /// `profiles_run == distinct_jobs` on a cold session, regardless of queue
-/// length; incremental applies show `estimates_reused` instead.
+/// length.
 struct FleetCounters : core::StageCounters {
   std::size_t plans_run = 0;        ///< DistributedPlanner fallback searches
-  std::size_t estimates_reused = 0; ///< jobs served from the archetype cache
-  std::size_t pools_repacked = 0;   ///< pools the last pack/apply touched
+  /// Jobs that share an earlier job's archetype: jobs - distinct_jobs.
+  std::size_t estimates_reused = 0;
+  std::size_t pools_repacked = 0;   ///< always the base fleet's pool count
 
   util::Json to_json() const;
 };
@@ -225,15 +226,6 @@ struct FleetReport {
   util::Json to_json(bool include_timings = true) const;
 };
 
-/// Incremental events. Arrival ids must be unique (empty = auto-assigned);
-/// finishing an unknown id throws std::invalid_argument.
-struct JobArrival {
-  FleetJob job;
-};
-struct JobFinish {
-  std::string id;
-};
-
 struct FleetPlannerOptions {
   /// Worker threads for the per-archetype estimate fan-out. 0 = hardware
   /// default (capped at 8); 1 = fully serial on the caller's thread —
@@ -241,34 +233,24 @@ struct FleetPlannerOptions {
   std::size_t threads = 0;
 };
 
-/// Packs fleets through an EstimationService. Holds the archetype cache
-/// and the last pack's state for incremental apply(); not thread-safe —
-/// one planner per caller (the service's sweep/plan it calls into are).
+/// Packs fleets through an EstimationService. Holds only what it was built
+/// with, so one planner may pack any number of requests, each as a fresh
+/// planner would.
 class FleetPlanner {
  public:
   explicit FleetPlanner(core::EstimationService& service,
                         FleetPlannerOptions options = {});
-  ~FleetPlanner();
 
-  FleetPlanner(const FleetPlanner&) = delete;
-  FleetPlanner& operator=(const FleetPlanner&) = delete;
-
-  /// Batch-pack the request and seed the incremental state. Attaches a
-  /// WhatIfDelta when request.what_if is non-empty.
+  /// Validate and pack the request. Attaches a WhatIfDelta when
+  /// request.what_if is non-empty. Throws std::invalid_argument before any
+  /// profile runs when the schema rejects the request, two jobs share an
+  /// id, a device has no job budget, one device name has two geometries,
+  /// or the fleet names more than kMaxFleetGpus GPUs.
   FleetReport pack(const FleetRequest& request);
 
-  /// Incremental re-plan after pack(): a trailing-priority arrival under
-  /// an order-preserving policy places only the new job (provably equal to
-  /// a full repack); anything else repacks from cached estimates. The
-  /// returned report's verdicts/gpus/stats equal a fresh pack of the same
-  /// final queue; counters expose the reuse. Throws std::logic_error
-  /// before any pack(), std::invalid_argument on duplicate/unknown ids.
-  FleetReport apply(const JobArrival& event);
-  FleetReport apply(const JobFinish& event);
-
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  core::EstimationService& service_;
+  FleetPlannerOptions options_;
 };
 
 }  // namespace xmem::sched

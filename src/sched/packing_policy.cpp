@@ -59,8 +59,6 @@ class BestFitDecreasingPolicy : public PackingPolicy {
                      });
   }
 
-  bool order_preserving() const override { return false; }
-
   int choose(const std::vector<SlotState>& slots,
              const std::vector<std::int64_t>& demand_bytes) const override {
     int best = -1;

@@ -56,12 +56,6 @@ class PackingPolicy {
   virtual void reorder(std::vector<std::size_t>& order,
                        const std::vector<std::int64_t>& predicted_bytes) const;
 
-  /// True when packing processes jobs in queue order (reorder is the
-  /// identity). The incremental planner places a JobArrival against the
-  /// existing state without disturbing prior placements only for
-  /// order-preserving policies; the others repack from cached estimates.
-  virtual bool order_preserving() const { return true; }
-
   /// Bytes a job with demand `demand_bytes` (predicted peak + headroom)
   /// commits on `slot` if placed there. The whole-gpu baseline overrides
   /// this to the slot's full budget.

@@ -1,18 +1,20 @@
 // FleetPlanner tests: the fleet packing contract (docs/SCHEDULER.md).
 //
 //   * packing invariants — every admitted placement fits its slot budget,
-//     multi-rank jobs land on distinct GPUs, verdict counts add up;
+//     multi-rank jobs land on distinct GPUs, verdict counts add up, and
+//     fleet percentages stay in range on 2^50-byte cards up to the
+//     kMaxFleetGpus limit;
 //   * best-fit-decreasing admits at least as many jobs as first-fit on an
 //     identical fleet (and whole-gpu admits at most as many as either);
 //   * profile-once at fleet scale: a 200-job queue drawn from 5 archetypes
 //     runs exactly 5 CPU profiles;
 //   * serial and ThreadPool-fanned packs render byte-identical reports;
-//   * apply(JobArrival/JobFinish) equals a fresh pack of the final queue —
-//     both the one-slot fast path and the full-repack path;
+//   * a planner reused across requests packs each as a fresh planner would:
+//     no archetype leaks from one request into the next;
 //   * what-if deltas: admitted_delta/newly_admitted arithmetic vs two
 //     independent packs;
-//   * a job past the 2^50-byte replay ceiling is rejected alone, naming the
-//     ceiling, in a pack and in an arrival;
+//   * jobs past the 2^50-byte replay ceiling are rejected alone, naming the
+//     ceiling, with one profile per archetype;
 //   * request JSON round-trips and malformed documents name the bad field;
 //     unknown models are rejected before any profile runs.
 #include <gtest/gtest.h>
@@ -206,6 +208,42 @@ TEST(FleetPack, LimitsAtTheirCapsKeepEveryDemandInRange) {
   }
 }
 
+TEST(FleetPack, PercentagesOfPebibyteCardsStayInRange) {
+  // whole-gpu commits each card's full 2^50-byte budget, so 100 * committed
+  // bytes outgrows int64 long before the fleet is full. 100 jobs on 100
+  // cards commit everything; a fleet at the GPU limit, one job per card,
+  // commits everything too, while predicted bytes stay a sliver of it. The
+  // ASan/UBSan tree aborts on a signed overflow.
+  const gpu::DeviceModel vast{"Vast-1PiB", std::int64_t{1} << 50, 0, 0};
+  const auto whole_gpu_pack = [&vast](int cards) {
+    sched::FleetRequest request;
+    for (int i = 0; i < cards; ++i) {
+      request.jobs.push_back(fleet_job(
+          "j" + std::to_string(i),
+          make_job("distilgpt2", 2, fw::OptimizerKind::kAdamW)));
+    }
+    request.pools = {{vast, cards}};
+    request.policy = "whole-gpu";
+    core::ServiceOptions options;
+    options.threads = 1;
+    core::EstimationService service(options);
+    return service.fleet(request).stats;
+  };
+  const sched::FleetStats hundred = whole_gpu_pack(100);
+  EXPECT_EQ(hundred.admitted, 100);
+  EXPECT_EQ(hundred.committed_pct, 100);
+  EXPECT_EQ(hundred.utilization_pct, 0);
+  EXPECT_EQ(hundred.fragmentation_pct, 0);
+
+  const sched::FleetStats full = whole_gpu_pack(sched::kMaxFleetGpus);
+  EXPECT_EQ(full.gpus_total, sched::kMaxFleetGpus);
+  EXPECT_EQ(full.admitted, sched::kMaxFleetGpus);
+  EXPECT_EQ(full.total_budget_bytes, std::int64_t{sched::kMaxFleetGpus} << 50);
+  EXPECT_EQ(full.committed_pct, 100);
+  EXPECT_EQ(full.utilization_pct, 0);
+  EXPECT_EQ(full.fragmentation_pct, 0);
+}
+
 TEST(FleetPack, PriorityOutranksQueuePosition) {
   // Two gpt2/b8 jobs contend for one 3060; the later, higher-priority job
   // must win the slot.
@@ -324,173 +362,93 @@ TEST(FleetDeterminism, SerialAndThreadedPacksRenderIdentically) {
   EXPECT_EQ(serial_text, threaded_text);
 }
 
-// ---------- incremental apply ----------
+// ---------- one planner, many requests ----------
 
-/// apply() must equal a fresh pack of the final queue, modulo counters
-/// (which exist to prove the reuse) and timings.
+/// The packing outcome of a report, without counters (which record cache
+/// state) and timings.
 std::string packing_fingerprint(const sched::FleetReport& report) {
   util::Json json = report.to_json(/*include_timings=*/false);
   util::Json fingerprint = util::Json::object();
-  for (const char* key : {"policy", "pools", "verdicts", "gpus", "stats"}) {
-    fingerprint[key] = json.at(key);
+  for (const char* key :
+       {"policy", "pools", "verdicts", "gpus", "stats", "what_if"}) {
+    if (json.contains(key)) fingerprint[key] = json.at(key);
   }
   return fingerprint.dump(2);
 }
 
-TEST(FleetApply, TrailingArrivalEqualsFullRepack) {
-  const sched::FleetRequest base = small_request();
-  // Same archetype as "small-0": the arrival is served from the cache.
-  const sched::FleetJob extra = fleet_job(
-      "late", make_job("distilgpt2", 5, fw::OptimizerKind::kSgd), -1);
+TEST(FleetPlannerReuse, EachPackEqualsAFreshPlanner) {
+  // The same queue under two estimation setups: B changes the allocator,
+  // the plan fallback's collective mode and the headroom, so its peaks and
+  // splits differ from A's. A planner that kept A's archetypes would pack B
+  // (or A again) with stale peaks.
+  sched::FleetRequest a = small_request();
+  a.jobs.push_back(fleet_job(
+      "huge", make_job("Qwen3-0.6B", 8, fw::OptimizerKind::kAdamW)));
+  a.pools = {{gpu::rtx3060(), 6}};  // "huge" splits three ways
+  a.max_gpus_per_job = 4;
+  a.allocator = "pytorch";
+  a.what_if = {{gpu::rtx4060(), 1}};
+  sched::FleetRequest b = a;
+  b.allocator = "tf-bfc";
+  b.comm_overlap = true;
+  b.headroom.base = {std::int64_t{1} << 28, 12};
 
-  core::EstimationService incremental_service;
-  sched::FleetPlanner planner(incremental_service);
-  planner.pack(base);
-  const sched::FleetReport incremental = planner.apply(sched::JobArrival{extra});
-
-  sched::FleetRequest full = base;
-  full.jobs.push_back(extra);
-  core::EstimationService fresh_service;
-  const sched::FleetReport repacked = fresh_service.fleet(full);
-
-  EXPECT_EQ(packing_fingerprint(incremental), packing_fingerprint(repacked));
-  // first-fit is order-preserving and "late" sorts last: the fast path
-  // placed one job into one pool instead of repacking both.
-  EXPECT_EQ(incremental.counters.profiles_run, 0u);
-  EXPECT_LE(incremental.counters.pools_repacked, 1u);
-}
-
-TEST(FleetApply, HighPriorityArrivalForcesRepackAndStillMatches) {
-  const sched::FleetRequest base = small_request();
-  const sched::FleetJob vip = fleet_job(
-      "vip", make_job("gpt2", 8, fw::OptimizerKind::kAdamW), 99);
-
-  core::EstimationService incremental_service;
-  sched::FleetPlanner planner(incremental_service);
-  planner.pack(base);
-  const sched::FleetReport incremental = planner.apply(sched::JobArrival{vip});
-
-  sched::FleetRequest full = base;
-  full.jobs.push_back(vip);
-  core::EstimationService fresh_service;
-  const sched::FleetReport repacked = fresh_service.fleet(full);
-
-  EXPECT_EQ(packing_fingerprint(incremental), packing_fingerprint(repacked));
-  EXPECT_EQ(incremental.counters.profiles_run, 0u);  // archetype cached
-  EXPECT_EQ(incremental.counters.pools_repacked, 2u);
-}
-
-TEST(FleetApply, FinishFreesTheSlotAndMatchesFreshPack) {
-  const sched::FleetRequest base = small_request();
-
-  core::EstimationService incremental_service;
-  sched::FleetPlanner planner(incremental_service);
-  planner.pack(base);
-  const sched::FleetReport incremental =
-      planner.apply(sched::JobFinish{"big-0"});
-
-  sched::FleetRequest remaining = base;
-  remaining.jobs.erase(remaining.jobs.begin());  // big-0 is first
-  core::EstimationService fresh_service;
-  const sched::FleetReport repacked = fresh_service.fleet(remaining);
-
-  EXPECT_EQ(packing_fingerprint(incremental), packing_fingerprint(repacked));
-  EXPECT_EQ(incremental.counters.profiles_run, 0u);
-  EXPECT_EQ(incremental.counters.estimates_reused, 3u);
-}
-
-TEST(FleetApply, RejectsDuplicateAndUnknownIdsAndPackless) {
   core::EstimationService service;
   sched::FleetPlanner planner(service);
-  const sched::FleetJob job =
-      fleet_job("a", make_job("distilgpt2", 5, fw::OptimizerKind::kAdamW));
-  EXPECT_THROW(planner.apply(sched::JobArrival{job}), std::logic_error);
-
-  sched::FleetRequest request;
-  request.jobs = {job};
-  request.pools = {{gpu::rtx3060(), 1}};
-  planner.pack(request);
-  EXPECT_THROW(planner.apply(sched::JobArrival{job}), std::invalid_argument);
-  EXPECT_THROW(planner.apply(sched::JobFinish{"ghost"}),
-               std::invalid_argument);
-}
-
-TEST(FleetApply, FailedArrivalLeavesThePlannerUnchanged) {
-  // A bad arrival throws before the planner's state changes: a later good
-  // arrival and its finish still equal a fresh pack of the final queue.
-  const sched::FleetRequest base = small_request();
-  core::EstimationService incremental_service;
-  sched::FleetPlanner planner(incremental_service);
-  planner.pack(base);
-
-  sched::JobArrival bad;
-  bad.job.job = make_job("distilgpt2", 0, fw::OptimizerKind::kSgd);
-  EXPECT_THROW(planner.apply(bad), std::invalid_argument);
-  bad.job.job = make_job("no-such-model", 5, fw::OptimizerKind::kSgd);
-  EXPECT_THROW(planner.apply(bad), std::invalid_argument);
-
-  sched::JobArrival good;
-  good.job.job = make_job("gpt2", 8, fw::OptimizerKind::kAdamW);
-  const sched::FleetReport arrived = planner.apply(good);
-  ASSERT_EQ(arrived.verdicts.size(), base.jobs.size() + 1);
-  // Auto ids continue from the pack: the failed arrivals consumed none.
-  EXPECT_EQ(arrived.verdicts.back().id, "job-4");
-  const sched::FleetReport finished =
-      planner.apply(sched::JobFinish{arrived.verdicts.back().id});
-
-  core::EstimationService fresh_service;
-  EXPECT_EQ(packing_fingerprint(finished),
-            packing_fingerprint(fresh_service.fleet(base)));
+  for (const sched::FleetRequest* request : {&a, &b, &a}) {
+    const sched::FleetReport reused = planner.pack(*request);
+    core::EstimationService fresh_service;
+    sched::FleetPlanner fresh(fresh_service);
+    EXPECT_EQ(packing_fingerprint(reused),
+              packing_fingerprint(fresh.pack(*request)))
+        << "allocator " << request->allocator;
+  }
+  // The two setups really estimate differently, the split included.
+  core::EstimationService check_service;
+  const sched::FleetReport a_report = check_service.fleet(a);
+  const sched::FleetReport b_report = check_service.fleet(b);
+  ASSERT_EQ(a_report.verdicts.back().verdict, sched::Verdict::kAdmit);
+  ASSERT_EQ(b_report.verdicts.back().verdict, sched::Verdict::kAdmit);
+  EXPECT_EQ(a_report.counters.plans_run, 1u);
+  EXPECT_NE(a_report.verdicts.back().predicted_peak,
+            b_report.verdicts.back().predicted_peak);
+  EXPECT_NE(a_report.verdicts[0].predicted_peak,
+            b_report.verdicts[0].predicted_peak);
 }
 
 TEST(FleetCeiling, JobPastTheReplayCeilingIsRejectedAlone) {
   // distilgpt2 with AdamW at batch 2^24 outgrows the 2^50-byte replay, so
-  // it has no estimate. The fleet rejects that job with the ceiling
-  // message and packs the rest, in a pack and in an arrival alike.
+  // it has no estimate. The fleet rejects both jobs of that archetype with
+  // the ceiling message, from one sweep, and packs the rest.
   const std::string ceiling =
       "replay: the job needs more than the 1125899906842624-byte replay "
       "capacity (2^50); its peak cannot be estimated";
-  const sched::FleetJob small =
-      fleet_job("small", make_job("distilgpt2", 10, fw::OptimizerKind::kAdamW));
-  const sched::FleetJob huge = fleet_job(
-      "huge", make_job("distilgpt2", 1 << 24, fw::OptimizerKind::kAdamW));
+  const core::TrainJob huge =
+      make_job("distilgpt2", 1 << 24, fw::OptimizerKind::kAdamW);
   sched::FleetRequest request;
-  request.jobs = {small, huge};
+  request.jobs = {
+      fleet_job("small",
+                make_job("distilgpt2", 10, fw::OptimizerKind::kAdamW)),
+      fleet_job("huge", huge),
+      fleet_job("huge-again", huge),
+  };
   request.pools = {{gpu::rtx3060(), 1}};
 
   core::EstimationService service;
   sched::FleetPlanner planner(service);
   const sched::FleetReport packed = planner.pack(request);
-  ASSERT_EQ(packed.verdicts.size(), 2u);
+  ASSERT_EQ(packed.verdicts.size(), 3u);
   EXPECT_EQ(packed.verdicts[0].verdict, sched::Verdict::kAdmit);
-  EXPECT_EQ(packed.verdicts[1].verdict, sched::Verdict::kReject);
-  EXPECT_EQ(packed.verdicts[1].reason, ceiling);
+  for (const std::size_t i : {1u, 2u}) {
+    EXPECT_EQ(packed.verdicts[i].verdict, sched::Verdict::kReject);
+    EXPECT_EQ(packed.verdicts[i].reason, ceiling);
+  }
   EXPECT_EQ(packed.stats.admitted, 1);
-  EXPECT_EQ(packed.stats.rejected, 1);
-
-  // Another huge job arrives: rejected from the cached archetype without a
-  // second sweep, and the small job keeps its GPU.
-  sched::FleetJob again = huge;
-  again.id = "huge-again";
-  const sched::FleetReport arrived = planner.apply(sched::JobArrival{again});
-  ASSERT_EQ(arrived.verdicts.size(), 3u);
-  EXPECT_EQ(arrived.verdicts[0].verdict, sched::Verdict::kAdmit);
-  EXPECT_EQ(arrived.verdicts[2].verdict, sched::Verdict::kReject);
-  EXPECT_EQ(arrived.verdicts[2].reason, ceiling);
-  EXPECT_EQ(arrived.counters.profiles_run, 0u);
-  EXPECT_EQ(arrived.counters.replays_run, 0u);
-
-  // The same through an arrival onto a fleet that has only the small job.
-  sched::FleetRequest only_small = request;
-  only_small.jobs = {small};
-  core::EstimationService fresh_service;
-  sched::FleetPlanner incremental(fresh_service);
-  incremental.pack(only_small);
-  const sched::FleetReport late = incremental.apply(sched::JobArrival{huge});
-  ASSERT_EQ(late.verdicts.size(), 2u);
-  EXPECT_EQ(late.verdicts[1].verdict, sched::Verdict::kReject);
-  EXPECT_EQ(late.verdicts[1].reason, ceiling);
-  EXPECT_EQ(packing_fingerprint(late), packing_fingerprint(packed));
+  EXPECT_EQ(packed.stats.rejected, 2);
+  EXPECT_EQ(packed.stats.distinct_jobs, 2);
+  EXPECT_EQ(packed.counters.estimates_reused, 1u);
+  // One profile per archetype: the second huge job ran none of its own.
+  EXPECT_EQ(service.session().misses(), 2u);
 }
 
 // ---------- what-if ----------
@@ -601,14 +559,6 @@ TEST(FleetRequestJson, UnknownModelIsRejectedBeforeAnyProfile) {
     EXPECT_NE(what.find("jobs[0]"), std::string::npos) << what;
   }
   EXPECT_EQ(service.session().size(), 0u) << "a profile ran before validation";
-
-  // Incremental arrivals are held to the same rule.
-  request.jobs.erase(request.jobs.begin());
-  planner.pack(request);
-  sched::JobArrival arrival;
-  arrival.job = fleet_job(
-      "late", make_job("no-such-model", 5, fw::OptimizerKind::kSgd));
-  EXPECT_THROW(planner.apply(arrival), std::invalid_argument);
 }
 
 TEST(FleetRequestJson, UnknownPolicyAndDuplicateIdsAreRejected) {

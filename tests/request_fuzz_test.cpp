@@ -66,7 +66,7 @@ const std::map<std::string, IntRange>& int_keys() {
       {"activation_replication_pct", {0, 100, true}},
       {"batch", {1, kInt32Max, false}},
       {"capacity_bytes", {1, kMaxBytes, true}},
-      {"count", {1, kInt32Max, false}},
+      {"count", {1, sched::kMaxFleetGpus, true}},
       {"ddp_bucket_bytes", {0, kMaxBytes, true}},
       {"ddp_bucket_count", {0, kMaxBuckets, true}},
       {"m_fm_bytes", {0, kMaxBytes, true}},

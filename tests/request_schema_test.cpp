@@ -91,6 +91,7 @@ TEST(RejectionPins, BadFixtures) {
       {"bad_backend_config.json", "sweep"},
       {"bad_fleet.json", "fleet"},
       {"bad_fleet_model.json", "fleet"},
+      {"bad_fleet_pool_count.json", "fleet"},
       {"bad_malformed.json", "sweep"},
       {"bad_missing_field.json", "sweep"},
       {"bad_overlap.json", "plan"},
@@ -104,6 +105,7 @@ TEST(RejectionPins, BadFixtures) {
       "request allocator_config.cub-binned: cub-binned: malformed bin config: max_bin (5) must be >= min_bin (20)",
       "fleet request pools[0]: \"count\" must be >= 1",
       "fleet request jobs[0] job: \"model\" names unknown model 'no-such-model' " KNOWN_MODELS,
+      "fleet request pools[0]: \"count\" must be <= 4096",
       "unexpected end of input at offset 47",
       "request: missing \"devices\"",
       "plan request: \"comm_overlap\" must be a boolean",
@@ -285,6 +287,14 @@ TEST(RejectionPins, Fleet) {
        "fleet request pools[0]: missing \"device\""},
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx3060"}]})",
        "fleet request pools[0]: missing \"count\""},
+      {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx3060", "count": 4097}]})",
+       "fleet request pools[0]: \"count\" must be <= 4096"},
+      {"fleet",
+       R"({)" JOBS R"(, "pools": [{"device": "rtx3060", "count": 4000},
+                  {"device": "a100", "count": 96}],
+           "what_if": [{"device": "rtx4060", "count": 1}]})",
+       "fleet request: pools and what_if hold 4097 GPUs; one request may "
+       "name at most 4096"},
       {"fleet", R"({)" JOBS R"(, "pools": [{"device": "rtx9999", "count": 1}]})",
        "fleet request pools[0]: \"device\" names unknown device 'rtx9999' (known: rtx3060, rtx4060, a100)"},
       {"fleet",
@@ -481,6 +491,15 @@ TEST(RequestTypes, CxxFleetRequestsGetTheDocumentMessages) {
   request.what_if = {{gpu::a100_40gb(), 0}};
   EXPECT_EQ(pack_error(request),
             "fleet request what_if[0]: \"count\" must be >= 1");
+  request.pools[0].count = sched::kMaxFleetGpus + 1;
+  request.what_if.clear();
+  EXPECT_EQ(pack_error(request),
+            "fleet request pools[0]: \"count\" must be <= 4096");
+  request.pools[0].count = sched::kMaxFleetGpus;
+  request.what_if = {{gpu::a100_40gb(), 1}};
+  EXPECT_EQ(pack_error(request),
+            "fleet request: pools and what_if hold 4097 GPUs; one request "
+            "may name at most 4096");
 }
 
 TEST(RequestTypes, CxxSweepsCheckProfileIterationsBeforeProfiling) {
