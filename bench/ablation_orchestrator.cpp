@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/xmem_estimator.h"
+#include "core/estimation_service.h"
 #include "eval_scope.h"
 #include "eval/report.h"
 #include "gpu/ground_truth.h"
@@ -38,11 +38,7 @@ int main(int argc, char** argv) {
       {"ResNet152", 300, fw::OptimizerKind::kAdamW},
       {"opt-350m", 5, fw::OptimizerKind::kSgd},
   };
-  core::XMemOptions on;
-  core::XMemOptions off;
-  off.orchestrate = false;
-  core::XMemEstimator with_orch(on);
-  core::XMemEstimator without_orch(off);
+  core::EstimationService service;
   gpu::GroundTruthRunner runner;
 
   std::vector<double> errors_on, errors_off;
@@ -63,8 +59,8 @@ int main(int argc, char** argv) {
     const auto truth = runner.run(model, c.optimizer, gpu::rtx3060(), gt);
     if (truth.oom) continue;
 
-    const auto est_on = with_orch.estimate(job, gpu::rtx3060());
-    const auto est_off = without_orch.estimate(job, gpu::rtx3060());
+    const auto est_on = service.estimate("xMem", job, gpu::rtx3060());
+    const auto est_off = service.estimate("xMem-noOrch", job, gpu::rtx3060());
     const auto err = [&](std::int64_t estimate) {
       return 100.0 *
              std::abs(static_cast<double>(estimate - truth.peak_job_bytes)) /

@@ -10,7 +10,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "core/xmem_estimator.h"
+#include "core/profile_session.h"
+#include "core/simulator.h"
 #include "gpu/ground_truth.h"
 #include "models/zoo.h"
 #include "util/bytes.h"
@@ -28,6 +29,7 @@ int main() {
       {"ConvNeXtBase", 500, fw::OptimizerKind::kAdamW},
   };
   const gpu::DeviceModel device = gpu::rtx3060();
+  core::ProfileSession session;
   std::printf("Figure 6: real vs simulated segment usage (device: %s)\n\n",
               device.name.c_str());
 
@@ -41,14 +43,17 @@ int main() {
     const gpu::GroundTruthResult real =
         runner.run(model, w.optimizer, device, gt_options);
 
-    // Simulated: the full xMem pipeline with curve output.
+    // Simulated: the xMem profile prefix, replayed with curve output.
     core::TrainJob job;
     job.model_name = w.model;
     job.batch_size = w.batch;
     job.optimizer = w.optimizer;
     job.seed = 33;
-    core::XMemEstimator estimator;
-    const auto artifacts = estimator.run_pipeline(job, /*record_series=*/true);
+    core::SimulationOptions sim_options;
+    sim_options.record_series = true;
+    const core::SimulationResult simulation = core::MemorySimulator().replay(
+        session.get(core::ProfileKey::of(job)).artifacts->orchestration.sequence,
+        sim_options);
 
     std::printf("%s (batch %d, %s):\n", w.model, w.batch,
                 to_string(w.optimizer));
@@ -57,7 +62,7 @@ int main() {
       continue;
     }
     // Tensor-sum lower bound (Horus-style): peak of live tensor bytes.
-    const std::int64_t tensor_sum_peak = artifacts.simulation.peak_allocated;
+    const std::int64_t tensor_sum_peak = simulation.peak_allocated;
 
     std::printf("  real  segment curve |%s| peak %s\n",
                 benchutil::sparkline(
@@ -66,15 +71,15 @@ int main() {
                 util::format_bytes(real.peak_reserved_exact).c_str());
     std::printf("  sim   segment curve |%s| peak %s\n",
                 benchutil::sparkline(benchutil::downsample_max(
-                                         artifacts.simulation.reserved_series,
+                                         simulation.reserved_series,
                                          72))
                     .c_str(),
-                util::format_bytes(artifacts.simulation.peak_reserved).c_str());
+                util::format_bytes(simulation.peak_reserved).c_str());
     const double correlation = benchutil::curve_correlation(
-        real.reserved_series, artifacts.simulation.reserved_series);
+        real.reserved_series, simulation.reserved_series);
     const double peak_error =
         100.0 *
-        std::abs(static_cast<double>(artifacts.simulation.peak_reserved -
+        std::abs(static_cast<double>(simulation.peak_reserved -
                                      real.peak_reserved_exact)) /
         static_cast<double>(real.peak_reserved_exact);
     std::printf("  curve correlation %.3f; segment-peak error %.2f%%\n",

@@ -15,7 +15,6 @@
 #include "core/profile_session.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
-#include "core/xmem_estimator.h"
 #include "models/zoo.h"
 
 namespace {
@@ -120,12 +119,12 @@ BENCHMARK(BM_ProfilePipeline);
 
 void BM_EndToEndEstimate(benchmark::State& state) {
   // Fresh session every iteration: the full profile->analyze->orchestrate->
-  // simulate pipeline, i.e. the pre-service cost of every what-if question.
-  const core::TrainJob job = test_job();
-  const gpu::DeviceModel device = gpu::rtx3060();
+  // simulate pipeline, i.e. the cost of a never-seen what-if question.
+  const core::ProfileKey key = core::ProfileKey::of(test_job());
   for (auto _ : state) {
-    core::XMemEstimator estimator;
-    benchmark::DoNotOptimize(estimator.estimate(job, device));
+    core::ProfileSession session;
+    benchmark::DoNotOptimize(core::MemorySimulator().replay(
+        session.get(key).artifacts->orchestration.sequence));
   }
 }
 BENCHMARK(BM_EndToEndEstimate);

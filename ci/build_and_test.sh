@@ -46,6 +46,9 @@
 # that is not JSON (bad_malformed.json) never reaches the daemon: the
 # client fails to parse it with the offline message (exit 1).
 #
+# The listings step diffs the output of `xmem estimators`, `xmem backends`
+# and `xmem policies` against ci/fixtures/listings.txt.
+#
 # The link audit builds `<build-dir>-audit` with -ffunction-sections
 # -fdata-sections and -Wl,--gc-sections and fails when a global function of
 # libxmem.a reaches no linked executable (ci/link_audit.sh, allow-list in
@@ -166,9 +169,32 @@ if ! bash "${REPO_ROOT}/bench/perf/run.sh" --smoke; then
   GOLDEN_FAILED=1
 fi
 
-# --- xmem sweep smoke ------------------------------------------------------
+# --- registry listings -----------------------------------------------------
+# `xmem estimators`, `xmem backends` and `xmem policies` print fixed tables;
+# ci/fixtures/listings.txt pins the names and descriptions users see.
 
 FIXTURE_DIR="${REPO_ROOT}/ci/fixtures"
+listings_golden="${FIXTURE_DIR}/listings.txt"
+listings_actual="$(mktemp)"
+for listing in estimators backends policies; do
+  echo "\$ xmem ${listing}"
+  "${BUILD_DIR}/src/xmem_cli" "${listing}"
+done > "${listings_actual}"
+if [[ "${UPDATE_GOLDENS}" == "1" ]]; then
+  cp "${listings_actual}" "${listings_golden}"
+  echo "updated ${listings_golden}"
+elif ! diff -u "${listings_golden}" "${listings_actual}" > /dev/null; then
+  echo "LISTINGS MISMATCH: a registry name or description changed" >&2
+  diff -u "${listings_golden}" "${listings_actual}" >&2 || true
+  echo "If intentional, regenerate: ci/build_and_test.sh --update-goldens" >&2
+  GOLDEN_FAILED=1
+else
+  echo "listings ok"
+fi
+rm -f "${listings_actual}"
+
+# --- xmem sweep smoke ------------------------------------------------------
+
 sweep_golden="${FIXTURE_DIR}/sweep_report.json"
 sweep_actual="$(mktemp)"
 "${BUILD_DIR}/src/xmem_cli" sweep "${FIXTURE_DIR}/sweep_request.json" \

@@ -20,7 +20,6 @@
 
 #include "core/distributed_planner.h"
 #include "core/estimation_service.h"
-#include "core/xmem_estimator.h"
 #include "models/zoo.h"
 #include "util/bytes.h"
 
@@ -87,11 +86,8 @@ int main(int argc, char** argv) {
 
   // The analytic slices the hybrid model composes, for context: what pure
   // DP costs per ZeRO stage at the full budget.
-  const core::ProfileSession::Lookup lookup = service.session().get(
-      [&] {
-        core::XMemEstimator key_builder;
-        return key_builder.profile_key(request.job);
-      }());
+  const core::ProfileSession::Lookup lookup =
+      service.session().get(core::ProfileKey::of(request.job));
   const auto profiles =
       core::per_component_profile(lookup.artifacts->analysis.timeline);
   core::DistributedPlanner planner;

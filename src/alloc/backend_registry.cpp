@@ -10,15 +10,11 @@
 #include "alloc/tf_bfc_allocator.h"
 #include "baselines/basic_bfc.h"
 #include "util/json.h"
+#include "util/name_table.h"
 
 namespace xmem::alloc {
 
 namespace {
-
-struct Entry {
-  std::string description;
-  BackendFactory factory;
-};
 
 /// Reject knob names the backend does not accept; the message lists what it
 /// does accept (or says "takes no knobs") so a typo in a JSON config fails
@@ -52,130 +48,116 @@ std::int64_t knob_or(const BackendKnobs& knobs, const char* name,
   return it == knobs.end() ? fallback : it->second;
 }
 
-std::map<std::string, Entry>& registry() {
-  static std::map<std::string, Entry> entries = {
-      {"pytorch",
-       {"CUDACachingAllocator port: 512 B rounding, 2/20 MiB buffers, "
-        "split/coalesce, cached-segment reclaim (paper §3.4)",
-        [](SimulatedCudaDriver& driver,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("pytorch", knobs, {});
-          return std::make_unique<CachingAllocatorSim>(driver);
-        }}},
-      {"pytorch-expandable",
-       {"Caching allocator with expandable segments: page-granular segment "
-        "growth, max_split_size splitting cap "
-        "(knobs: page_bytes, max_split_size_bytes)",
-        [](SimulatedCudaDriver& driver,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("pytorch-expandable", knobs,
-                           {"page_bytes", "max_split_size_bytes"});
-          ExpandableConfig config;
-          config.page_bytes = knob_or(knobs, "page_bytes", config.page_bytes);
-          config.max_split_size_bytes =
-              knob_or(knobs, "max_split_size_bytes",
-                      config.max_split_size_bytes);
-          return std::make_unique<ExpandableSegmentsAllocator>(driver, config);
-        }}},
-      {"tf-bfc",
-       {"TensorFlow-style BFC: 256 B rounding, doubling regions never "
-        "returned to the device (§6.4(ii))",
-        [](SimulatedCudaDriver& driver,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("tf-bfc", knobs, {});
-          return std::make_unique<TfBfcAllocator>(driver);
-        }}},
-      {"basic-bfc",
-       {"DNNMem's single-level BFC over an unbounded arena: no driver, no "
-        "caching policy, never OOMs",
-        [](SimulatedCudaDriver&,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("basic-bfc", knobs, {});
-          return std::make_unique<baselines::BasicBfcAllocator>();
-        }}},
-      {"cub-binned",
-       {"CUB CachingDeviceAllocator-style geometric bins with a bounded "
-        "block cache "
-        "(knobs: bin_growth, min_bin, max_bin, max_cached_bytes)",
-        [](SimulatedCudaDriver& driver,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("cub-binned", knobs,
-                           {"bin_growth", "min_bin", "max_bin",
-                            "max_cached_bytes"});
-          CubConfig config;
-          config.bin_growth = knob_or(knobs, "bin_growth", config.bin_growth);
-          config.min_bin = knob_or(knobs, "min_bin", config.min_bin);
-          config.max_bin = knob_or(knobs, "max_bin", config.max_bin);
-          config.max_cached_bytes =
-              knob_or(knobs, "max_cached_bytes", config.max_cached_bytes);
-          return std::make_unique<CubBinnedAllocator>(driver, config);
-        }}},
-      {"stream-pool",
-       {"cudaMallocAsync-style stream-ordered pool with release-threshold "
-        "trimming (knobs: release_threshold_bytes, chunk_bytes)",
-        [](SimulatedCudaDriver& driver,
-           const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
-          check_knob_names("stream-pool", knobs,
-                           {"release_threshold_bytes", "chunk_bytes"});
-          StreamPoolConfig config;
-          config.release_threshold_bytes =
-              knob_or(knobs, "release_threshold_bytes",
-                      config.release_threshold_bytes);
-          config.chunk_bytes =
-              knob_or(knobs, "chunk_bytes", config.chunk_bytes);
-          return std::make_unique<StreamPoolAllocator>(driver, config);
-        }}},
-  };
-  return entries;
-}
+using Factory = std::unique_ptr<fw::AllocatorBackend> (*)(SimulatedCudaDriver&,
+                                                     const BackendKnobs&);
+
+/// The backends, sorted by name: backend_names() and the unknown-name
+/// message list them in this order.
+struct Entry {
+  const char* name;
+  const char* description;
+  Factory make;
+};
+
+constexpr Entry kBackends[] = {
+    {"basic-bfc",
+     "DNNMem's single-level BFC over an unbounded arena: no driver, no "
+     "caching policy, never OOMs",
+     [](SimulatedCudaDriver&,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("basic-bfc", knobs, {});
+       return std::make_unique<baselines::BasicBfcAllocator>();
+     }},
+    {"cub-binned",
+     "CUB CachingDeviceAllocator-style geometric bins with a bounded "
+     "block cache "
+     "(knobs: bin_growth, min_bin, max_bin, max_cached_bytes)",
+     [](SimulatedCudaDriver& driver,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("cub-binned", knobs,
+                        {"bin_growth", "min_bin", "max_bin",
+                         "max_cached_bytes"});
+       CubConfig config;
+       config.bin_growth = knob_or(knobs, "bin_growth", config.bin_growth);
+       config.min_bin = knob_or(knobs, "min_bin", config.min_bin);
+       config.max_bin = knob_or(knobs, "max_bin", config.max_bin);
+       config.max_cached_bytes =
+           knob_or(knobs, "max_cached_bytes", config.max_cached_bytes);
+       return std::make_unique<CubBinnedAllocator>(driver, config);
+     }},
+    {"pytorch",
+     "CUDACachingAllocator port: 512 B rounding, 2/20 MiB buffers, "
+     "split/coalesce, cached-segment reclaim (paper §3.4)",
+     [](SimulatedCudaDriver& driver,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("pytorch", knobs, {});
+       return std::make_unique<CachingAllocatorSim>(driver);
+     }},
+    {"pytorch-expandable",
+     "Caching allocator with expandable segments: page-granular segment "
+     "growth, max_split_size splitting cap "
+     "(knobs: page_bytes, max_split_size_bytes)",
+     [](SimulatedCudaDriver& driver,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("pytorch-expandable", knobs,
+                        {"page_bytes", "max_split_size_bytes"});
+       ExpandableConfig config;
+       config.page_bytes = knob_or(knobs, "page_bytes", config.page_bytes);
+       config.max_split_size_bytes = knob_or(knobs, "max_split_size_bytes",
+                                             config.max_split_size_bytes);
+       return std::make_unique<ExpandableSegmentsAllocator>(driver, config);
+     }},
+    {"stream-pool",
+     "cudaMallocAsync-style stream-ordered pool with release-threshold "
+     "trimming (knobs: release_threshold_bytes, chunk_bytes)",
+     [](SimulatedCudaDriver& driver,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("stream-pool", knobs,
+                        {"release_threshold_bytes", "chunk_bytes"});
+       StreamPoolConfig config;
+       config.release_threshold_bytes = knob_or(
+           knobs, "release_threshold_bytes", config.release_threshold_bytes);
+       config.chunk_bytes = knob_or(knobs, "chunk_bytes", config.chunk_bytes);
+       return std::make_unique<StreamPoolAllocator>(driver, config);
+     }},
+    {"tf-bfc",
+     "TensorFlow-style BFC: 256 B rounding, doubling regions never "
+     "returned to the device (§6.4(ii))",
+     [](SimulatedCudaDriver& driver,
+        const BackendKnobs& knobs) -> std::unique_ptr<fw::AllocatorBackend> {
+       check_knob_names("tf-bfc", knobs, {});
+       return std::make_unique<TfBfcAllocator>(driver);
+     }},
+};
+static_assert(util::names_sorted(kBackends));
 
 }  // namespace
 
-void register_backend(const std::string& name, const std::string& description,
-                      BackendFactory factory) {
-  if (name.empty()) {
-    throw std::invalid_argument("register_backend: empty name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("register_backend: null factory for " + name);
-  }
-  const auto [it, inserted] =
-      registry().emplace(name, Entry{description, std::move(factory)});
-  if (!inserted) {
-    throw std::invalid_argument("register_backend: duplicate name " + name);
-  }
-}
-
 bool is_known_backend(const std::string& name) {
-  return registry().count(name) > 0;
+  return util::find_name(kBackends, name) != nullptr;
 }
 
 std::vector<std::string> backend_names() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, entry] : registry()) names.push_back(name);
-  return names;  // std::map keeps them sorted
+  for (const Entry& entry : kBackends) names.emplace_back(entry.name);
+  return names;
 }
 
 std::string backend_description(const std::string& name) {
-  const auto it = registry().find(name);
-  return it == registry().end() ? std::string() : it->second.description;
+  const Entry* entry = util::find_name(kBackends, name);
+  return entry != nullptr ? entry->description : std::string();
 }
 
 std::unique_ptr<fw::AllocatorBackend> make_backend(const std::string& name,
                                                    SimulatedCudaDriver& driver,
                                                    const BackendKnobs& knobs) {
-  const auto it = registry().find(name);
-  if (it == registry().end()) {
-    std::string known;
-    for (const auto& n : backend_names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
+  const Entry* entry = util::find_name(kBackends, name);
+  if (entry == nullptr) {
     throw std::invalid_argument("make_backend: unknown backend '" + name +
-                                "' (registered: " + known + ")");
+                                "' (registered: " +
+                                util::joined_names(kBackends) + ")");
   }
-  return it->second.factory(driver, knobs);
+  return entry->make(driver, knobs);
 }
 
 std::unique_ptr<fw::AllocatorBackend> make_backend(

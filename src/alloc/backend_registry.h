@@ -1,9 +1,10 @@
 // Allocator-backend registry: construct any fw::AllocatorBackend by name.
 //
 // The simulator, CLI, benches, and the parity harness all select backends
-// through this factory, so a new allocator model becomes available
-// everywhere by registering one name + factory pair (docs/ALLOCATORS.md
-// walks through it). Built-ins:
+// through this factory. The set is a fixed, name-sorted table in
+// backend_registry.cpp: a new allocator model becomes available everywhere
+// by adding one row (name, description, factory; docs/ALLOCATORS.md walks
+// through it). The backends:
 //
 //   pytorch            — CachingAllocatorSim, the CUDACachingAllocator
 //                        port (§3.4)
@@ -23,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,26 +45,17 @@ inline constexpr const char* kDefaultBackendName = "pytorch";
 /// the backend's documented defaults.
 using BackendKnobs = std::map<std::string, std::int64_t>;
 
-/// Constructs a backend over the given driver. Driverless models (the
-/// unbounded basic-bfc arena) ignore the driver argument.
-using BackendFactory = std::function<std::unique_ptr<fw::AllocatorBackend>(
-    SimulatedCudaDriver&, const BackendKnobs&)>;
-
-/// Register an additional backend. Throws std::invalid_argument on an empty
-/// or already-registered name.
-void register_backend(const std::string& name, const std::string& description,
-                      BackendFactory factory);
-
 bool is_known_backend(const std::string& name);
 
-/// Registered names in sorted order.
+/// The backend names in sorted order.
 std::vector<std::string> backend_names();
 
 /// One-line description for `xmem backends` and docs tooling.
 std::string backend_description(const std::string& name);
 
-/// Construct a backend by name. Throws std::invalid_argument on unknown
-/// names (the message lists what is registered) and on unknown or
+/// Construct a backend by name over `driver` (driverless models, the
+/// unbounded basic-bfc arena, ignore it). Throws std::invalid_argument on
+/// unknown names (the message lists the backends) and on unknown or
 /// out-of-range knobs (the message names the offending knob).
 std::unique_ptr<fw::AllocatorBackend> make_backend(const std::string& name,
                                                    SimulatedCudaDriver& driver,

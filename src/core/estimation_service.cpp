@@ -13,7 +13,6 @@
 #include "core/request_fields.h"
 #include "core/sequence_transform.h"
 #include "core/simulator.h"
-#include "core/xmem_estimator.h"
 #include "util/thread_pool.h"
 
 namespace xmem::core {
@@ -667,16 +666,6 @@ EstimationService::EstimationService(ServiceOptions options)
 
 EstimationService::~EstimationService() = default;
 
-ProfileKey EstimationService::profile_key_for(const TrainJob& job,
-                                              bool orchestrate,
-                                              int profile_iterations) const {
-  XMemOptions options;
-  options.profile_iterations = profile_iterations;
-  options.orchestrate = orchestrate;
-  options.orchestrator_config = options_.orchestrator_config;
-  return XMemEstimator::profile_key(job, options);
-}
-
 Estimator& EstimationService::estimator_instance(const std::string& name) {
   std::lock_guard<std::mutex> lock(impl_->estimators_mutex);
   auto it = impl_->estimators.find(name);
@@ -726,8 +715,8 @@ void EstimationService::run_group(const EstimateRequest& request,
   const bool hit = result_cache_get(key, answer);
   if (!hit && group.session_backed) {
     const ProfileSession::Lookup lookup = session_->get(
-        profile_key_for(request.job, estimator_orchestrates(group.estimator),
-                        request.profile_iterations),
+        ProfileKey::of(request.job, request.profile_iterations,
+                       estimator_orchestrates(group.estimator)),
         request.tenant);
 
     const auto replay_start = std::chrono::steady_clock::now();
@@ -874,8 +863,8 @@ PlanReport EstimationService::plan(const PlanRequest& request) {
   // profile is resident (or in the degenerate all-results-cached case this
   // lookup is the one that runs it), so the search costs ONE profile total.
   const ProfileSession::Lookup lookup = session_->get(
-      profile_key_for(request.job, estimator_orchestrates("xMem"),
-                      request.profile_iterations),
+      ProfileKey::of(request.job, request.profile_iterations,
+                     /*orchestrate=*/true),
       request.tenant);
   ++(lookup.cache_hit ? report.profile_cache_hits : report.profiles_run);
   const std::vector<ComponentProfile> profiles =

@@ -13,10 +13,11 @@
 // answer per replay, keyed without a device, so the same job on new cards
 // is free too.
 //
-// Every estimator goes through the same supports() gate and the same
-// steady-clock wrapper (core/estimator_api.h), so per-entry timings are
-// comparable across backends (RQ4) and an unsupported job yields a
-// supported=false entry, never a bogus peak.
+// "xMem" and "xMem-noOrch" are answered here: a ProfileSession lookup
+// under ProfileKey::of(job, ...) and one replay. Every baseline goes
+// through the same supports() gate and the same steady-clock wrapper
+// (core/estimator_api.h), so an unsupported job yields a supported=false
+// entry, never a bogus peak.
 #pragma once
 
 #include <cstdint>
@@ -302,9 +303,6 @@ struct ServiceOptions {
   /// Bounded LRU of answers: one per session-backed replay, one per entry
   /// of a per-device estimator.
   std::size_t result_cache_capacity = 256;
-  /// Orchestrator configuration for the "xMem" engine ("xMem-noOrch"
-  /// always runs with every rule off).
-  OrchestratorConfig orchestrator_config;
   /// Share a ProfileSession across services/estimators; null = own one.
   std::shared_ptr<ProfileSession> session;
 };
@@ -374,8 +372,6 @@ class EstimationService {
   /// filled from it, each device with its own verdict.
   void run_group(const EstimateRequest& request, EntryGroup& group,
                  std::vector<EstimateEntry>& entries);
-  ProfileKey profile_key_for(const TrainJob& job, bool orchestrate,
-                             int profile_iterations) const;
   Estimator& estimator_instance(const std::string& name);
 
   bool result_cache_get(const std::string& key, EstimateEntry& out);

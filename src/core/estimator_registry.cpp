@@ -1,115 +1,96 @@
 #include "core/estimator_registry.h"
 
-#include <map>
 #include <stdexcept>
 
 #include "baselines/dnnmem.h"
 #include "baselines/llmem.h"
 #include "baselines/schedtune.h"
-#include "core/xmem_estimator.h"
+#include "util/name_table.h"
 
 namespace xmem::core {
 
 namespace {
 
+/// The estimators, sorted by name: estimator_names() and the unknown-name
+/// message list them in this order.
 struct Entry {
-  std::string description;
-  EstimatorFactory factory;
-  bool session_backed = false;
-  bool orchestrate = true;
+  const char* name;
+  const char* description;
+  /// Null for the session-backed engines.
+  std::unique_ptr<Estimator> (*make)();
+  /// Orchestrator rules for a session-backed engine.
+  bool orchestrate;
 };
 
-std::map<std::string, Entry>& registry() {
-  static std::map<std::string, Entry> entries = {
-      {"xMem",
-       {"full dynamic-analysis pipeline: CPU profile -> Analyzer -> "
-        "Orchestrator -> two-level simulator replay (Figure 4)",
-        [] { return std::make_unique<XMemEstimator>(); },
-        /*session_backed=*/true, /*orchestrate=*/true}},
-      {"xMem-noOrch",
-       {"ablation: raw CPU lifecycles straight into the simulator "
-        "(Orchestrator rules off, §3.3)",
-        [] {
-          XMemOptions options;
-          options.orchestrate = false;
-          return std::make_unique<XMemEstimator>(options);
-        },
-        /*session_backed=*/true, /*orchestrate=*/false}},
-      {"DNNMem",
-       {"static-analysis baseline: computation-graph walk through a basic "
-        "BFC allocator (§5.1 reimplementation)",
-        [] { return std::make_unique<baselines::DnnMemEstimator>(); }}},
-      {"SchedTune",
-       {"data-driven baseline: boosted trees over model/hardware features, "
-        "trained on pre-2021 history (§5.2 reimplementation)",
-        [] { return std::make_unique<baselines::SchedTuneEstimator>(); }}},
-      {"LLMem",
-       {"direct-GPU-measurement baseline: probe runs + linear "
-        "extrapolation; CausalLM only (§5.3 reimplementation)",
-        [] { return std::make_unique<baselines::LLMemEstimator>(); }}},
-  };
-  return entries;
+template <typename Baseline>
+std::unique_ptr<Estimator> make() {
+  return std::make_unique<Baseline>();
 }
+
+constexpr Entry kEstimators[] = {
+    {"DNNMem",
+     "static-analysis baseline: computation-graph walk through a basic "
+     "BFC allocator (§5.1 reimplementation)",
+     make<baselines::DnnMemEstimator>, true},
+    {"LLMem",
+     "direct-GPU-measurement baseline: probe runs + linear "
+     "extrapolation; CausalLM only (§5.3 reimplementation)",
+     make<baselines::LLMemEstimator>, true},
+    {"SchedTune",
+     "data-driven baseline: boosted trees over model/hardware features, "
+     "trained on pre-2021 history (§5.2 reimplementation)",
+     make<baselines::SchedTuneEstimator>, true},
+    {"xMem",
+     "full dynamic-analysis pipeline: CPU profile -> Analyzer -> "
+     "Orchestrator -> two-level simulator replay (Figure 4)",
+     nullptr, true},
+    {"xMem-noOrch",
+     "ablation: raw CPU lifecycles straight into the simulator "
+     "(Orchestrator rules off, §3.3)",
+     nullptr, false},
+};
+static_assert(util::names_sorted(kEstimators));
 
 }  // namespace
 
-void register_estimator(const std::string& name,
-                        const std::string& description,
-                        EstimatorFactory factory, bool session_backed,
-                        bool orchestrate) {
-  if (name.empty()) {
-    throw std::invalid_argument("register_estimator: empty name");
-  }
-  if (!factory) {
-    throw std::invalid_argument("register_estimator: null factory for " +
-                                name);
-  }
-  const auto [it, inserted] = registry().emplace(
-      name, Entry{description, std::move(factory), session_backed,
-                  orchestrate});
-  if (!inserted) {
-    throw std::invalid_argument("register_estimator: duplicate name " + name);
-  }
-}
-
 bool is_known_estimator(const std::string& name) {
-  return registry().count(name) > 0;
+  return util::find_name(kEstimators, name) != nullptr;
 }
 
 bool estimator_uses_session(const std::string& name) {
-  const auto it = registry().find(name);
-  return it != registry().end() && it->second.session_backed;
+  const Entry* entry = util::find_name(kEstimators, name);
+  return entry != nullptr && entry->make == nullptr;
 }
 
 bool estimator_orchestrates(const std::string& name) {
-  const auto it = registry().find(name);
-  return it == registry().end() || it->second.orchestrate;
+  const Entry* entry = util::find_name(kEstimators, name);
+  return entry == nullptr || entry->orchestrate;
 }
 
 std::vector<std::string> estimator_names() {
   std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const auto& [name, entry] : registry()) names.push_back(name);
-  return names;  // std::map keeps them sorted
+  for (const Entry& entry : kEstimators) names.emplace_back(entry.name);
+  return names;
 }
 
 std::string estimator_description(const std::string& name) {
-  const auto it = registry().find(name);
-  return it == registry().end() ? std::string() : it->second.description;
+  const Entry* entry = util::find_name(kEstimators, name);
+  return entry != nullptr ? entry->description : std::string();
 }
 
 std::unique_ptr<Estimator> make_estimator(const std::string& name) {
-  const auto it = registry().find(name);
-  if (it == registry().end()) {
-    std::string known;
-    for (const auto& n : estimator_names()) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
+  const Entry* entry = util::find_name(kEstimators, name);
+  if (entry == nullptr) {
     throw std::invalid_argument("make_estimator: unknown estimator '" + name +
-                                "' (registered: " + known + ")");
+                                "' (registered: " +
+                                util::joined_names(kEstimators) + ")");
   }
-  return it->second.factory();
+  if (entry->make == nullptr) {
+    throw std::invalid_argument("make_estimator: '" + name +
+                                "' is answered by the EstimationService "
+                                "(profile session + replay)");
+  }
+  return entry->make();
 }
 
 }  // namespace xmem::core

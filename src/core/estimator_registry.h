@@ -1,11 +1,14 @@
-// Name -> factory registry for estimators, mirroring
-// alloc/backend_registry.h. The EstimationService and xmem_cli resolve
-// estimator names ("xMem", "DNNMem", ...) through it; extensions register
-// their own with register_estimator() and immediately work in sweeps, the
-// eval harness, and the CLI.
+// The estimators, by name: a fixed, name-sorted table (like
+// alloc/backend_registry.h). The EstimationService, the request validator
+// and xmem_cli resolve estimator names ("xMem", "DNNMem", ...) through it;
+// a new estimator is one row in estimator_registry.cpp.
+//
+// "xMem" and "xMem-noOrch" are session-backed: the EstimationService
+// answers them itself with a ProfileSession lookup and one simulator
+// replay (Figure 4), so they have no Estimator class. The three baselines
+// are core::Estimator implementations built by make_estimator().
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,35 +17,23 @@
 
 namespace xmem::core {
 
-using EstimatorFactory = std::function<std::unique_ptr<Estimator>()>;
-
-/// Register a new estimator. Throws std::invalid_argument on duplicate or
-/// empty names and null factories. `session_backed` marks profile-once
-/// engines the EstimationService runs through the shared ProfileSession +
-/// simulator-replay path (allocator fan-out, stage splits); `orchestrate`
-/// selects the Orchestrator rule set for such engines.
-void register_estimator(const std::string& name,
-                        const std::string& description,
-                        EstimatorFactory factory,
-                        bool session_backed = false,
-                        bool orchestrate = true);
-
 bool is_known_estimator(const std::string& name);
 
-/// Whether the service should dispatch this estimator through the
-/// ProfileSession path (false for unknown names).
+/// Whether the service answers this estimator through the ProfileSession
+/// path (false for unknown names).
 bool estimator_uses_session(const std::string& name);
 
 /// Orchestrator rules on/off for session-backed engines (true otherwise).
 bool estimator_orchestrates(const std::string& name);
 
-/// Registered names, sorted.
+/// The estimator names, sorted.
 std::vector<std::string> estimator_names();
 
 std::string estimator_description(const std::string& name);
 
-/// Construct an estimator by name; throws std::invalid_argument listing the
-/// registered names when unknown.
+/// Construct a baseline estimator by name. Throws std::invalid_argument
+/// listing the estimators when `name` is unknown, and for the
+/// session-backed engines, which the EstimationService answers itself.
 std::unique_ptr<Estimator> make_estimator(const std::string& name);
 
 }  // namespace xmem::core

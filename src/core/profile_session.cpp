@@ -8,6 +8,19 @@
 
 namespace xmem::core {
 
+ProfileKey ProfileKey::of(const TrainJob& job, int profile_iterations,
+                          bool orchestrate) {
+  ProfileKey key;
+  key.model_name = job.model_name;
+  key.batch_size = job.batch_size;
+  key.optimizer = job.optimizer;
+  key.placement = job.placement;
+  key.seed = job.seed;
+  key.profile_iterations = profile_iterations;
+  if (!orchestrate) key.orchestrator_config = {false, false, false, false};
+  return key;
+}
+
 std::string ProfileKey::cache_string() const {
   std::string key = model_name;
   key += '/';

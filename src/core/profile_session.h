@@ -31,6 +31,7 @@
 #include <string>
 
 #include "core/analyzer.h"
+#include "core/estimator_api.h"
 #include "core/orchestrator.h"
 #include "fw/types.h"
 #include "trace/trace.h"
@@ -48,6 +49,11 @@ struct ProfileKey {
   int profile_iterations = 3;
   /// Orchestrator rule set actually applied (all-false = the §3.3 ablation).
   OrchestratorConfig orchestrator_config;
+
+  /// The key the service files `job` under: every Orchestrator rule on
+  /// ("xMem") or every rule off ("xMem-noOrch").
+  static ProfileKey of(const TrainJob& job, int profile_iterations = 3,
+                       bool orchestrate = true);
 
   /// Canonical cache-key string, e.g.
   /// "gpt2/AdamW/b8/POS1/s1/it3/rules1111".

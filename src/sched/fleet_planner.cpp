@@ -304,8 +304,9 @@ struct PlanCandidateLite {
 
 struct Archetype {
   bool supported = true;
-  /// Set when the job has no estimate (its replay outgrows the 2^50-byte
-  /// ceiling): the message every job of this archetype is rejected with.
+  /// Set when the job has no estimate (its sweep or its fallback plan
+  /// replays past the 2^50-byte ceiling): the message every job of this
+  /// archetype is rejected with.
   std::string unestimable;
   std::map<std::string, std::int64_t> peak_by_device;
   /// Plan-fallback candidates, computed on the first job that needs them.
@@ -455,20 +456,27 @@ struct Packer {
 
   /// Multi-GPU fallback candidates for one archetype, kept with it. The
   /// search shares the archetype's profile through the session
-  /// (profiles_run stays == distinct_jobs).
+  /// (profiles_run stays == distinct_jobs). A plan past the replay ceiling
+  /// leaves no candidates and marks the archetype unestimable.
   const std::vector<PlanCandidateLite>& plan_for(const core::TrainJob& job,
                                                  FleetCounters& counters) {
     Archetype& archetype = archetypes.at(job_key(job));
     if (archetype.plan.has_value()) return *archetype.plan;
 
+    std::vector<PlanCandidateLite>& candidates = archetype.plan.emplace();
     core::PlanRequest plan = fallback_plan(request);
     plan.job = job;
     plan.devices = devices;
-    const core::PlanReport report = service.plan(plan);
+    core::PlanReport report;
+    try {
+      report = service.plan(plan);
+    } catch (const core::ReplayCeilingError& error) {
+      archetype.unestimable = error.what();
+      return candidates;
+    }
     counters.plans_run += 1;
     counters += report;
 
-    std::vector<PlanCandidateLite>& candidates = archetype.plan.emplace();
     for (const core::PlanCandidate& candidate : report.candidates) {
       if (candidate.plan.gpus <= 1) continue;
       PlanCandidateLite lite;
@@ -501,6 +509,19 @@ struct Packer {
     }
   }
 
+  /// Reject a job whose archetype has no estimate the way every job of it
+  /// is rejected: the ceiling message, no demand.
+  static bool reject_unestimable(const Archetype& archetype,
+                                 JobVerdict& verdict) {
+    if (archetype.unestimable.empty()) return false;
+    verdict.verdict = Verdict::kReject;
+    verdict.predicted_peak = 0;
+    verdict.headroom_bytes = 0;
+    verdict.demand_bytes = 0;
+    verdict.reason = archetype.unestimable;
+    return true;
+  }
+
   /// Place one job against the current slots. Fills `verdict` and commits
   /// into `result` on admit.
   void place_job(const std::vector<GpuPool>& pools,
@@ -512,11 +533,7 @@ struct Packer {
     verdict.label = job.label();
     verdict.priority = fleet_job.priority;
     const Archetype& archetype = archetypes.at(job_key(job));
-    if (!archetype.unestimable.empty()) {
-      verdict.verdict = Verdict::kReject;
-      verdict.reason = archetype.unestimable;
-      return;
-    }
+    if (reject_unestimable(archetype, verdict)) return;
     if (!archetype.supported) {
       verdict.supported = false;
       verdict.verdict = Verdict::kReject;
@@ -588,6 +605,7 @@ struct Packer {
     }
     const std::vector<PlanCandidateLite>& candidates =
         plan_for(job, counters);
+    if (reject_unestimable(archetype, verdict)) return;
     bool any_feasible_empty = false;
     for (const PlanCandidateLite& candidate : candidates) {
       for (std::size_t p = 0; p < pools.size(); ++p) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/name_table.h"
+
 namespace xmem::sched {
 
 void PackingPolicy::reorder(std::vector<std::size_t>& order,
@@ -100,12 +102,7 @@ constexpr Entry kPolicies[] = {
      make<WholeGpuPolicy>},
 };
 
-const Entry* find_policy(const std::string& name) {
-  for (const Entry& entry : kPolicies) {
-    if (name == entry.name) return &entry;
-  }
-  return nullptr;
-}
+static_assert(util::names_sorted(kPolicies));
 
 }  // namespace
 
@@ -116,20 +113,16 @@ std::vector<std::string> packing_policy_names() {
 }
 
 std::string packing_policy_description(const std::string& name) {
-  const Entry* entry = find_policy(name);
+  const Entry* entry = util::find_name(kPolicies, name);
   return entry != nullptr ? entry->description : std::string();
 }
 
 std::unique_ptr<PackingPolicy> make_packing_policy(const std::string& name) {
-  const Entry* entry = find_policy(name);
+  const Entry* entry = util::find_name(kPolicies, name);
   if (entry == nullptr) {
-    std::string known;
-    for (const std::string& policy : packing_policy_names()) {
-      if (!known.empty()) known += ", ";
-      known += policy;
-    }
     throw std::invalid_argument("unknown packing policy '" + name +
-                                "' (known: " + known + ")");
+                                "' (known: " + util::joined_names(kPolicies) +
+                                ")");
   }
   return entry->make();
 }

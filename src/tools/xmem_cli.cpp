@@ -412,26 +412,17 @@ int run_estimate(const Cli& cli, bool verify) {
   return entry.oom_predicted ? 2 : 0;
 }
 
-/// Shared request-file plumbing for the JSON subcommands (`sweep`/`plan`):
-/// read + parse the document, hand it to `respond`, emit the report.
-int run_request_command(const Cli& cli,
-                        util::Json (*respond)(const Cli&, const util::Json&)) {
-  if (cli.request_file.empty()) {
-    std::fprintf(stderr, "%s requires a REQUEST.json file argument\n",
-                 cli.command.c_str());
-    return 1;
-  }
-  std::ifstream in(cli.request_file);
-  if (!in) {
-    std::fprintf(stderr, "cannot open request file: %s\n",
-                 cli.request_file.c_str());
-    return 1;
-  }
+bool read_file(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
   std::ostringstream buffer;
   buffer << in.rdbuf();
+  out = buffer.str();
+  return true;
+}
 
-  const std::string rendered =
-      respond(cli, util::Json::parse(buffer.str())).dump(2);
+/// The one writer of a rendered report: stdout, or `--out FILE`.
+int emit_result(const Cli& cli, const std::string& rendered) {
   if (cli.out_file.empty()) {
     std::printf("%s\n", rendered.c_str());
   } else {
@@ -443,6 +434,25 @@ int run_request_command(const Cli& cli,
     out << rendered << "\n";
   }
   return 0;
+}
+
+/// Shared request-file plumbing for the JSON subcommands
+/// (`sweep`/`plan`/`fleet`): read + parse the document, hand it to
+/// `respond`, emit the report.
+int run_request_command(const Cli& cli,
+                        util::Json (*respond)(const Cli&, const util::Json&)) {
+  if (cli.request_file.empty()) {
+    std::fprintf(stderr, "%s requires a REQUEST.json file argument\n",
+                 cli.command.c_str());
+    return 1;
+  }
+  std::string text;
+  if (!read_file(cli.request_file, text)) {
+    std::fprintf(stderr, "cannot open request file: %s\n",
+                 cli.request_file.c_str());
+    return 1;
+  }
+  return emit_result(cli, respond(cli, util::Json::parse(text)).dump(2));
 }
 
 util::Json respond_sweep(const Cli& cli, const util::Json& document) {
@@ -520,29 +530,6 @@ int run_serve(const Cli& cli) {
 }
 
 // --- request ----------------------------------------------------------------
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
-int emit_result(const Cli& cli, const std::string& rendered) {
-  if (cli.out_file.empty()) {
-    std::printf("%s\n", rendered.c_str());
-  } else {
-    std::ofstream out(cli.out_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write: %s\n", cli.out_file.c_str());
-      return 1;
-    }
-    out << rendered << "\n";
-  }
-  return 0;
-}
 
 /// Put a file's bytes on the wire verbatim (no framing), half-close, and
 /// report what came back. Exit 0 only if some reply parsed as ok:true —

@@ -179,12 +179,6 @@ TEST(BackendContract, RegistryExposesBuiltinsAndRejectsUnknown) {
   EXPECT_FALSE(is_known_backend("jax"));
   SimulatedCudaDriver driver(util::kGiB);
   EXPECT_THROW(make_backend("jax", driver), std::invalid_argument);
-  EXPECT_THROW(
-      register_backend("pytorch", "duplicate",
-                       [](SimulatedCudaDriver& d, const BackendKnobs&) {
-                         return make_backend("pytorch", d);
-                       }),
-      std::invalid_argument);
 }
 
 TEST(BackendContract, FactoryNameMatchesBackendName) {

@@ -5,7 +5,8 @@
 
 #include "core/profile_runner.h"
 #include "core/sequence_transform.h"
-#include "core/xmem_estimator.h"
+#include "core/estimation_service.h"
+#include "core/simulator.h"
 #include "gpu/ground_truth.h"
 #include "models/zoo.h"
 #include "util/bytes.h"
@@ -42,14 +43,21 @@ gpu::GroundTruthResult ground_truth(const TrainJob& job,
   return runner.run(model, job.optimizer, device, options);
 }
 
+/// `estimator` ("xMem" or "xMem-noOrch") on `job`, through the service.
+EstimateResult estimate_with(EstimationService& service, const TrainJob& job,
+                             const gpu::DeviceModel& device,
+                             const std::string& estimator = "xMem") {
+  return service.estimate(estimator, job, device).to_result();
+}
+
 class PipelineAccuracy : public ::testing::TestWithParam<PipelineCase> {};
 
 TEST_P(PipelineAccuracy, EstimateWithinTolerance) {
   const TrainJob job = make_job(GetParam());
   const gpu::DeviceModel device = gpu::rtx3060();
   const gpu::GroundTruthResult truth = ground_truth(job, device);
-  XMemEstimator estimator;
-  const EstimateResult estimate = estimator.estimate(job, device);
+  EstimationService service;
+  const EstimateResult estimate = estimate_with(service, job, device);
 
   if (truth.oom) {
     EXPECT_TRUE(estimate.oom_predicted) << job.label();
@@ -104,14 +112,15 @@ TEST(Pipeline, ErrorsAreSmallAndTwoSidedBounded) {
       {"gpt2", 5, fw::OptimizerKind::kAdafactor},
       {"t5-base", 5, fw::OptimizerKind::kSgd},
   };
-  XMemEstimator estimator;
+  EstimationService service;
   double worst_under = 0.0;
   double sum_abs = 0.0;
   for (const auto& c : cases) {
     const TrainJob job = make_job(c);
     const gpu::GroundTruthResult truth = ground_truth(job, gpu::rtx3060());
     ASSERT_FALSE(truth.oom) << job.label();
-    const EstimateResult estimate = estimator.estimate(job, gpu::rtx3060());
+    const EstimateResult estimate =
+        estimate_with(service, job, gpu::rtx3060());
     const double signed_error =
         static_cast<double>(estimate.estimated_peak - truth.peak_job_bytes) /
         static_cast<double>(truth.peak_job_bytes);
@@ -124,13 +133,14 @@ TEST(Pipeline, ErrorsAreSmallAndTwoSidedBounded) {
 }
 
 TEST(Pipeline, OomPredictionMatchesBudgetComparison) {
-  XMemEstimator estimator;
+  EstimationService service;
   const TrainJob job = make_job({"pythia-1b", 8, fw::OptimizerKind::kAdam});
-  const EstimateResult on_3060 = estimator.estimate(job, gpu::rtx3060());
+  const EstimateResult on_3060 = estimate_with(service, job, gpu::rtx3060());
   EXPECT_TRUE(on_3060.oom_predicted);
   EXPECT_GT(on_3060.estimated_peak, gpu::rtx3060().job_budget());
   // The same estimate against a 40 GB device flips the prediction.
-  const EstimateResult on_a100 = estimator.estimate(job, gpu::a100_40gb());
+  const EstimateResult on_a100 =
+      estimate_with(service, job, gpu::a100_40gb());
   EXPECT_FALSE(on_a100.oom_predicted);
   EXPECT_NEAR(static_cast<double>(on_3060.estimated_peak),
               static_cast<double>(on_a100.estimated_peak),
@@ -138,10 +148,12 @@ TEST(Pipeline, OomPredictionMatchesBudgetComparison) {
 }
 
 TEST(Pipeline, DeterministicEstimates) {
-  XMemEstimator estimator;
+  // Two services: each profiles and replays on its own.
+  EstimationService first;
+  EstimationService second;
   const TrainJob job = make_job({"gpt2", 10, fw::OptimizerKind::kAdamW});
-  const EstimateResult a = estimator.estimate(job, gpu::rtx3060());
-  const EstimateResult b = estimator.estimate(job, gpu::rtx3060());
+  const EstimateResult a = estimate_with(first, job, gpu::rtx3060());
+  const EstimateResult b = estimate_with(second, job, gpu::rtx3060());
   EXPECT_EQ(a.estimated_peak, b.estimated_peak);
 }
 
@@ -218,11 +230,10 @@ TEST(Pipeline, OrchestratorAblationUnderestimates) {
   // timeline). Disabling the Orchestrator must lower the estimate.
   const TrainJob job = make_job({"Qwen3-0.6B", 2, fw::OptimizerKind::kSgd},
                                 fw::ZeroGradPlacement::kPos0BeforeBackward);
-  XMemOptions on;
-  XMemOptions off;
-  off.orchestrate = false;
-  const auto with_orch = XMemEstimator(on).estimate(job, gpu::rtx3060());
-  const auto without_orch = XMemEstimator(off).estimate(job, gpu::rtx3060());
+  EstimationService service;
+  const EstimateResult with_orch = estimate_with(service, job, gpu::rtx3060());
+  const EstimateResult without_orch =
+      estimate_with(service, job, gpu::rtx3060(), "xMem-noOrch");
   EXPECT_NE(without_orch.estimated_peak, with_orch.estimated_peak);
 
   const gpu::GroundTruthResult truth = ground_truth(job, gpu::rtx3060());
@@ -238,12 +249,20 @@ TEST(Pipeline, OrchestratorAblationUnderestimates) {
 
 TEST(Pipeline, ArtifactsExposeInternals) {
   const TrainJob job = make_job({"distilgpt2", 6, fw::OptimizerKind::kAdamW});
-  XMemEstimator estimator;
-  const auto artifacts = estimator.run_pipeline(job, /*record_series=*/true);
+  const ProfileKey key = ProfileKey::of(job);
+  ProfileSession session;
+  const ProfileArtifacts& artifacts = *session.get(key).artifacts;
 
   // The profiler trace is non-trivial and CPU-backed.
-  EXPECT_GT(artifacts.trace.events.size(), 500u);
-  EXPECT_EQ(artifacts.trace.backend, "cpu");
+  ProfileOptions options;
+  options.iterations = key.profile_iterations;
+  options.placement = key.placement;
+  options.seed = key.seed;
+  const trace::Trace trace = profile_on_cpu(
+      models::build_model(job.model_name, job.batch_size), job.optimizer,
+      options);
+  EXPECT_GT(trace.events.size(), 500u);
+  EXPECT_EQ(trace.backend, "cpu");
   // The Analyzer filtered script noise and saw address reuse.
   EXPECT_GT(artifacts.analysis.stats.filtered_blocks, 0u);
   EXPECT_GT(artifacts.analysis.stats.address_reuses, 0u);
@@ -253,16 +272,20 @@ TEST(Pipeline, ArtifactsExposeInternals) {
   EXPECT_GT(artifacts.orchestration.stats.batch_truncated, 0u);
   EXPECT_GT(artifacts.orchestration.stats.optimizer_states_pinned, 0u);
   // The Simulator produced curves.
-  EXPECT_FALSE(artifacts.simulation.reserved_series.empty());
-  EXPECT_GT(artifacts.simulation.peak_reserved, 0);
+  SimulationOptions sim_options;
+  sim_options.record_series = true;
+  const SimulationResult simulation =
+      MemorySimulator().replay(artifacts.orchestration.sequence, sim_options);
+  EXPECT_FALSE(simulation.reserved_series.empty());
+  EXPECT_GT(simulation.peak_reserved, 0);
 }
 
 TEST(Pipeline, ThreeIterationsMatchFiveIterationGroundTruth) {
   // The paper profiles only 3 iterations; memory must have stabilized so
   // the estimate holds for longer runs.
   const TrainJob job = make_job({"MobileNetV2", 300, fw::OptimizerKind::kAdam});
-  XMemEstimator estimator;
-  const EstimateResult estimate = estimator.estimate(job, gpu::rtx3060());
+  EstimationService service;
+  const EstimateResult estimate = estimate_with(service, job, gpu::rtx3060());
 
   const fw::ModelDescriptor model = models::build_model(job.model_name, 300);
   gpu::GroundTruthRunner runner;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <set>
 
-#include "core/xmem_estimator.h"
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "gpu/ground_truth.h"
@@ -172,8 +171,8 @@ TEST_P(ZooEstimate, SmallestBatchSgdWithinTolerance) {
   const auto truth = runner.run(model, job.optimizer, device, options);
   ASSERT_FALSE(truth.oom) << model_name;
 
-  core::XMemEstimator estimator;
-  const auto estimate = estimator.estimate(job, device);
+  core::EstimationService service;
+  const auto estimate = service.estimate("xMem", job, device);
   const double error =
       std::abs(static_cast<double>(estimate.estimated_peak -
                                    truth.peak_job_bytes)) /

@@ -8,7 +8,6 @@
 #include "core/distributed_planner.h"
 #include "core/profile_runner.h"
 #include "core/simulator.h"
-#include "core/xmem_estimator.h"
 #include "gpu/ground_truth.h"
 #include "models/amp.h"
 #include "models/zoo.h"

@@ -8,7 +8,7 @@
 #include "core/orchestrator.h"
 #include "core/profile_runner.h"
 #include "core/simulator.h"
-#include "core/xmem_estimator.h"
+#include "core/estimation_service.h"
 #include "fw/executor.h"
 #include "fw/memory_env.h"
 #include "gpu/ground_truth.h"
@@ -180,12 +180,16 @@ TEST(FailureInjection, OomAbortsMidIterationWithConsistentState) {
 }
 
 TEST(FailureInjection, EstimatorRejectsUnknownModel) {
-  core::XMemEstimator estimator;
   core::TrainJob job;
   job.model_name = "NotAModel";
   job.batch_size = 4;
-  EXPECT_THROW(estimator.estimate(job, gpu::rtx3060()),
+  // The service's validator rejects the name, and so does the profile
+  // layer beneath it.
+  core::EstimationService service;
+  EXPECT_THROW(service.estimate("xMem", job, gpu::rtx3060()),
                std::invalid_argument);
+  core::ProfileSession session;
+  EXPECT_THROW(session.get(core::ProfileKey::of(job)), std::invalid_argument);
 }
 
 TEST(FailureInjection, OrchestratorHandlesEmptyTimeline) {

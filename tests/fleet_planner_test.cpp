@@ -451,6 +451,45 @@ TEST(FleetCeiling, JobPastTheReplayCeilingIsRejectedAlone) {
   EXPECT_EQ(service.session().misses(), 2u);
 }
 
+TEST(FleetCeiling, PlanPastTheReplayCeilingRejectsOnlyItsArchetype) {
+  // Under DNNMem the huge job has a single-card estimate that fits no
+  // card, so the fleet asks for a multi-GPU plan, and the plan's replays
+  // outgrow the ceiling. Only that archetype's jobs are rejected, each
+  // the same way (the ceiling message, no demand); the what-if pack
+  // reuses the verdict and plans nothing again.
+  const core::TrainJob huge =
+      make_job("distilgpt2", 1 << 24, fw::OptimizerKind::kAdamW);
+  sched::FleetRequest request;
+  request.estimator = "DNNMem";
+  request.jobs = {
+      fleet_job("small",
+                make_job("distilgpt2", 10, fw::OptimizerKind::kAdamW)),
+      fleet_job("huge", huge),
+      fleet_job("huge-again", huge),
+  };
+  request.pools = {{gpu::rtx3060(), 1}};
+  request.what_if = {{gpu::a100_40gb(), 1}};
+
+  core::EstimationService service;
+  const sched::FleetReport packed = sched::FleetPlanner(service).pack(request);
+  ASSERT_EQ(packed.verdicts.size(), 3u);
+  EXPECT_EQ(packed.verdicts[0].verdict, sched::Verdict::kAdmit);
+  for (const std::size_t i : {1u, 2u}) {
+    const sched::JobVerdict& verdict = packed.verdicts[i];
+    EXPECT_EQ(verdict.verdict, sched::Verdict::kReject);
+    EXPECT_EQ(verdict.reason,
+              "replay: the job needs more than the 1125899906842624-byte "
+              "replay capacity (2^50); its peak cannot be estimated");
+    EXPECT_EQ(verdict.demand_bytes, 0);
+    EXPECT_EQ(verdict.predicted_peak, 0);
+  }
+  EXPECT_EQ(packed.stats.admitted, 1);
+  EXPECT_EQ(packed.stats.rejected, 2);
+  EXPECT_EQ(packed.counters.plans_run, 0u);
+  ASSERT_TRUE(packed.what_if.has_value());
+  EXPECT_EQ(packed.what_if->admitted_delta, 0);
+}
+
 // ---------- what-if ----------
 
 TEST(FleetWhatIf, DeltaMatchesTwoIndependentPacks) {

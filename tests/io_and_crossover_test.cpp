@@ -10,7 +10,7 @@
 #include "alloc/caching_allocator.h"
 #include "core/analyzer.h"
 #include "core/profile_runner.h"
-#include "core/xmem_estimator.h"
+#include "core/estimation_service.h"
 #include "gpu/ground_truth.h"
 #include "models/workload.h"
 #include "models/zoo.h"
@@ -108,7 +108,7 @@ TEST_P(OomCrossover, PredictedCrossoverMatchesActualWithinOneStep) {
 
   int actual_crossover = -1, predicted_crossover = -1;
   gpu::GroundTruthRunner runner;
-  core::XMemEstimator estimator;
+  core::EstimationService service;
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const int batch = grid[i];
     const fw::ModelDescriptor model = models::build_model(model_name, batch);
@@ -124,7 +124,7 @@ TEST_P(OomCrossover, PredictedCrossoverMatchesActualWithinOneStep) {
     job.batch_size = batch;
     job.optimizer = fw::OptimizerKind::kAdamW;
     job.seed = 31;
-    const auto estimate = estimator.estimate(job, device);
+    const auto estimate = service.estimate("xMem", job, device);
     if (estimate.oom_predicted && predicted_crossover < 0) {
       predicted_crossover = static_cast<int>(i);
     }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/profile_session.h"
-#include "core/xmem_estimator.h"
 
 namespace xmem {
 namespace {
@@ -31,8 +30,7 @@ core::ProfileKey key_for_batch(int batch) {
   job.batch_size = batch;
   job.optimizer = fw::OptimizerKind::kAdamW;
   job.seed = 7;
-  core::XMemEstimator key_builder;
-  return key_builder.profile_key(job);
+  return core::ProfileKey::of(job);
 }
 
 TEST(ProfileSessionLru, EvictsAtCapacityAndReprofilesEvictedKeys) {

@@ -5,23 +5,21 @@
 //     and ONE replay per allocator (stage counters prove it), every entry
 //     matches an independent per-device replay, and the concurrent path
 //     returns byte-identical reports to the serial path;
-//   * supports() gates execution in the service path: an unsupported job
-//     yields a supported=false entry and compute() is never invoked;
+//   * "xMem"/"xMem-noOrch" entries equal one replay of their profile key;
+//   * supports() gates execution: an unsupported job yields a
+//     supported=false result and compute() is never invoked;
 //   * the ProfileSession LRU is bounded and deduplicates in-flight work;
 //   * the result cache (the old EvalHarness estimate cache) serves repeats.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <fstream>
 #include <map>
 #include <sstream>
 
 #include "alloc/backend_registry.h"
 #include "core/estimation_service.h"
-#include "core/estimator_registry.h"
 #include "core/profile_session.h"
 #include "core/simulator.h"
-#include "core/xmem_estimator.h"
 #include "util/bytes.h"
 #include "util/json.h"
 
@@ -553,34 +551,98 @@ TEST(EstimationServiceSweep, ResultCacheDistinguishesDeviceGeometry) {
   EXPECT_NE(first.device_job_budget, second.device_job_budget);
 }
 
-TEST(EstimationServiceSweep, AdapterAndServiceAgree) {
-  // core::Estimator survives as a thin adapter: the same job through the
-  // old interface and the service must give identical peaks.
-  const core::TrainJob job = small_job();
-  core::XMemEstimator estimator;
-  const core::EstimateResult direct = estimator.estimate(job, gpu::rtx3060());
-
+TEST(EstimationServiceSweep, SessionEnginesEqualOneReplayOfTheirProfile) {
+  // "xMem" and "xMem-noOrch" have no Estimator class: the service answers
+  // each with the cached sequence of its ProfileKey and one replay. On
+  // every backend, each entry equals that replay run here on a profile of
+  // the test's own.
+  core::EstimateRequest request;
+  request.job = small_job();
+  request.devices = {gpu::rtx3060(), gpu::a100_40gb()};
+  request.allocators = alloc::backend_names();
+  request.estimators = {"xMem", "xMem-noOrch"};
   core::EstimationService service;
+  const core::EstimateReport report = service.sweep(request);
+  ASSERT_EQ(report.entries.size(), request.estimators.size() *
+                                       request.devices.size() *
+                                       request.allocators.size());
+  EXPECT_EQ(report.profiles_run, 2u);
+
+  core::ProfileSession session;
+  std::size_t i = 0;
+  for (const std::string& estimator : request.estimators) {
+    const core::ProfileArtifacts& artifacts =
+        *session
+             .get(core::ProfileKey::of(request.job, request.profile_iterations,
+                                       estimator == "xMem"))
+             .artifacts;
+    for (const gpu::DeviceModel& device : request.devices) {
+      for (const std::string& backend : request.allocators) {
+        const core::EstimateEntry& entry = report.entries[i++];
+        ASSERT_EQ(entry.estimator, estimator);
+        ASSERT_EQ(entry.device, device.name);
+        ASSERT_EQ(entry.allocator, backend);
+        core::SimulationOptions options;
+        options.backend = backend;
+        const core::SimulationResult fresh =
+            core::MemorySimulator().replay(artifacts.orchestration.sequence,
+                                           options);
+        EXPECT_EQ(entry.estimated_peak, fresh.peak_device)
+            << estimator << "/" << device.name << "/" << backend;
+        EXPECT_EQ(entry.oom_predicted,
+                  fresh.peak_device > device.job_budget())
+            << estimator << "/" << device.name << "/" << backend;
+        const core::OrchestratorStats& stats = artifacts.orchestration.stats;
+        EXPECT_EQ(entry.orchestrator_stats.params_pinned, stats.params_pinned);
+        EXPECT_EQ(entry.orchestrator_stats.gradients_retimed,
+                  stats.gradients_retimed);
+      }
+    }
+  }
+  EXPECT_EQ(session.misses(), 2u);
+}
+
+TEST(ProfileKeyOf, XMemKeyIsTheDefaultKeyOfTheJob) {
+  // A caller that builds the key field by field, leaving the iterations
+  // and the Orchestrator rules at their defaults, names the profile the
+  // service files "xMem" under, and gets a session hit for it.
+  const core::TrainJob job = small_job();
+  core::ProfileKey by_hand;
+  by_hand.model_name = job.model_name;
+  by_hand.batch_size = job.batch_size;
+  by_hand.optimizer = job.optimizer;
+  by_hand.placement = job.placement;
+  by_hand.seed = job.seed;
+  EXPECT_EQ(core::ProfileKey::of(job).cache_string(), by_hand.cache_string());
+  EXPECT_EQ(core::ProfileKey::of(job, 3, true).cache_string(),
+            by_hand.cache_string());
+  EXPECT_EQ(core::ProfileKey::of(job, 3, false).cache_string(),
+            "distilgpt2/AdamW/b5/POS1/s7/it3/rules0000");
+
+  core::ServiceOptions options;
+  options.session = std::make_shared<core::ProfileSession>();
+  options.session->get(by_hand);
+  core::EstimationService service(options);
   const core::EstimateEntry entry =
       service.estimate("xMem", job, gpu::rtx3060());
-  EXPECT_EQ(direct.estimated_peak, entry.estimated_peak);
-  EXPECT_EQ(direct.oom_predicted, entry.oom_predicted);
-  EXPECT_GT(direct.runtime_seconds, 0.0);  // uniform wrapper fills it
+  EXPECT_TRUE(entry.timings.profile_cache_hit);
+  EXPECT_EQ(options.session->misses(), 1u);
+  EXPECT_EQ(options.session->hits(), 1u);
 }
 
 // ---------- supports() gating ----------
-
-std::atomic<int> g_mock_compute_calls{0};
 
 class UnsupportedEverythingEstimator final : public core::Estimator {
  public:
   std::string name() const override { return "MockUnsupported"; }
   bool supports(const core::TrainJob&) const override { return false; }
 
+  int compute_calls = 0;
+
  protected:
   core::EstimateResult compute(const core::TrainJob&,
                                const gpu::DeviceModel&) override {
-    g_mock_compute_calls.fetch_add(1);
+    ++compute_calls;
     core::EstimateResult bogus;
     bogus.estimated_peak = 1;  // would be a bogus peak if it ever leaked
     return bogus;
@@ -588,26 +650,14 @@ class UnsupportedEverythingEstimator final : public core::Estimator {
 };
 
 TEST(SupportsGating, ComputeNeverRunsForUnsupportedJobs) {
-  static bool registered = false;
-  if (!registered) {
-    core::register_estimator("MockUnsupported", "test-only", [] {
-      return std::make_unique<UnsupportedEverythingEstimator>();
-    });
-    registered = true;
-  }
-
-  core::EstimationService service;
-  core::EstimateRequest request = sweep_request();
-  request.estimators = {"MockUnsupported"};
-  const core::EstimateReport report = service.sweep(request);
-
-  ASSERT_EQ(report.entries.size(), request.devices.size());
-  for (const core::EstimateEntry& entry : report.entries) {
-    EXPECT_FALSE(entry.supported);
-    EXPECT_EQ(entry.estimated_peak, 0);
-    EXPECT_FALSE(entry.oom_predicted);
-  }
-  EXPECT_EQ(g_mock_compute_calls.load(), 0);
+  // The gate lives in the non-virtual Estimator::estimate.
+  UnsupportedEverythingEstimator estimator;
+  const core::EstimateResult result =
+      estimator.estimate(small_job(), gpu::rtx3060());
+  EXPECT_FALSE(result.supported);
+  EXPECT_EQ(result.estimated_peak, 0);
+  EXPECT_FALSE(result.oom_predicted);
+  EXPECT_EQ(estimator.compute_calls, 0);
 }
 
 TEST(SupportsGating, LLMemOnCnnYieldsUnsupportedReport) {
@@ -655,8 +705,7 @@ TEST(ProfileSessionCache, BoundedLruEvictsOldestKey) {
   auto key_for = [&](int batch) {
     core::TrainJob job = small_job();
     job.batch_size = batch;
-    core::XMemEstimator key_builder;
-    return key_builder.profile_key(job);
+    return core::ProfileKey::of(job);
   };
 
   session.get(key_for(1));
@@ -671,13 +720,15 @@ TEST(ProfileSessionCache, BoundedLruEvictsOldestKey) {
   EXPECT_EQ(session.misses(), 4u);
 }
 
-TEST(ProfileSessionCache, SharedSessionAcrossEstimators) {
-  auto session = std::make_shared<core::ProfileSession>();
-  core::XMemEstimator first({}, session);
-  core::XMemEstimator second({}, session);
+TEST(ProfileSessionCache, SharedSessionAcrossServices) {
+  core::ServiceOptions options;
+  options.session = std::make_shared<core::ProfileSession>();
+  const std::shared_ptr<core::ProfileSession> session = options.session;
+  core::EstimationService first(options);
+  core::EstimationService second(options);
   const core::TrainJob job = small_job();
-  first.estimate(job, gpu::rtx3060());
-  second.estimate(job, gpu::rtx4060());
+  first.estimate("xMem", job, gpu::rtx3060());
+  second.estimate("xMem", job, gpu::rtx4060());
   EXPECT_EQ(session->misses(), 1u);
   EXPECT_EQ(session->hits(), 1u);
 }
